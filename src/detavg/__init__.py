@@ -9,8 +9,10 @@ because for sums of independently scaled rank-one components the identity
 
 The package provides
 
-* the weighted combiner and a streaming, mergeable accumulator that stay
-  accurate when log-weights span tens of thousands (:mod:`detavg.averaging`),
+* the determinant-weighted reduction, which returns the weighted mean of
+  every requested prefix of a stacked batch and stays accurate when
+  log-weights span tens of thousands, and the combiners built on it
+  (:mod:`detavg.averaging`),
 * regularized convex objectives with exact gradients and Hessians
   (:mod:`detavg.objective`) and Bernoulli row subsampling with
   counter-based per-machine random streams (:mod:`detavg.sketch`),
@@ -28,9 +30,9 @@ The package provides
 
 from .averaging import (
     LocalEstimate,
-    WeightedAccumulator,
     combine_determinantal,
     combine_uniform,
+    weighted_means,
 )
 from .dataio import expand_degree2, parse_libsvm, standardize, synth_regression
 from .newton import (
@@ -74,7 +76,6 @@ __all__ = [
     "StepReport",
     "Trajectory",
     "UqConfig",
-    "WeightedAccumulator",
     "coherence",
     "combine_determinantal",
     "combine_uniform",
@@ -98,4 +99,5 @@ __all__ = [
     "standardize",
     "synth_regression",
     "uq_sweep",
+    "weighted_means",
 ]

@@ -2,10 +2,11 @@
 
 Weights arrive in the log domain (log-determinants of the local matrices)
 because the determinants themselves overflow or underflow long before the
-weighted mean becomes ill defined.  All combiners normalize by the largest
+weighted mean becomes ill defined.  The reduction normalizes by the largest
 log-weight before exponentiating, so ratios are computed exactly even when
 log-weights sit at +-40000; adding a constant to every log-weight leaves
-the result unchanged.
+the result unchanged.  Uniform averaging is the same reduction with every
+log-weight zero.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyBatch
+from .errors import DimensionMismatch, EmptyBatch, NonFiniteWeight
 
 Value = Union[float, np.ndarray]
 
@@ -28,13 +29,66 @@ class LocalEstimate:
     log_weight: float
 
 
-def _as_array(value: Value) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    return arr
+def weighted_means(
+    values: np.ndarray, log_weights: np.ndarray, counts: Iterable[int]
+) -> np.ndarray:
+    """Weighted mean sum_t w_t v_t / sum_t w_t of each prefix ``values[:c]``.
+
+    Parameters
+    ----------
+    values : ndarray of shape (m, ...)
+        One estimate per machine, stacked along the first axis.
+    log_weights : ndarray of shape (m,)
+        Finite log-weights, ``w_t = exp(log_weights[t])``.
+    counts : iterable of int
+        Prefix lengths, each in 1..m.
+
+    Returns
+    -------
+    means : ndarray of shape (len(counts), ...)
+        ``means[i]`` is the weighted mean of the first ``counts[i]`` values.
+        Each prefix is shifted by its own largest log-weight, so a heavy
+        weight later in the batch cannot underflow an earlier prefix.
+
+    Raises
+    ------
+    NonFiniteWeight
+        If a log-weight is NaN or infinite.
+    DimensionMismatch
+        If ``log_weights`` is not one weight per row of ``values``.
+    """
+    values = np.asarray(values, dtype=float)
+    log_weights = np.asarray(log_weights, dtype=float)
+    m = len(log_weights)
+    if log_weights.ndim != 1 or values.shape[:1] != (m,):
+        raise DimensionMismatch(
+            f"{log_weights.shape} log-weights for values of shape {values.shape}"
+        )
+    if not np.all(np.isfinite(log_weights)):
+        bad = log_weights[~np.isfinite(log_weights)]
+        raise NonFiniteWeight(f"log-weights must be finite, got {bad}")
+    means = []
+    for c in counts:
+        if not 1 <= c <= m:
+            raise ValueError(f"prefix count {c} outside 1..{m}")
+        logs = log_weights[:c]
+        # shift by the max so the largest weight is exactly 1
+        w = np.exp(logs - logs.max())
+        means.append(np.tensordot(w, values[:c], axes=(0, 0)) / w.sum())
+    return np.stack(means)
 
 
-def _restore(arr: np.ndarray, scalar: bool) -> Value:
-    return float(arr) if scalar else arr
+def _combine(estimates: Sequence[LocalEstimate], uniform: bool) -> Value:
+    if len(estimates) == 0:
+        raise EmptyBatch("no estimates to combine")
+    values = [np.asarray(e.value, dtype=float) for e in estimates]
+    shape = values[0].shape
+    for v in values[1:]:
+        if v.shape != shape:
+            raise DimensionMismatch(f"value shapes differ: {shape} vs {v.shape}")
+    logs = np.array([0.0 if uniform else e.log_weight for e in estimates], dtype=float)
+    mean = weighted_means(np.stack(values), logs, [len(values)])[0]
+    return float(mean) if mean.ndim == 0 else mean
 
 
 def combine_determinantal(estimates: Sequence[LocalEstimate]) -> Value:
@@ -51,116 +105,12 @@ def combine_determinantal(estimates: Sequence[LocalEstimate]) -> Value:
         If no estimates are given.
     DimensionMismatch
         If value shapes disagree.
+    NonFiniteWeight
+        If a log-weight is NaN or infinite.
     """
-    if len(estimates) == 0:
-        raise EmptyBatch("no estimates to combine")
-    values = [_as_array(e.value) for e in estimates]
-    shape = values[0].shape
-    for v in values[1:]:
-        if v.shape != shape:
-            raise DimensionMismatch(f"value shapes differ: {shape} vs {v.shape}")
-    logs = np.array([e.log_weight for e in estimates], dtype=float)
-    # shift by the max so the largest weight is exactly 1
-    w = np.exp(logs - logs.max())
-    stacked = np.stack(values)
-    total = np.tensordot(w, stacked, axes=(0, 0)) / w.sum()
-    return _restore(total, np.isscalar(estimates[0].value) or values[0].ndim == 0)
+    return _combine(estimates, uniform=False)
 
 
 def combine_uniform(estimates: Sequence[LocalEstimate]) -> Value:
     """Plain mean of the values; log-weights are ignored."""
-    if len(estimates) == 0:
-        raise EmptyBatch("no estimates to combine")
-    values = [_as_array(e.value) for e in estimates]
-    shape = values[0].shape
-    for v in values[1:]:
-        if v.shape != shape:
-            raise DimensionMismatch(f"value shapes differ: {shape} vs {v.shape}")
-    total = np.stack(values).mean(axis=0)
-    return _restore(total, np.isscalar(estimates[0].value) or values[0].ndim == 0)
-
-
-class WeightedAccumulator:
-    """Streaming form of :func:`combine_determinantal`.
-
-    Maintains the running weighted sum and weight total relative to the
-    largest log-weight seen so far, rescaling whenever a new maximum
-    arrives.  Accumulators can be merged, and merging is associative up to
-    rounding, so a batch can be reduced in any tree order.
-    """
-
-    def __init__(self):
-        self._shift = -np.inf
-        self._weight_total = 0.0
-        self._value_total: np.ndarray | None = None
-        self._scalar = False
-        self._count = 0
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    def push(self, estimate: LocalEstimate) -> None:
-        """Fold one estimate into the running totals."""
-        value = _as_array(estimate.value)
-        if self._value_total is None:
-            self._scalar = np.isscalar(estimate.value) or value.ndim == 0
-            self._value_total = np.zeros_like(value)
-        elif value.shape != self._value_total.shape:
-            raise DimensionMismatch(
-                f"value shapes differ: {self._value_total.shape} vs {value.shape}"
-            )
-        self._fold(estimate.log_weight, value, 1)
-
-    def merge(self, other: "WeightedAccumulator") -> None:
-        """Fold another accumulator's totals into this one."""
-        if other._value_total is None:
-            return
-        if self._value_total is None:
-            self._shift = other._shift
-            self._weight_total = other._weight_total
-            self._value_total = other._value_total.copy()
-            self._scalar = other._scalar
-            self._count = other._count
-            return
-        if other._value_total.shape != self._value_total.shape:
-            raise DimensionMismatch(
-                f"value shapes differ: {self._value_total.shape} vs {other._value_total.shape}"
-            )
-        self._fold(other._shift, other._value_total, other._count, weight=other._weight_total)
-
-    def _fold(self, log_w: float, weighted_value: np.ndarray, count: int,
-              weight: float = 1.0) -> None:
-        # incoming totals are relative to log_w: a single pushed estimate is
-        # (1, v), a merged accumulator brings its own (S, V) pair
-        if log_w > self._shift:
-            # rescale existing totals so the new log-weight becomes the shift
-            factor = np.exp(self._shift - log_w) if np.isfinite(self._shift) else 0.0
-            self._weight_total *= factor
-            self._value_total *= factor
-            self._shift = log_w
-            scale = 1.0
-        else:
-            scale = np.exp(log_w - self._shift)
-        self._weight_total += scale * weight
-        self._value_total = self._value_total + scale * weighted_value
-        self._count += count
-
-    def finalize(self) -> Value:
-        """Weighted mean of everything pushed so far.  Non-destructive."""
-        if self._value_total is None or self._count == 0:
-            raise EmptyBatch("no estimates pushed")
-        return _restore(self._value_total / self._weight_total, self._scalar)
-
-
-def streaming_push(acc: WeightedAccumulator, estimate: LocalEstimate) -> WeightedAccumulator:
-    """Functional wrapper around :meth:`WeightedAccumulator.push`."""
-    acc.push(estimate)
-    return acc
-
-
-def reduce_estimates(estimates: Iterable[LocalEstimate]) -> WeightedAccumulator:
-    acc = WeightedAccumulator()
-    for e in estimates:
-        acc.push(e)
-    return acc
+    return _combine(estimates, uniform=True)

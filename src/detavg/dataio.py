@@ -10,6 +10,7 @@ offending line number.
 from __future__ import annotations
 
 import io
+import math
 from typing import Iterable, TextIO, Union
 
 import numpy as np
@@ -43,8 +44,8 @@ def parse_libsvm(source: Source) -> Dataset:
     Raises
     ------
     ParseError
-        On a malformed label or pair, or indices that are not strictly
-        increasing within a line.  The error carries the line number.
+        On a malformed or non-finite label or pair, or indices that are not
+        strictly increasing within a line.  The error carries the line number.
     EmptyDataset
         If no data lines remain after stripping comments and blanks.
     """
@@ -60,6 +61,8 @@ def parse_libsvm(source: Source) -> Dataset:
             label = float(tokens[0])
         except ValueError:
             raise ParseError(lineno, f"bad label {tokens[0]!r}") from None
+        if not math.isfinite(label):
+            raise ParseError(lineno, f"label {tokens[0]!r} is not finite")
         pairs: list[tuple[int, float]] = []
         prev = 0
         for token in tokens[1:]:
@@ -71,6 +74,8 @@ def parse_libsvm(source: Source) -> Dataset:
                 val = float(val_str)
             except ValueError:
                 raise ParseError(lineno, f"bad pair {token!r}") from None
+            if not math.isfinite(val):
+                raise ParseError(lineno, f"value in {token!r} is not finite")
             if idx < 1:
                 raise ParseError(lineno, f"index {idx} is not positive")
             if idx <= prev:

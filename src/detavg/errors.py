@@ -18,6 +18,10 @@ class NegativeQuadraticForm(NumericalError):
     """A quadratic form came out negative beyond rounding tolerance."""
 
 
+class NonFiniteWeight(NumericalError):
+    """A log-weight passed to the weighted reduction is NaN or infinite."""
+
+
 class SingularCovariance(NumericalError):
     """The exact covariance is singular, so its inverse statistic is undefined."""
 

@@ -1,7 +1,9 @@
 """Dense symmetric linear algebra used by every estimator in the package.
 
 All routines take plain ``numpy`` arrays.  Symmetric inputs are validated
-cheaply at entry; factorizations go through Cholesky so that positive
+at the public entry points; :func:`factor_solve`, which runs once per
+simulated machine on matrices the package built symmetric, skips that
+check.  Factorizations go through Cholesky so that positive
 definiteness failures surface as :class:`~detavg.errors.NotPositiveDefinite`
 instead of silently wrong results.
 
@@ -62,11 +64,31 @@ def cholesky(M: np.ndarray) -> np.ndarray:
     NotPositiveDefinite
         If a pivot fails to be positive, i.e. ``M`` is not positive definite.
     """
-    M = require_symmetric(M)
+    return _cholesky(require_symmetric(M))
+
+
+def _cholesky(M: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.cholesky(M)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"matrix is not positive definite: {exc}") from exc
+
+
+def factor_solve(M: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+    """Solve ``M x = rhs`` and return ``(x, log det M)`` from one Cholesky factor.
+
+    The per-machine kernel of every fleet.  ``M`` must be exactly
+    symmetric, as every matrix built by :func:`symmetrize` plus a ridge is,
+    so the symmetry check of the public routines is skipped.
+
+    Raises
+    ------
+    NotPositiveDefinite
+        If ``M`` fails the Cholesky factorization.
+    """
+    L = _cholesky(M)
+    x = scipy.linalg.cho_solve((L, True), rhs, check_finite=False)
+    return x, float(2.0 * np.sum(np.log(np.diag(L))))
 
 
 def log_det_psd(M: np.ndarray) -> float:
@@ -159,11 +181,6 @@ def solve_psd(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     if v.shape[0] != M.shape[0]:
         raise ValueError(f"shape mismatch: {M.shape} vs {v.shape}")
     return scipy.linalg.cho_solve((L, True), v, check_finite=False)
-
-
-def solve_chol(L: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Solve with an already-computed lower Cholesky factor."""
-    return scipy.linalg.cho_solve((L, True), np.asarray(v, dtype=float), check_finite=False)
 
 
 def mahalanobis_norm(v: np.ndarray, M: np.ndarray) -> float:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .averaging import LocalEstimate, WeightedAccumulator, combine_determinantal, combine_uniform
+from .averaging import LocalEstimate, weighted_means
 from .objective import Objective
 from .parallel import parallel_map
 from .sketch import SeedSpec, SketchMask, draw_mask, local_hessian
@@ -29,6 +29,10 @@ class Scheme(enum.Enum):
 
     UNIFORM = "uniform"
     DETERMINANTAL = "determinantal"
+
+    def log_weights(self, log_dets: np.ndarray) -> np.ndarray:
+        """Log-weights of the merge: uniform merging weights every step by 1."""
+        return log_dets if self is Scheme.DETERMINANTAL else np.zeros_like(log_dets)
 
 
 @dataclass(frozen=True)
@@ -97,11 +101,28 @@ def local_newton_estimate(
     """
     if grad is None:
         grad = obj.gradient(w)
-    H_hat = local_hessian(obj, w, mask)
-    L = linalg.cholesky(H_hat)
-    value = linalg.solve_chol(L, grad)
-    log_weight = float(2.0 * np.sum(np.log(np.diag(L))))
+    value, log_weight = linalg.factor_solve(local_hessian(obj, w, mask), grad)
     return LocalEstimate(value=value, log_weight=log_weight)
+
+
+def _local_steps(
+    obj: Objective, w: np.ndarray, grad: np.ndarray, k: int, m: int, seed: int, trial: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Steps (m, d) and log-determinants (m,) of machines 0..m-1 of one fleet.
+
+    Machine t draws its mask from the stream keyed by (seed, trial, t), so
+    the first m rows are the same whatever m is.
+    """
+    estimates = [
+        local_newton_estimate(obj, w, draw_mask(obj.data.n, k, SeedSpec(seed, trial, t)), grad)
+        for t in range(m)
+    ]
+    return np.array([e.value for e in estimates]), np.array([e.log_weight for e in estimates])
+
+
+def _step_errors(step: np.ndarray, exact: np.ndarray, H: np.ndarray) -> tuple[float, float]:
+    diff = step - exact
+    return float(np.linalg.norm(diff)), linalg.mahalanobis_norm(diff, H)
 
 
 def merged_step(
@@ -114,58 +135,18 @@ def merged_step(
     """
     w = np.asarray(w, dtype=float)
     grad = obj.gradient(w)
-    estimates = []
-    for t in range(cfg.m):
-        mask = draw_mask(obj.data.n, cfg.k, SeedSpec(seed, trial, t))
-        estimates.append(local_newton_estimate(obj, w, mask, grad=grad))
-    if cfg.scheme is Scheme.DETERMINANTAL:
-        step = combine_determinantal(estimates)
-    else:
-        step = combine_uniform(estimates)
+    steps, log_dets = _local_steps(obj, w, grad, cfg.k, cfg.m, seed, trial)
+    step = weighted_means(steps, cfg.scheme.log_weights(log_dets), [cfg.m])[0]
     H = obj.hessian(w)
     exact = linalg.solve_psd(H, grad)
-    diff = step - exact
+    err_euclidean, err_hnorm = _step_errors(step, exact, H)
     return StepReport(
         step=step,
         exact=exact,
-        err_euclidean=float(np.linalg.norm(diff)),
-        err_hnorm=linalg.mahalanobis_norm(diff, H),
-        log_weights=np.array([e.log_weight for e in estimates]),
+        err_euclidean=err_euclidean,
+        err_hnorm=err_hnorm,
+        log_weights=log_dets,
     )
-
-
-def _sweep_trial(
-    obj: Objective,
-    w: np.ndarray,
-    k: int,
-    m_list: list[int],
-    schemes: list[Scheme],
-    seed: int,
-    trial: int,
-    grad: np.ndarray,
-    H: np.ndarray,
-    exact: np.ndarray,
-) -> dict[tuple[str, int], tuple[float, float]]:
-    # one pass over max(m_list) machines; snapshots at each m reuse the
-    # same local estimates for both schemes (common random numbers)
-    det_acc = WeightedAccumulator()
-    uni_acc = WeightedAccumulator()
-    targets = set(m_list)
-    errs: dict[tuple[str, int], tuple[float, float]] = {}
-    for t in range(max(m_list)):
-        mask = draw_mask(obj.data.n, k, SeedSpec(seed, trial, t))
-        est = local_newton_estimate(obj, w, mask, grad=grad)
-        det_acc.push(est)
-        uni_acc.push(LocalEstimate(value=est.value, log_weight=0.0))
-        if t + 1 in targets:
-            for scheme in schemes:
-                acc = det_acc if scheme is Scheme.DETERMINANTAL else uni_acc
-                diff = acc.finalize() - exact
-                errs[(scheme.value, t + 1)] = (
-                    float(np.linalg.norm(diff)),
-                    linalg.mahalanobis_norm(diff, H),
-                )
-    return errs
 
 
 def error_sweep(
@@ -194,7 +175,8 @@ def error_sweep(
 
     Returns
     -------
-    rows : list of SweepRow, sorted by (scheme, m, trial).
+    rows : list of SweepRow, sorted by (scheme, m, trial).  The row at
+    (scheme, m, trial) equals :func:`merged_step` for that fleet.
     """
     schemes = [scheme] if isinstance(scheme, Scheme) else list(scheme)
     if len(schemes) == 0:
@@ -210,15 +192,18 @@ def error_sweep(
     H = obj.hessian(w)
     exact = linalg.solve_psd(H, grad)
 
-    def run(trial: int):
-        return _sweep_trial(obj, w, k, m_list, schemes, seed, trial, grad, H, exact)
+    def run(trial: int) -> dict[Scheme, np.ndarray]:
+        # one fleet of max(m_list) machines per trial; the snapshot at each m
+        # is its first m machines, shared by both schemes (common random numbers)
+        steps, log_dets = _local_steps(obj, w, grad, k, m_list[-1], seed, trial)
+        return {s: weighted_means(steps, s.log_weights(log_dets), m_list) for s in schemes}
 
     per_trial = parallel_map(run, range(trials), threads)
     rows = []
     for scheme_obj in schemes:
-        for m in m_list:
+        for i, m in enumerate(m_list):
             for trial in range(trials):
-                err_e, err_h = per_trial[trial][(scheme_obj.value, m)]
+                err_e, err_h = _step_errors(per_trial[trial][scheme_obj][i], exact, H)
                 rows.append(SweepRow(scheme_obj.value, m, k, trial, err_e, err_h))
     rows.sort(key=lambda r: (r.scheme, r.m, r.trial))
     return rows

@@ -115,9 +115,6 @@ class Objective:
     def d(self) -> int:
         return self.data.d
 
-    def predictions(self, w: np.ndarray) -> np.ndarray:
-        return self.data.X @ np.asarray(w, dtype=float)
-
     def loss_value(self, w: np.ndarray) -> float:
         w = np.asarray(w, dtype=float)
         z = self.data.X @ w

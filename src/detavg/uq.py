@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .averaging import LocalEstimate, WeightedAccumulator, combine_determinantal
+from .averaging import LocalEstimate, weighted_means
 from .errors import NotPositiveDefinite, SingularCovariance
 from .objective import Dataset
 from .parallel import parallel_map
@@ -63,10 +63,12 @@ class UqRow:
 
 
 def _statistic_of_inverse(A: np.ndarray, statistic: Statistic) -> tuple[float | np.ndarray, float]:
-    """Statistic of A^{-1} plus log det A, from one Cholesky factorization."""
-    L = linalg.cholesky(A)
-    inv_diag = np.diag(linalg.solve_chol(L, np.eye(A.shape[0])))
-    log_det = float(2.0 * np.sum(np.log(np.diag(L))))
+    """Statistic of A^{-1} plus log det A, from one Cholesky factorization.
+
+    ``A`` must be exactly symmetric (see :func:`linalg.factor_solve`).
+    """
+    inverse, log_det = linalg.factor_solve(A, np.eye(A.shape[0]))
+    inv_diag = np.diag(inverse)
     if statistic is Statistic.TRACE:
         return float(inv_diag.sum()), log_det
     return inv_diag.copy(), log_det
@@ -111,6 +113,33 @@ def exact_statistic(data: Dataset, statistic: Statistic) -> float | np.ndarray:
     return value
 
 
+def _local_covariances(data: Dataset, k: int, m: int, seed: int, trial: int) -> list[np.ndarray]:
+    """Subsampled covariances of machines 0..m-1, masks keyed by (seed, trial, t)."""
+    return [local_covariance(data, draw_mask(data.n, k, SeedSpec(seed, trial, t)))
+            for t in range(m)]
+
+
+def _fleet_estimate(
+    covs: list[np.ndarray], eta: float, statistic: Statistic
+) -> float | np.ndarray:
+    """Determinant-weighted statistic of a fleet with one machine per covariance.
+
+    The ridge eta/sqrt(m) depends on the fleet size m = len(covs), so every
+    machine is refactorized for each fleet size.
+    """
+    m = len(covs)
+    ridge_eye = eta / np.sqrt(m) * np.eye(covs[0].shape[0])
+    pairs = [_statistic_of_inverse(cov + ridge_eye, statistic) for cov in covs]
+    values = np.array([value for value, _ in pairs])
+    log_dets = np.array([log_det for _, log_det in pairs])
+    estimate = weighted_means(values, log_dets, [m])[0]
+    return float(estimate) if statistic is Statistic.TRACE else estimate
+
+
+def _abs_err(estimate: float | np.ndarray, exact: float | np.ndarray) -> float:
+    return float(np.linalg.norm(np.atleast_1d(np.asarray(estimate) - np.asarray(exact))))
+
+
 def estimate_precision_statistic(
     data: Dataset, cfg: UqConfig, seed: int, trial: int = 0
 ) -> tuple[float | np.ndarray, float | np.ndarray, float]:
@@ -120,46 +149,10 @@ def estimate_precision_statistic(
     The error is the Euclidean norm of the elementwise deviation, which for
     the trace statistic is just the absolute error.
     """
-    estimates = []
-    for t in range(cfg.m):
-        mask = draw_mask(data.n, cfg.k, SeedSpec(seed, trial, t))
-        estimates.append(local_uq_estimate(data, mask, cfg.eta, cfg.m, cfg.statistic))
-    estimate = combine_determinantal(estimates)
     exact = exact_statistic(data, cfg.statistic)
-    abs_err = float(np.linalg.norm(np.atleast_1d(np.asarray(estimate) - np.asarray(exact))))
-    return estimate, exact, abs_err
-
-
-def _uq_trial(
-    data: Dataset,
-    k: int,
-    eta: float,
-    m_list: list[int],
-    statistic: Statistic,
-    seed: int,
-    trial: int,
-    exact: float | np.ndarray,
-) -> dict[int, tuple[float, float]]:
-    # covariances are reused across the m grid; the ridge depends on m, so
-    # each snapshot refactorizes the first m of them
-    covs = []
-    for t in range(max(m_list)):
-        mask = draw_mask(data.n, k, SeedSpec(seed, trial, t))
-        covs.append(local_covariance(data, mask))
-    eye = np.eye(data.d)
-    exact_arr = np.atleast_1d(np.asarray(exact, dtype=float))
-    out: dict[int, tuple[float, float]] = {}
-    for m in m_list:
-        ridge = eta / np.sqrt(m)
-        acc = WeightedAccumulator()
-        for t in range(m):
-            value, log_det = _statistic_of_inverse(covs[t] + ridge * eye, statistic)
-            acc.push(LocalEstimate(value=value, log_weight=log_det))
-        est = acc.finalize()
-        est_arr = np.atleast_1d(np.asarray(est, dtype=float))
-        abs_err = float(np.linalg.norm(est_arr - exact_arr))
-        out[m] = (float(est_arr.sum()), abs_err)
-    return out
+    covs = _local_covariances(data, cfg.k, cfg.m, seed, trial)
+    estimate = _fleet_estimate(covs, cfg.eta, cfg.statistic)
+    return estimate, exact, _abs_err(estimate, exact)
 
 
 def uq_sweep(
@@ -191,13 +184,17 @@ def uq_sweep(
     exact = exact_statistic(data, statistic)
     exact_sum = float(np.atleast_1d(np.asarray(exact, dtype=float)).sum())
 
-    def run(trial: int):
-        return _uq_trial(data, k, eta, m_list, statistic, seed, trial, exact)
+    def run(trial: int) -> list[float | np.ndarray]:
+        # covariances are drawn once per trial; the fleet of size m is the
+        # first m of them, as in estimate_precision_statistic
+        covs = _local_covariances(data, k, m_list[-1], seed, trial)
+        return [_fleet_estimate(covs[:m], eta, statistic) for m in m_list]
 
     per_trial = parallel_map(run, range(trials), threads)
     rows = []
-    for m in m_list:
+    for i, m in enumerate(m_list):
         for trial in range(trials):
-            est_sum, abs_err = per_trial[trial][m]
-            rows.append(UqRow(statistic.value, m, k, eta, trial, est_sum, exact_sum, abs_err))
+            est = per_trial[trial][i]
+            rows.append(UqRow(statistic.value, m, k, eta, trial, float(np.sum(est)),
+                              exact_sum, _abs_err(est, exact)))
     return rows

@@ -1,16 +1,17 @@
-"""Weighted combination: ratios in the log domain, streaming, merging."""
+"""Weighted combination: ratios in the log domain, prefix reductions."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detavg.averaging import (
     LocalEstimate,
-    WeightedAccumulator,
     combine_determinantal,
     combine_uniform,
-    streaming_push,
+    weighted_means,
 )
-from detavg.errors import DimensionMismatch, EmptyBatch
+from detavg.errors import DimensionMismatch, EmptyBatch, NonFiniteWeight, NumericalError
 
 
 def test_two_scalar_hand_instance():
@@ -81,94 +82,25 @@ def test_empty_and_mismatched_batches():
         combine_uniform(bad)
 
 
-def test_streaming_matches_batch():
-    rng = np.random.default_rng(73)
-    batch = [
-        LocalEstimate(rng.standard_normal((2, 2)), float(rng.uniform(-40000, 40000)))
-        for _ in range(30)
-    ]
-    acc = WeightedAccumulator()
-    for e in batch:
-        streaming_push(acc, e)
-    expected = combine_determinantal(batch)
-    got = acc.finalize()
-    assert np.abs(got - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
-    assert acc.count == 30
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_log_weight_is_a_numerical_error(bad):
+    batch = [LocalEstimate(np.ones(2), 0.0), LocalEstimate(np.zeros(2), bad)]
+    with pytest.raises(NonFiniteWeight) as err:
+        combine_determinantal(batch)
+    assert isinstance(err.value, NumericalError)  # the CLI's exit code 2
+    # uniform merging never looks at the log-weights
+    assert np.array_equal(combine_uniform(batch), np.full(2, 0.5))
 
 
-def test_streaming_is_order_independent():
-    rng = np.random.default_rng(79)
-    batch = [
-        LocalEstimate(rng.standard_normal(5), float(rng.uniform(-100, 100)))
-        for _ in range(25)
-    ]
-    acc_fwd = WeightedAccumulator()
-    for e in batch:
-        acc_fwd.push(e)
-    acc_rev = WeightedAccumulator()
-    for e in reversed(batch):
-        acc_rev.push(e)
-    a, b = acc_fwd.finalize(), acc_rev.finalize()
-    assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(a).max())
-
-
-def test_finalize_is_not_destructive():
-    acc = WeightedAccumulator()
-    acc.push(LocalEstimate(1.0, 0.0))
-    mid = acc.finalize()
-    assert mid == pytest.approx(1.0)
-    acc.push(LocalEstimate(3.0, np.log(3.0)))
-    assert acc.finalize() == pytest.approx(2.5, rel=1e-14)
-
-
-def test_merge_is_associative():
-    rng = np.random.default_rng(83)
-    batch = [
-        LocalEstimate(rng.standard_normal(3), float(rng.uniform(-50, 50)))
-        for _ in range(15)
-    ]
-    parts = [batch[:5], batch[5:9], batch[9:]]
-
-    def acc_of(part):
-        acc = WeightedAccumulator()
-        for e in part:
-            acc.push(e)
-        return acc
-
-    left = acc_of(parts[0])
-    left.merge(acc_of(parts[1]))
-    left.merge(acc_of(parts[2]))
-
-    right_tail = acc_of(parts[1])
-    right_tail.merge(acc_of(parts[2]))
-    right = acc_of(parts[0])
-    right.merge(right_tail)
-
-    expected = combine_determinantal(batch)
-    for acc in (left, right):
-        assert acc.count == 15
-        assert np.abs(acc.finalize() - expected).max() <= 1e-12 * max(
-            1.0, np.abs(expected).max()
-        )
-
-
-def test_merge_with_empty_accumulator():
-    acc = WeightedAccumulator()
-    other = WeightedAccumulator()
-    other.push(LocalEstimate(2.0, 1.0))
-    acc.merge(other)
-    assert acc.finalize() == pytest.approx(2.0)
-    acc.merge(WeightedAccumulator())  # no-op
-    assert acc.finalize() == pytest.approx(2.0)
-
-
-def test_accumulator_empty_and_mismatch():
-    acc = WeightedAccumulator()
-    with pytest.raises(EmptyBatch):
-        acc.finalize()
-    acc.push(LocalEstimate(np.zeros((2, 2)), 0.0))
+def test_reduction_rejects_bad_shapes_and_counts():
+    values = np.zeros((3, 2))
     with pytest.raises(DimensionMismatch):
-        acc.push(LocalEstimate(np.zeros(2), 0.0))
+        weighted_means(values, np.zeros(2), [2])
+    with pytest.raises(DimensionMismatch):
+        weighted_means(values, np.zeros((3, 1)), [2])
+    for count in (0, 4):
+        with pytest.raises(ValueError):
+            weighted_means(values, np.zeros(3), [count])
 
 
 def test_shapes_and_types_preserved():
@@ -177,3 +109,61 @@ def test_shapes_and_types_preserved():
     assert isinstance(out, np.ndarray) and out.shape == (2, 2)
     scal = combine_determinantal([LocalEstimate(1.5, 0.0)])
     assert isinstance(scal, float)
+    assert weighted_means(np.zeros((4, 2, 3)), np.zeros(4), [1, 4]).shape == (2, 2, 3)
+
+
+@st.composite
+def batches(draw, log_range=50.0):
+    """(values (m, d), log_weights (m,), prefix counts) for a random batch."""
+    m = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 4))
+    finite = st.floats(-10.0, 10.0, allow_nan=False)
+    values = np.array(draw(st.lists(st.lists(finite, min_size=d, max_size=d),
+                                    min_size=m, max_size=m)))
+    logs = np.array(draw(st.lists(st.floats(-log_range, log_range), min_size=m, max_size=m)))
+    counts = sorted(draw(st.sets(st.integers(1, m), min_size=1)))
+    return values, logs, counts
+
+
+def _tol(values):
+    return 1e-12 * max(1.0, float(np.abs(values).max()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(batches())
+def test_prefix_means_match_independent_average(batch):
+    values, logs, counts = batch
+    means = weighted_means(values, logs, counts)
+    assert means.shape == (len(counts), values.shape[1])
+    for mean, c in zip(means, counts):
+        weights = np.exp(logs[:c] - logs[:c].max())
+        expected = np.average(values[:c], axis=0, weights=weights)
+        assert np.abs(mean - expected).max() <= _tol(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(batches(), st.floats(-4e4, 4e4))
+def test_constant_log_weight_shift_changes_nothing(batch, shift):
+    values, logs, counts = batch
+    base = weighted_means(values, logs, counts)
+    moved = weighted_means(values, logs + shift, counts)
+    # adding 4e4 rounds each log-weight by up to ~1e-11 before the shift
+    # cancels, which moves each weight ratio by as much
+    assert np.abs(moved - base).max() <= 1e-9 * max(1.0, float(np.abs(values).max()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(batches(), st.data())
+def test_heavy_weight_after_prefix_leaves_it_unchanged(batch, data):
+    values, logs, _ = batch
+    m, d = values.shape
+    c = data.draw(st.integers(1, m))
+    light = logs - 4e4
+    heavy_value = np.full(d, 7.0)
+    ext_values = np.insert(values, c, heavy_value, axis=0)
+    ext_logs = np.insert(light, c, 4e4)  # 8e4 above the light weights
+    before = weighted_means(values, light, [c])[0]
+    prefix, full = weighted_means(ext_values, ext_logs, [c, m + 1])
+    assert np.all(np.isfinite(prefix))
+    assert np.array_equal(prefix, before)
+    assert np.abs(full - heavy_value).max() <= 1e-12

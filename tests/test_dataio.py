@@ -49,6 +49,9 @@ def test_parse_crlf_and_file_object(tmp_path):
         ("1 3:1 2:1", 1),
         ("1 11", 1),
         ("1 2:", 1),
+        ("0 1:2\n1 1:nan", 2),
+        ("0 1:2\n\n1 1:inf", 3),
+        ("nan 1:1", 1),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, lineno):

@@ -111,6 +111,20 @@ def test_error_sweep_rows_are_complete_and_sorted():
     assert all(np.isfinite(r.err_euclidean) and np.isfinite(r.err_hnorm) for r in rows)
 
 
+def test_error_sweep_rows_equal_single_fleet_steps():
+    # a sweep row is the merged step of the same fleet, bit for bit
+    obj = make_objective(12, n=400, d=5, lam=0.05)
+    w = np.full(5, 0.1)
+    m_list = [1, 3, 8, 32, 128]
+    schemes = [Scheme.DETERMINANTAL, Scheme.UNIFORM]
+    rows = error_sweep(obj, w, 40, m_list, trials=2, scheme=schemes, seed=13)
+    assert len(rows) == 2 * len(m_list) * 2
+    for row in rows:
+        cfg = MachineConfig(m=row.m, k=40, scheme=Scheme(row.scheme))
+        report = merged_step(obj, w, cfg, seed=13, trial=row.trial)
+        assert (row.err_euclidean, row.err_hnorm) == (report.err_euclidean, report.err_hnorm)
+
+
 def test_error_sweep_deterministic_across_threads():
     obj = make_objective(6, n=40, d=3, lam=0.2)
     args = (obj, np.zeros(3), 8, [2, 8], 6, [Scheme.DETERMINANTAL, Scheme.UNIFORM], 17)

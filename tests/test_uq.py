@@ -106,6 +106,20 @@ def test_sweep_rows_complete_and_deterministic():
     assert uq_sweep(*args, threads=3) == rows
 
 
+@pytest.mark.parametrize("statistic", list(Statistic))
+def test_sweep_rows_equal_single_fleet_estimates(statistic):
+    # a sweep row is the estimate of the same fleet, bit for bit
+    data = gaussian_data(12, n=400, d=5)
+    m_list = [1, 3, 8, 32, 128]
+    rows = uq_sweep(data, 40, 1.0, m_list, 2, statistic, seed=13)
+    assert len(rows) == len(m_list) * 2
+    for row in rows:
+        cfg = UqConfig(m=row.m, k=40, eta=1.0, statistic=statistic)
+        est, exact, abs_err = estimate_precision_statistic(data, cfg, seed=13, trial=row.trial)
+        want = (float(np.sum(est)), float(np.sum(exact)), abs_err)
+        assert (row.estimate, row.exact, row.abs_err) == want
+
+
 def test_diagonal_sweep_estimate_column_matches_trace():
     data = gaussian_data(9, n=120, d=4)
     tr = uq_sweep(data, 12, 1.0, [8], 3, Statistic.TRACE, seed=2)
