@@ -11,7 +11,15 @@ class NumericalError(Exception):
 
 
 class NotPositiveDefinite(NumericalError):
-    """Cholesky factorization hit a non-positive pivot."""
+    """Cholesky factorization hit a non-positive pivot.
+
+    ``index`` is the position of the failing matrix within a stack, or
+    ``None`` when a single matrix was factored.
+    """
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class NegativeQuadraticForm(NumericalError):

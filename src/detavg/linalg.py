@@ -1,9 +1,9 @@
 """Dense symmetric linear algebra used by every estimator in the package.
 
 All routines take plain ``numpy`` arrays.  Symmetric inputs are validated
-at the public entry points; :func:`factor_solve`, which runs once per
-simulated machine on matrices the package built symmetric, skips that
-check.  Factorizations go through Cholesky so that positive
+at the public entry points; :func:`factor_solve`, which factors a whole
+stack of simulated machines' matrices that the package built symmetric,
+skips that check.  Factorizations go through Cholesky so that positive
 definiteness failures surface as :class:`~detavg.errors.NotPositiveDefinite`
 instead of silently wrong results.
 
@@ -26,6 +26,9 @@ from .errors import NegativeQuadraticForm, NotPositiveDefinite
 _COFACTOR_MAX_DIM = 5
 
 _SYM_RTOL = 1e-10
+
+# Bytes of matrices stacked per decomposition call by the fleets.
+_STACK_BYTES = 1 << 20
 
 
 def require_symmetric(M: np.ndarray) -> np.ndarray:
@@ -64,31 +67,79 @@ def cholesky(M: np.ndarray) -> np.ndarray:
     NotPositiveDefinite
         If a pivot fails to be positive, i.e. ``M`` is not positive definite.
     """
-    return _cholesky(require_symmetric(M))
-
-
-def _cholesky(M: np.ndarray) -> np.ndarray:
+    M = require_symmetric(M)
     try:
         return np.linalg.cholesky(M)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"matrix is not positive definite: {exc}") from exc
 
 
-def factor_solve(M: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-    """Solve ``M x = rhs`` and return ``(x, log det M)`` from one Cholesky factor.
+def block_size(d: int) -> int:
+    """Number of (d, d) matrices a fleet stacks per decomposition call.
 
-    The per-machine kernel of every fleet.  ``M`` must be exactly
-    symmetric, as every matrix built by :func:`symmetrize` plus a ridge is,
-    so the symmetry check of the public routines is skipped.
+    About ``_STACK_BYTES`` of them: the whole fleet at small d, while a
+    large-d fleet never holds all m matrices at once.
+    """
+    return max(1, _STACK_BYTES // (8 * d * d))
+
+
+def factor_solve(M: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve ``M[i] x[i] = rhs`` for a stack of matrices with one Cholesky call.
+
+    The kernel of every Newton fleet: ``np.linalg.cholesky`` factors the
+    whole stack in one call, ``scipy.linalg.cho_solve`` solves it (SciPy
+    loops over the slices in Python, one ``potrs`` each), and each
+    log-determinant is read off its factor's diagonal.  Every slice of
+    ``x`` and of the log-determinants is bit-identical to factoring and
+    solving that matrix on its own.  A single matrix of shape (d, d) is
+    accepted too.
+
+    The matrices must be exactly symmetric, as every matrix built by
+    :func:`symmetrize` plus a ridge is.  The symmetry check of the public
+    routines is skipped: the callers build their matrices symmetric, and
+    one ``allclose`` per matrix would cost more than its factorization at
+    small d.
+
+    Parameters
+    ----------
+    M : ndarray of shape (b, d, d) or (d, d)
+        Stack of symmetric positive definite matrices, or one of them.
+    rhs : ndarray of shape (d,) or (d, r)
+        Right-hand side shared by every matrix of the stack.
+
+    Returns
+    -------
+    x : ndarray of shape (b, *rhs.shape), or of ``rhs.shape`` for one matrix
+    log_dets : ndarray of shape (b,), or a scalar for one matrix
+        ``log det M[i]``.
 
     Raises
     ------
     NotPositiveDefinite
-        If ``M`` fails the Cholesky factorization.
+        If a matrix fails the factorization; for a stack, ``index`` is the
+        first such matrix.
     """
-    L = _cholesky(M)
+    try:
+        L = np.linalg.cholesky(M)
+    except np.linalg.LinAlgError as exc:
+        if M.ndim == 2:
+            raise NotPositiveDefinite(f"matrix is not positive definite: {exc}") from exc
+        # the stacked call does not say which matrix failed
+        index = next(i for i, Mi in enumerate(M) if not _is_positive_definite(Mi))
+        raise NotPositiveDefinite(
+            f"matrix {index} of the stack is not positive definite: {exc}", index=index
+        ) from exc
     x = scipy.linalg.cho_solve((L, True), rhs, check_finite=False)
-    return x, float(2.0 * np.sum(np.log(np.diag(L))))
+    log_dets = 2.0 * np.sum(np.log(np.diagonal(L, axis1=-2, axis2=-1)), axis=-1)
+    return x, log_dets
+
+
+def _is_positive_definite(M: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def log_det_psd(M: np.ndarray) -> float:

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import linalg
 from .averaging import LocalEstimate, weighted_means
+from .errors import NotPositiveDefinite
 from .objective import Objective
 from .parallel import parallel_map
 from .sketch import SeedSpec, SketchMask, draw_mask, local_hessian
@@ -101,8 +102,8 @@ def local_newton_estimate(
     """
     if grad is None:
         grad = obj.gradient(w)
-    value, log_weight = linalg.factor_solve(local_hessian(obj, w, mask), grad)
-    return LocalEstimate(value=value, log_weight=log_weight)
+    step, log_det = linalg.factor_solve(local_hessian(obj, w, mask), grad)
+    return LocalEstimate(value=step, log_weight=float(log_det))
 
 
 def _local_steps(
@@ -111,13 +112,36 @@ def _local_steps(
     """Steps (m, d) and log-determinants (m,) of machines 0..m-1 of one fleet.
 
     Machine t draws its mask from the stream keyed by (seed, trial, t), so
-    the first m rows are the same whatever m is.
+    the first m rows are the same whatever m is.  Each row is bit-identical
+    to :func:`local_newton_estimate` for that machine.  The local Hessians
+    are factored in stacks of :func:`linalg.block_size` machines.
+
+    Raises
+    ------
+    NotPositiveDefinite
+        Naming the (seed, trial, machine) triple of the first machine whose
+        local Hessian fails the factorization.
     """
-    estimates = [
-        local_newton_estimate(obj, w, draw_mask(obj.data.n, k, SeedSpec(seed, trial, t)), grad)
-        for t in range(m)
-    ]
-    return np.array([e.value for e in estimates]), np.array([e.log_weight for e in estimates])
+    d = obj.d
+    block = linalg.block_size(d)
+    steps = np.empty((m, d))
+    log_dets = np.empty(m)
+    hessians = np.empty((min(block, m), d, d))
+    for start in range(0, m, block):
+        stop = min(start + block, m)
+        for t in range(start, stop):
+            mask = draw_mask(obj.data.n, k, SeedSpec(seed, trial, t))
+            hessians[t - start] = local_hessian(obj, w, mask)
+        try:
+            steps[start:stop], log_dets[start:stop] = linalg.factor_solve(
+                hessians[:stop - start], grad)
+        except NotPositiveDefinite as exc:
+            machine = start + exc.index
+            raise NotPositiveDefinite(
+                f"local Hessian of (seed, trial, machine) = ({seed}, {trial}, {machine}) "
+                f"is not positive definite", index=machine,
+            ) from exc
+    return steps, log_dets
 
 
 def _step_errors(step: np.ndarray, exact: np.ndarray, H: np.ndarray) -> tuple[float, float]:

@@ -17,6 +17,7 @@ which every solver in the package relies on.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,7 +100,7 @@ class Objective:
     data : Dataset
     loss : LossKind
     lam : float
-        Ridge weight, must be positive.
+        Ridge weight, must be positive and finite.
     """
 
     data: Dataset
@@ -107,8 +108,8 @@ class Objective:
     lam: float = field(default=1e-3)
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
+        if not 0 < self.lam < math.inf:
+            raise ValueError(f"lam must be positive and finite, got {self.lam}")
         _check_labels(self.loss, self.data.y)
 
     @property

@@ -8,12 +8,21 @@ even on empty subsamples and shrinks as machines are added, so the
 determinant-weighted combination converges to the statistic of the
 unridged inverse covariance, which is also the exact reference the
 estimates are scored against.
+
+The ridges of a sweep differ only in their shift, so a fleet decomposes
+each machine's covariance once, ``Sigma_hat_t = V diag(lambda) V^T``, and
+reads every fleet size off that spectrum: the ridged eigenvalues are
+``lambda + eta/sqrt(m)``.  The exact reference and the single-machine
+:func:`local_uq_estimate` stay on Cholesky factorizations, independent of
+the eigen route.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,8 +55,8 @@ class UqConfig:
             raise ValueError(f"need at least one machine, got m={self.m}")
         if self.k < 1:
             raise ValueError(f"need a positive sample size, got k={self.k}")
-        if not self.eta > 0:
-            raise ValueError(f"ridge scale eta must be positive, got {self.eta}")
+        if not 0 < self.eta < math.inf:
+            raise ValueError(f"ridge scale eta must be positive and finite, got {self.eta}")
 
 
 @dataclass(frozen=True)
@@ -65,10 +74,13 @@ class UqRow:
 def _statistic_of_inverse(A: np.ndarray, statistic: Statistic) -> tuple[float | np.ndarray, float]:
     """Statistic of A^{-1} plus log det A, from one Cholesky factorization.
 
-    ``A`` must be exactly symmetric (see :func:`linalg.factor_solve`).
+    The route of the exact reference and of a single machine, kept apart
+    from the eigendecompositions the fleets use.  ``A`` must be exactly
+    symmetric (see :func:`linalg.factor_solve`).
     """
     inverse, log_det = linalg.factor_solve(A, np.eye(A.shape[0]))
     inv_diag = np.diag(inverse)
+    log_det = float(log_det)
     if statistic is Statistic.TRACE:
         return float(inv_diag.sum()), log_det
     return inv_diag.copy(), log_det
@@ -113,26 +125,76 @@ def exact_statistic(data: Dataset, statistic: Statistic) -> float | np.ndarray:
     return value
 
 
-def _local_covariances(data: Dataset, k: int, m: int, seed: int, trial: int) -> list[np.ndarray]:
-    """Subsampled covariances of machines 0..m-1, masks keyed by (seed, trial, t)."""
-    return [local_covariance(data, draw_mask(data.n, k, SeedSpec(seed, trial, t)))
-            for t in range(m)]
+class _Spectra(NamedTuple):
+    """Eigendecompositions of the subsampled covariances of one trial's machines.
 
-
-def _fleet_estimate(
-    covs: list[np.ndarray], eta: float, statistic: Statistic
-) -> float | np.ndarray:
-    """Determinant-weighted statistic of a fleet with one machine per covariance.
-
-    The ridge eta/sqrt(m) depends on the fleet size m = len(covs), so every
-    machine is refactorized for each fleet size.
+    Row t belongs to the machine whose mask is keyed by (seed, trial, t).
     """
-    m = len(covs)
-    ridge_eye = eta / np.sqrt(m) * np.eye(covs[0].shape[0])
-    pairs = [_statistic_of_inverse(cov + ridge_eye, statistic) for cov in covs]
-    values = np.array([value for value, _ in pairs])
-    log_dets = np.array([log_det for _, log_det in pairs])
-    estimate = weighted_means(values, log_dets, [m])[0]
+
+    eigenvalues: np.ndarray  # (m, d)
+    sq_eigenvectors: np.ndarray | None  # (m, d, d) entries V**2; None for the trace
+    seed: int
+    trial: int
+
+
+def _local_spectra(
+    data: Dataset, k: int, m: int, seed: int, trial: int, statistic: Statistic
+) -> _Spectra:
+    """Spectra of machines 0..m-1, decomposing their stacked covariances.
+
+    The trace needs only the eigenvalues (``eigvalsh``); the diagonal also
+    keeps the squared eigenvectors (``eigh``).  The covariances are stacked
+    :func:`linalg.block_size` at a time, so a large-d fleet never holds all
+    m of them at once.
+    """
+    d = data.d
+    block = linalg.block_size(d)
+    eigenvalues = np.empty((m, d))
+    sq_eigenvectors = None if statistic is Statistic.TRACE else np.empty((m, d, d))
+    covs = np.empty((min(block, m), d, d))
+    for start in range(0, m, block):
+        stop = min(start + block, m)
+        for t in range(start, stop):
+            covs[t - start] = local_covariance(data, draw_mask(data.n, k, SeedSpec(seed, trial, t)))
+        if sq_eigenvectors is None:
+            eigenvalues[start:stop] = np.linalg.eigvalsh(covs[:stop - start])
+        else:
+            eigenvalues[start:stop], V = np.linalg.eigh(covs[:stop - start])
+            sq_eigenvectors[start:stop] = V * V
+    return _Spectra(eigenvalues, sq_eigenvectors, seed, trial)
+
+
+def _fleet_estimate(spectra: _Spectra, m: int, eta: float, statistic: Statistic
+                    ) -> float | np.ndarray:
+    """Determinant-weighted statistic of the fleet of machines 0..m-1.
+
+    Machine t's ridged matrix ``Sigma_hat_t + (eta/sqrt(m)) I`` has the
+    eigenvectors of ``Sigma_hat_t`` and the eigenvalues ``s = lambda +
+    eta/sqrt(m)``, so its log-determinant is ``sum log s``, the trace of
+    its inverse ``sum 1/s`` and the diagonal of its inverse ``(V*V) @
+    (1/s)``.  Each fleet size costs O(m d) (trace) or O(m d^2) (diagonal)
+    on top of the one decomposition per machine, whatever the grid of m.
+
+    Raises
+    ------
+    NotPositiveDefinite
+        Naming the (seed, trial, machine) triple of the first machine with
+        a non-positive ridged eigenvalue.
+    """
+    s = spectra.eigenvalues[:m] + eta / np.sqrt(m)
+    bad = np.flatnonzero(~np.all(s > 0, axis=1))
+    if bad.size:
+        raise NotPositiveDefinite(
+            f"ridged covariance of (seed, trial, machine) = "
+            f"({spectra.seed}, {spectra.trial}, {bad[0]}) is not positive definite "
+            f"(smallest eigenvalue {s[bad[0]].min():.3e})", index=int(bad[0]),
+        )
+    inv_s = 1.0 / s
+    if statistic is Statistic.TRACE:
+        values = inv_s.sum(axis=1)
+    else:
+        values = np.einsum("tij,tj->ti", spectra.sq_eigenvectors[:m], inv_s)
+    estimate = weighted_means(values, np.log(s).sum(axis=1), [m])[0]
     return float(estimate) if statistic is Statistic.TRACE else estimate
 
 
@@ -150,8 +212,8 @@ def estimate_precision_statistic(
     the trace statistic is just the absolute error.
     """
     exact = exact_statistic(data, cfg.statistic)
-    covs = _local_covariances(data, cfg.k, cfg.m, seed, trial)
-    estimate = _fleet_estimate(covs, cfg.eta, cfg.statistic)
+    spectra = _local_spectra(data, cfg.k, cfg.m, seed, trial, cfg.statistic)
+    estimate = _fleet_estimate(spectra, cfg.m, cfg.eta, cfg.statistic)
     return estimate, exact, _abs_err(estimate, exact)
 
 
@@ -185,10 +247,10 @@ def uq_sweep(
     exact_sum = float(np.atleast_1d(np.asarray(exact, dtype=float)).sum())
 
     def run(trial: int) -> list[float | np.ndarray]:
-        # covariances are drawn once per trial; the fleet of size m is the
-        # first m of them, as in estimate_precision_statistic
-        covs = _local_covariances(data, k, m_list[-1], seed, trial)
-        return [_fleet_estimate(covs[:m], eta, statistic) for m in m_list]
+        # each machine is drawn and decomposed once per trial; the fleet of
+        # size m is the first m of them, as in estimate_precision_statistic
+        spectra = _local_spectra(data, k, m_list[-1], seed, trial, statistic)
+        return [_fleet_estimate(spectra, m, eta, statistic) for m in m_list]
 
     per_trial = parallel_map(run, range(trials), threads)
     rows = []

@@ -84,6 +84,13 @@ class TestNewtonSweep:
         code, _ = run(tmp_path, "s.csv", *sweep_args(**{"lambda": "plenty"}))
         assert code == 1
 
+    def test_local_factorization_failure_names_the_machine(self, tmp_path, capsys):
+        # about two rows per machine in d=10 with a vanishing ridge
+        code, _ = run(tmp_path, "s.csv", *sweep_args(
+            synth="50,10,1.0", k="2", m="2,4", trials="1", seed="0", **{"lambda": "1e-300"}))
+        assert code == 2
+        assert "(seed, trial, machine) = (0, 0, 0)" in capsys.readouterr().err
+
 
 class TestSeedResolution:
     def test_env_seed_used_when_flag_absent(self, tmp_path, monkeypatch):
@@ -130,6 +137,13 @@ class TestUqSweep:
         ])
         assert code == 0
         assert out.read_text().splitlines()[1].startswith("diagonal,4,40,")
+
+    def test_infinite_eta_exits_1(self, tmp_path):
+        code = main([
+            "uq-sweep", "--synth", "50,3,1.0", "--k", "10", "--m", "2,4", "--trials", "1",
+            "--eta", "inf", "--out", str(tmp_path / "uq.csv"),
+        ])
+        assert code == 1
 
     def test_singular_covariance_exits_2(self, tmp_path):
         data = Dataset(X=np.arange(6.0).reshape(2, 3) + 1.0, y=np.zeros(2))

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detavg import linalg
 from detavg.errors import NegativeQuadraticForm, NotPositiveDefinite
@@ -169,3 +172,47 @@ def test_require_symmetric_rejects_asymmetric():
         linalg.require_symmetric(np.array([[1.0, 2.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         linalg.require_symmetric(np.ones((2, 3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    b=st.integers(1, 12),
+    d=st.integers(1, 12),
+    rhs_cols=st.sampled_from([None, 1, 3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_factor_solve_stack_equals_per_matrix_loop(b, d, rhs_cols, seed):
+    # every slice bit for bit what one Cholesky plus cho_solve per matrix gives
+    rng = np.random.default_rng(seed)
+    M = np.array([linalg.symmetrize(random_pd(rng, d)) for _ in range(b)])
+    rhs = rng.standard_normal(d if rhs_cols is None else (d, rhs_cols))
+    x, log_dets = linalg.factor_solve(M, rhs)
+    assert x.shape == (b, *rhs.shape) and log_dets.shape == (b,)
+    for i in range(b):
+        L = np.linalg.cholesky(M[i])
+        assert np.array_equal(x[i], scipy.linalg.cho_solve((L, True), rhs, check_finite=False))
+        assert log_dets[i] == float(2.0 * np.sum(np.log(np.diag(L))))
+
+
+def test_factor_solve_names_first_failing_matrix():
+    rng = np.random.default_rng(31)
+    M = np.array([random_pd(rng, 3) for _ in range(5)])
+    M[2] = np.diag([1.0, -1.0, 1.0])
+    M[4] = np.zeros((3, 3))
+    with pytest.raises(NotPositiveDefinite) as info:
+        linalg.factor_solve(M, np.ones(3))
+    assert info.value.index == 2
+    assert "matrix 2 of the stack" in str(info.value)
+
+
+def test_factor_solve_single_matrix():
+    rng = np.random.default_rng(32)
+    M = linalg.symmetrize(random_pd(rng, 4))
+    rhs = rng.standard_normal(4)
+    x, log_det = linalg.factor_solve(M, rhs)
+    stacked_x, stacked_log_dets = linalg.factor_solve(M[None], rhs)
+    assert np.array_equal(x, stacked_x[0]) and log_det == stacked_log_dets[0]
+    with pytest.raises(NotPositiveDefinite) as info:
+        linalg.factor_solve(np.diag([1.0, -1.0]), np.ones(2))
+    assert info.value.index is None
+    assert "stack" not in str(info.value)

@@ -4,11 +4,17 @@ import statistics
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detavg import linalg
+from detavg.dataio import synth_regression
+from detavg.errors import NotPositiveDefinite
 from detavg.newton import (
     MachineConfig,
     Scheme,
+    _local_steps,
     coherence,
     error_sweep,
     exact_minimizer,
@@ -18,7 +24,7 @@ from detavg.newton import (
 )
 from detavg.objective import Dataset, LossKind, Objective
 from detavg.oracle import expect_uniform_newton_bias
-from detavg.sketch import SeedSpec, SketchMask, draw_mask
+from detavg.sketch import SeedSpec, SketchMask, draw_mask, local_hessian
 
 
 def make_objective(seed, n, d, lam, loss=LossKind.SQUARE):
@@ -195,3 +201,49 @@ def test_coherence_scales_with_leverage():
     y2 = np.append(obj.data.y, 0.0)
     spiked = Objective(Dataset(X=X2, y=y2), LossKind.SQUARE, lam=0.1)
     assert coherence(spiked, np.zeros(5)) > base
+
+
+D_WIDE = 65
+BLOCK_WIDE = linalg.block_size(D_WIDE)
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    m=st.one_of(st.just(1), st.integers(BLOCK_WIDE + 1, 2 * BLOCK_WIDE + 1)),
+    seed=st.integers(0, 2**16),
+    trial=st.integers(0, 3),
+)
+def test_local_steps_equal_per_machine_factorizations(m, seed, trial):
+    # stacks of one and stacks spanning several blocks at d=65 give, bit for
+    # bit, the per-machine Cholesky and cho_solve of each local Hessian
+    assert BLOCK_WIDE > 1
+    obj = Objective(synth_regression(300, D_WIDE, 1.0, seed=seed), LossKind.SQUARE, lam=1e-2)
+    w = np.zeros(D_WIDE)
+    grad = obj.gradient(w)
+    steps, log_dets = _local_steps(obj, w, grad, 100, m, seed, trial)
+    assert steps.shape == (m, D_WIDE) and log_dets.shape == (m,)
+    for t in range(m):
+        mask = draw_mask(obj.data.n, 100, SeedSpec(seed, trial, t))
+        L = np.linalg.cholesky(local_hessian(obj, w, mask))
+        assert np.array_equal(steps[t], scipy.linalg.cho_solve((L, True), grad))
+        assert log_dets[t] == float(2.0 * np.sum(np.log(np.diag(L))))
+        est = local_newton_estimate(obj, w, mask, grad)
+        assert np.array_equal(est.value, steps[t]) and est.log_weight == log_dets[t]
+
+
+def test_local_factorization_failure_names_the_machine():
+    # about two rows per machine in d=3 with a vanishing ridge: some local
+    # Hessians are singular to working precision
+    seed = 5
+    obj = Objective(synth_regression(50, 3, 1.0, seed=seed), LossKind.SQUARE, lam=1e-300)
+    w = np.zeros(3)
+    with pytest.raises(NotPositiveDefinite) as info:
+        merged_step(obj, w, MachineConfig(m=8, k=2), seed)
+    machine = info.value.index
+    assert machine > 0
+    assert f"(seed, trial, machine) = ({seed}, 0, {machine})" in str(info.value)
+    # the triple replays that machine alone; the machines before it succeed
+    for t in range(machine):
+        local_newton_estimate(obj, w, draw_mask(50, 2, SeedSpec(seed, 0, t)))
+    with pytest.raises(NotPositiveDefinite):
+        local_newton_estimate(obj, w, draw_mask(50, 2, SeedSpec(seed, 0, machine)))

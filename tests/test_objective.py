@@ -142,6 +142,8 @@ def test_validation():
     with pytest.raises(ValueError):
         Objective(Dataset(X=[[1.0]], y=[1.0]), LossKind.SQUARE, lam=0.0)
     with pytest.raises(ValueError):
+        Objective(Dataset(X=[[1.0]], y=[1.0]), LossKind.SQUARE, lam=np.inf)
+    with pytest.raises(ValueError):
         Dataset(X=[[1.0], [2.0]], y=[1.0])
     with pytest.raises(ValueError):
         Dataset(X=[[np.nan]], y=[1.0])

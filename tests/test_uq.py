@@ -4,13 +4,18 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from detavg.errors import SingularCovariance
+from detavg.averaging import combine_determinantal
+from detavg.errors import NotPositiveDefinite, SingularCovariance
 from detavg.objective import Dataset
 from detavg.sketch import SeedSpec, SketchMask, draw_mask
 from detavg.uq import (
     Statistic,
     UqConfig,
+    _fleet_estimate,
+    _local_spectra,
     estimate_precision_statistic,
     exact_statistic,
     local_uq_estimate,
@@ -120,6 +125,44 @@ def test_sweep_rows_equal_single_fleet_estimates(statistic):
         assert (row.estimate, row.exact, row.abs_err) == want
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    trial=st.integers(0, 3),
+    n=st.integers(4, 40),
+    d=st.integers(1, 6),
+    k=st.integers(1, 4),
+    m=st.integers(1, 40),
+    eta=st.floats(0.1, 10.0),
+    statistic=st.sampled_from(list(Statistic)),
+)
+def test_eigen_fleet_estimate_matches_cholesky_route(seed, trial, n, d, k, m, eta, statistic):
+    # small k/n leaves many masks empty, so bare-ridge machines are covered
+    data = gaussian_data(seed, n, d)
+    got = _fleet_estimate(_local_spectra(data, k, m, seed, trial, statistic), m, eta, statistic)
+    want = combine_determinantal([
+        local_uq_estimate(data, draw_mask(n, k, SeedSpec(seed, trial, t)), eta, m, statistic)
+        for t in range(m)
+    ])
+    assert np.shape(got) == np.shape(want)
+    assert np.all(np.abs(np.subtract(got, want)) <= 1e-12 * np.abs(want))
+
+
+def test_non_positive_ridged_eigenvalue_names_the_machine():
+    # about two rows per machine in d=3: a covariance of fewer than three
+    # rows is singular, and a vanishing ridge cannot lift a rounding-negative
+    # eigenvalue
+    data = gaussian_data(14, n=50, d=3)
+    cfg = UqConfig(m=8, k=2, eta=1e-300)
+    with pytest.raises(NotPositiveDefinite) as info:
+        estimate_precision_statistic(data, cfg, seed=5, trial=2)
+    machine = info.value.index
+    assert f"(seed, trial, machine) = (5, 2, {machine})" in str(info.value)
+    spectra = _local_spectra(data, 2, 8, 5, 2, Statistic.TRACE)
+    first_bad = [t for t in range(8) if spectra.eigenvalues[t].min() + 1e-300 / np.sqrt(8) <= 0]
+    assert machine == first_bad[0]
+
+
 def test_diagonal_sweep_estimate_column_matches_trace():
     data = gaussian_data(9, n=120, d=4)
     tr = uq_sweep(data, 12, 1.0, [8], 3, Statistic.TRACE, seed=2)
@@ -136,6 +179,8 @@ def test_config_validation():
         UqConfig(m=2, k=0)
     with pytest.raises(ValueError):
         UqConfig(m=2, k=2, eta=0.0)
+    with pytest.raises(ValueError):
+        UqConfig(m=2, k=2, eta=np.inf)
     data = gaussian_data(10, n=20, d=2)
     with pytest.raises(ValueError):
         uq_sweep(data, 5, 1.0, [8, 4], 2, Statistic.TRACE, seed=0)
