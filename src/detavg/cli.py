@@ -11,9 +11,11 @@ Four subcommands:
 * ``verify-identities``: exact enumeration check of the determinant and
   adjugate expectation identities, plus the rank-two counterexample.
 
-Every run is reproducible byte for byte from its flags and seed; the
-``--threads`` flag only changes wall time.  Exit codes: 0 on success, 1
-for validation problems, 2 for numerical failures.
+Every run is reproducible byte for byte from its flags and seed.  Trials
+run one after another in this process; ``--threads`` is still accepted by
+the three data subcommands so older command lines keep working, but it has
+no effect.  Exit codes: 0 on success, 1 for validation problems, 2 for
+numerical failures.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from . import dataio, linalg
 from .errors import NumericalError
 from .newton import MachineConfig, Scheme, coherence, error_sweep, run_distributed_newton
 from .objective import Dataset, LossKind, Objective
-from .oracle import _MAX_COMPONENTS, identity_suite
+from .oracle import identity_suite
 from .uq import Statistic, uq_sweep
 
 NEWTON_SWEEP_HEADER = ("scheme", "m", "k", "trial", "err_euclidean", "err_hnorm")
@@ -118,11 +120,6 @@ def make_objective(args, data: Dataset) -> tuple[Objective, dict]:
     return obj, {"loss": loss.value, "lambda": lam}
 
 
-def _check_threads(threads: int) -> None:
-    if threads < 1:
-        raise ValueError(f"--threads must be at least 1, got {threads}")
-
-
 def _schemes(name: str) -> list[Scheme]:
     if name == "both":
         return [Scheme.DETERMINANTAL, Scheme.UNIFORM]
@@ -131,14 +128,11 @@ def _schemes(name: str) -> list[Scheme]:
 
 def cmd_newton_sweep(args) -> int:
     seed = resolve_seed(args)
-    _check_threads(args.threads)
     data, source = load_data(args, seed)
     obj, obj_meta = make_objective(args, data)
     m_list = parse_m_list(args.m)
     w0 = np.zeros(obj.d)
-    rows = error_sweep(
-        obj, w0, args.k, m_list, args.trials, _schemes(args.scheme), seed, threads=args.threads
-    )
+    rows = error_sweep(obj, w0, args.k, m_list, args.trials, _schemes(args.scheme), seed)
     out = Path(args.out)
     write_csv(
         out,
@@ -157,7 +151,6 @@ def cmd_newton_sweep(args) -> int:
         "trials": args.trials,
         "scheme": args.scheme,
         "seed": seed,
-        "threads": args.threads,
         "coherence": coherence(obj, w0),
         "step_norm_euclidean": float(np.linalg.norm(step)),
         "step_norm_hessian": linalg.mahalanobis_norm(step, obj.hessian(w0)),
@@ -170,19 +163,9 @@ def cmd_newton_sweep(args) -> int:
 
 def cmd_uq_sweep(args) -> int:
     seed = resolve_seed(args)
-    _check_threads(args.threads)
     data, _ = load_data(args, seed)
     m_list = parse_m_list(args.m)
-    rows = uq_sweep(
-        data,
-        args.k,
-        args.eta,
-        m_list,
-        args.trials,
-        Statistic(args.statistic),
-        seed,
-        threads=args.threads,
-    )
+    rows = uq_sweep(data, args.k, args.eta, m_list, args.trials, Statistic(args.statistic), seed)
     write_csv(
         Path(args.out),
         UQ_SWEEP_HEADER,
@@ -193,7 +176,6 @@ def cmd_uq_sweep(args) -> int:
 
 def cmd_newton_converge(args) -> int:
     seed = resolve_seed(args)
-    _check_threads(args.threads)
     data, _ = load_data(args, seed)
     obj, _ = make_objective(args, data)
     m_list = parse_m_list(args.m)
@@ -211,10 +193,6 @@ def cmd_newton_converge(args) -> int:
 
 
 def cmd_verify_identities(args) -> int:
-    if args.max_n > _MAX_COMPONENTS:
-        raise ValueError(
-            f"--max-n {args.max_n} exceeds the enumeration cap of {_MAX_COMPONENTS}"
-        )
     seed = resolve_seed(args)
     report = identity_suite(models=args.models, max_n=args.max_n, max_d=args.max_d, seed=seed)
     lines = [
@@ -251,7 +229,7 @@ def _add_data_flags(sp: argparse.ArgumentParser, with_loss: bool) -> None:
     sp.add_argument("--seed", type=int, default=None,
                     help="master seed; falls back to DETAVG_SEED, then 0")
     sp.add_argument("--threads", type=int, default=1,
-                    help="worker cap; never changes results")
+                    help="accepted for compatibility; has no effect")
     sp.add_argument("--out", required=True, metavar="PATH", help="output CSV path")
 
 

@@ -21,7 +21,6 @@ from . import linalg
 from .averaging import LocalEstimate, weighted_means
 from .errors import NotPositiveDefinite
 from .objective import Objective
-from .parallel import parallel_map
 from .sketch import SeedSpec, SketchMask, draw_mask, local_hessian
 
 
@@ -181,7 +180,6 @@ def error_sweep(
     trials: int,
     scheme: Scheme | list[Scheme],
     seed: int,
-    threads: int = 1,
 ) -> list[SweepRow]:
     """Step-error table over a grid of machine counts.
 
@@ -190,12 +188,10 @@ def error_sweep(
     m_list : list of int
         Machine counts, strictly increasing.
     trials : int
-        Independent repetitions; trial i uses streams keyed by (seed, i, *).
+        Independent repetitions, run one after another; trial i uses
+        streams keyed by (seed, i, *).
     scheme : Scheme or list of Scheme
         One or both merge schemes; both share identical masks per trial.
-    threads : int
-        Worker cap for the trial loop.  Results are identical at any
-        setting, threads only change wall time.
 
     Returns
     -------
@@ -222,7 +218,7 @@ def error_sweep(
         steps, log_dets = _local_steps(obj, w, grad, k, m_list[-1], seed, trial)
         return {s: weighted_means(steps, s.log_weights(log_dets), m_list) for s in schemes}
 
-    per_trial = parallel_map(run, range(trials), threads)
+    per_trial = [run(trial) for trial in range(trials)]
     rows = []
     for scheme_obj in schemes:
         for i, m in enumerate(m_list):

@@ -296,9 +296,19 @@ def identity_suite(models: int = 50, max_n: int = 8, max_d: int = 3, seed: int =
     all outcomes.  The fixed hand-checked instance participates in the
     determinant and adjugate maxima; the rank-two counterexample is
     reported separately since its whole point is to violate the identity.
+    ``max_d`` and ``max_n`` bound each model's dimension and component
+    count; both are checked before any model is drawn.
     """
     if models < 1:
         raise ValueError(f"need at least one model, got {models}")
+    if max_d < 1:
+        raise ValueError(f"max_d must be at least 1, got {max_d}")
+    if max_n < 2:
+        raise ValueError(f"max_n must be at least 2, got {max_n}")
+    if max_n > _MAX_COMPONENTS:
+        raise EnumerationBudgetExceeded(
+            f"max_n {max_n} exceeds the enumeration cap of {_MAX_COMPONENTS}"
+        )
     rng = np.random.default_rng(seed)
     dev_det = 0.0
     dev_adj = 0.0
@@ -312,12 +322,12 @@ def identity_suite(models: int = 50, max_n: int = 8, max_d: int = 3, seed: int =
             dev_winv, _rel_dev(expect_weighted_inverse(model), np.linalg.inv(mean))
         )
     hand = hand_checked_instance()
+    hand_det, hand_adj = expect_det(hand), expect_adjugate(hand)
     hand_dev = max(
-        abs(expect_det(hand) - 0.75),
-        _rel_dev(expect_adjugate(hand), np.array([[1.0, -0.5], [-0.5, 1.0]])),
+        abs(hand_det - 0.75), _rel_dev(hand_adj, np.array([[1.0, -0.5], [-0.5, 1.0]]))
     )
-    dev_det = max(dev_det, abs(expect_det(hand) - linalg.det_cofactor(hand.mean())))
-    dev_adj = max(dev_adj, _rel_dev(expect_adjugate(hand), linalg.adjugate_cofactor(hand.mean())))
+    dev_det = max(dev_det, abs(hand_det - linalg.det_cofactor(hand.mean())))
+    dev_adj = max(dev_adj, _rel_dev(hand_adj, linalg.adjugate_cofactor(hand.mean())))
     counter = rank_two_counterexample()
     gap = abs(expect_det(counter) - linalg.det_cofactor(counter.mean()))
     return IdentityReport(

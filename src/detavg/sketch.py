@@ -3,8 +3,8 @@
 Each simulated machine draws its inclusion mask from a Philox stream keyed
 by the triple (master_seed, trial, machine).  The stream is a pure function
 of that triple: no global state, no dependence on execution order, so a
-sweep gives bit-identical masks whether machines run serially, threaded,
-or in any permutation.
+sweep gives bit-identical masks whatever order its machines and trials
+run in.
 """
 
 from __future__ import annotations

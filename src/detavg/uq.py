@@ -30,7 +30,6 @@ from . import linalg
 from .averaging import LocalEstimate, weighted_means
 from .errors import NotPositiveDefinite, SingularCovariance
 from .objective import Dataset
-from .parallel import parallel_map
 from .sketch import SeedSpec, SketchMask, draw_mask, local_covariance
 
 
@@ -225,7 +224,6 @@ def uq_sweep(
     trials: int,
     statistic: Statistic,
     seed: int,
-    threads: int = 1,
 ) -> list[UqRow]:
     """Error table for the precision-statistic estimator over a grid of m.
 
@@ -234,7 +232,8 @@ def uq_sweep(
     and for the diagonal equals the matching trace estimate.  ``abs_err``
     is the Euclidean norm of the elementwise deviation.
 
-    Returns rows sorted by (m, trial); identical output at any ``threads``.
+    Trials run one after another; trial i uses streams keyed by
+    (seed, i, *).  Returns rows sorted by (m, trial).
     """
     if len(m_list) == 0 or any(m < 1 for m in m_list):
         raise ValueError(f"machine counts must be positive, got {m_list}")
@@ -252,7 +251,7 @@ def uq_sweep(
         spectra = _local_spectra(data, k, m_list[-1], seed, trial, statistic)
         return [_fleet_estimate(spectra, m, eta, statistic) for m in m_list]
 
-    per_trial = parallel_map(run, range(trials), threads)
+    per_trial = [run(trial) for trial in range(trials)]
     rows = []
     for i, m in enumerate(m_list):
         for trial in range(trials):

@@ -51,6 +51,7 @@ class TestNewtonSweep:
         assert meta["step_norm_euclidean"] > 0
         assert meta["step_norm_hessian"] > 0
         assert meta["lambda"] == pytest.approx(1.0 / 120)  # auto default
+        assert "threads" not in meta
 
     def test_single_scheme_filter(self, tmp_path):
         code, out = run(tmp_path, "u.csv", *sweep_args(scheme="uniform"))
@@ -60,9 +61,11 @@ class TestNewtonSweep:
         assert all(line.startswith("uniform,") for line in body)
 
     def test_threads_do_not_change_bytes(self, tmp_path):
-        _, a = run(tmp_path, "t1.csv", *sweep_args(threads="1"))
-        _, b = run(tmp_path, "t3.csv", *sweep_args(threads="3"))
-        assert a.read_bytes() == b.read_bytes()
+        # --threads is accepted for compatibility and has no effect, even at 0
+        runs = [run(tmp_path, f"t{t}.csv", *sweep_args(threads=t)) for t in ("0", "1", "3")]
+        assert [code for code, _ in runs] == [0, 0, 0]
+        assert len({out.read_bytes() for _, out in runs}) == 1
+        assert len({out.with_suffix(".meta.json").read_bytes() for _, out in runs}) == 1
 
     def test_seed_changes_rows(self, tmp_path):
         _, a = run(tmp_path, "a.csv", *sweep_args(seed="11"))
@@ -206,8 +209,15 @@ class TestVerifyIdentities:
         assert "expected-fail confirmed" in text
         assert "FAIL" not in text
 
-    def test_max_n_over_enumeration_cap(self):
-        assert main(["verify-identities", "--max-n", "25"]) == 1
+    @pytest.mark.parametrize("flag, value", [
+        pytest.param("--max-n", "25", id="max-n-over-enumeration-cap"),
+        pytest.param("--max-n", "1", id="max-n-below-2"),
+        pytest.param("--max-d", "0", id="max-d-below-1"),
+    ])
+    def test_bad_model_bounds_exit_1(self, flag, value, capsys):
+        assert main(["verify-identities", "--models", "2", flag, value]) == 1
+        err = capsys.readouterr().err
+        assert flag[2:].replace("-", "_") in err and value in err
 
 
 class TestExitCodes:
@@ -242,10 +252,6 @@ class TestExitCodes:
         code, _ = run(tmp_path, "x.csv", *sweep_args(synth=None, dataset=str(path)))
         assert code == 1
         assert "line 2" in capsys.readouterr().err
-
-    def test_zero_threads_exits_1(self, tmp_path):
-        code, _ = run(tmp_path, "x.csv", *sweep_args(threads="0"))
-        assert code == 1
 
     def test_k_larger_than_n_exits_1(self, tmp_path):
         code, _ = run(tmp_path, "x.csv", *sweep_args(k="500"))

@@ -131,14 +131,6 @@ def test_error_sweep_rows_equal_single_fleet_steps():
         assert (row.err_euclidean, row.err_hnorm) == (report.err_euclidean, report.err_hnorm)
 
 
-def test_error_sweep_deterministic_across_threads():
-    obj = make_objective(6, n=40, d=3, lam=0.2)
-    args = (obj, np.zeros(3), 8, [2, 8], 6, [Scheme.DETERMINANTAL, Scheme.UNIFORM], 17)
-    serial = error_sweep(*args, threads=1)
-    threaded = error_sweep(*args, threads=4)
-    assert serial == threaded  # dataclass equality, exact floats
-
-
 def test_error_sweep_validation():
     obj = make_objective(7, n=20, d=2, lam=0.2)
     with pytest.raises(ValueError):

@@ -146,6 +146,8 @@ def test_enumeration_budget():
         expect_uniform_newton_bias(
             Objective(big, LossKind.SQUARE, lam=0.1), np.zeros(2), k=5
         )
+    with pytest.raises(EnumerationBudgetExceeded, match="max_n"):
+        identity_suite(models=1, max_n=21)
 
 
 def test_model_validation():
@@ -161,6 +163,10 @@ def test_model_validation():
         )
     with pytest.raises(ValueError):
         RandomRankOneSum.bernoulli([np.eye(2)], gamma=0.0, base=np.eye(2))
+    with pytest.raises(ValueError, match="max_d"):
+        identity_suite(models=1, max_d=0)
+    with pytest.raises(ValueError, match="max_n"):
+        identity_suite(models=1, max_n=1)
 
 
 def test_identity_suite_report():

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from detavg import linalg
 from detavg.averaging import combine_determinantal
 from detavg.errors import NotPositiveDefinite, SingularCovariance
 from detavg.objective import Dataset
-from detavg.sketch import SeedSpec, SketchMask, draw_mask
+from detavg.sketch import SeedSpec, SketchMask, draw_mask, local_covariance
 from detavg.uq import (
     Statistic,
     UqConfig,
@@ -102,13 +103,13 @@ def test_error_decreases_with_machines():
 def test_sweep_rows_complete_and_deterministic():
     data = gaussian_data(8, n=100, d=3)
     args = (data, 10, 1.0, [4, 16], 6, Statistic.TRACE, 11)
-    rows = uq_sweep(*args, threads=1)
+    rows = uq_sweep(*args)
     assert len(rows) == 2 * 6
     assert [(r.m, r.trial) for r in rows] == sorted((r.m, r.trial) for r in rows)
     assert all(r.statistic == "trace" and r.k == 10 and r.eta == 1.0 for r in rows)
     exact = rows[0].exact
     assert all(r.exact == exact for r in rows)
-    assert uq_sweep(*args, threads=3) == rows
+    assert uq_sweep(*args) == rows
 
 
 @pytest.mark.parametrize("statistic", list(Statistic))
@@ -146,6 +147,35 @@ def test_eigen_fleet_estimate_matches_cholesky_route(seed, trial, n, d, k, m, et
     ])
     assert np.shape(got) == np.shape(want)
     assert np.all(np.abs(np.subtract(got, want)) <= 1e-12 * np.abs(want))
+
+
+D_WIDE = 65
+BLOCK_WIDE = linalg.block_size(D_WIDE)
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    m=st.one_of(st.just(1), st.integers(BLOCK_WIDE + 1, 2 * BLOCK_WIDE + 1)),
+    seed=st.integers(0, 2**16),
+    trial=st.integers(0, 3),
+    statistic=st.sampled_from(list(Statistic)),
+)
+def test_local_spectra_equal_per_machine_decompositions(m, seed, trial, statistic):
+    # stacks of one and stacks spanning several blocks at d=65 give, bit for
+    # bit, the per-machine decomposition of each local covariance
+    assert BLOCK_WIDE > 1
+    data = gaussian_data(seed, n=300, d=D_WIDE)
+    spectra = _local_spectra(data, 100, m, seed, trial, statistic)
+    assert spectra.eigenvalues.shape == (m, D_WIDE)
+    for t in range(m):
+        cov = local_covariance(data, draw_mask(data.n, 100, SeedSpec(seed, trial, t)))
+        if statistic is Statistic.TRACE:
+            assert spectra.sq_eigenvectors is None
+            assert np.array_equal(spectra.eigenvalues[t], np.linalg.eigvalsh(cov))
+        else:
+            lam, V = np.linalg.eigh(cov)
+            assert np.array_equal(spectra.eigenvalues[t], lam)
+            assert np.array_equal(spectra.sq_eigenvectors[t], V * V)
 
 
 def test_non_positive_ridged_eigenvalue_names_the_machine():
