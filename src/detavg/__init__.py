@@ -11,11 +11,15 @@ The package provides
 
 * the determinant-weighted reduction, which returns the weighted mean of
   every requested prefix of a stacked batch and stays accurate when
-  log-weights span tens of thousands, and the combiners built on it
+  log-weights span tens of thousands, and the one-batch combiner built on
+  it; uniform averaging is the same reduction with zero log-weights
   (:mod:`detavg.averaging`),
+* one Cholesky kernel that factors a stack of local matrices, solves and
+  returns their log-determinants (:mod:`detavg.linalg`),
 * regularized convex objectives with exact gradients and Hessians
-  (:mod:`detavg.objective`) and Bernoulli row subsampling with
-  counter-based per-machine random streams (:mod:`detavg.sketch`),
+  (:mod:`detavg.objective`), and Bernoulli row subsampling with
+  counter-based per-machine random streams plus the fleet builder that
+  stacks every machine's local matrix (:mod:`detavg.sketch`),
 * simulation of distributed Newton steps and whole trajectories, with
   error sweeps against the exact step (:mod:`detavg.newton`),
 * distributed estimation of precision-matrix statistics such as the trace
@@ -28,12 +32,7 @@ The package provides
   (:mod:`detavg.cli`).
 """
 
-from .averaging import (
-    LocalEstimate,
-    combine_determinantal,
-    combine_uniform,
-    weighted_means,
-)
+from .averaging import LocalEstimate, combine_determinantal, weighted_means
 from .dataio import expand_degree2, parse_libsvm, standardize, synth_regression
 from .newton import (
     MachineConfig,
@@ -78,7 +77,6 @@ __all__ = [
     "UqConfig",
     "coherence",
     "combine_determinantal",
-    "combine_uniform",
     "draw_mask",
     "error_sweep",
     "estimate_precision_statistic",

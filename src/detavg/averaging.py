@@ -1,4 +1,4 @@
-"""Determinant-weighted and uniform combination of local estimates.
+"""Determinant-weighted combination of local estimates.
 
 Weights arrive in the log domain (log-determinants of the local matrices)
 because the determinants themselves overflow or underflow long before the
@@ -6,7 +6,7 @@ weighted mean becomes ill defined.  The reduction normalizes by the largest
 log-weight before exponentiating, so ratios are computed exactly even when
 log-weights sit at +-40000; adding a constant to every log-weight leaves
 the result unchanged.  Uniform averaging is the same reduction with every
-log-weight zero.
+log-weight zero, as ``newton.Scheme.UNIFORM.log_weights`` gives.
 """
 
 from __future__ import annotations
@@ -78,19 +78,6 @@ def weighted_means(
     return np.stack(means)
 
 
-def _combine(estimates: Sequence[LocalEstimate], uniform: bool) -> Value:
-    if len(estimates) == 0:
-        raise EmptyBatch("no estimates to combine")
-    values = [np.asarray(e.value, dtype=float) for e in estimates]
-    shape = values[0].shape
-    for v in values[1:]:
-        if v.shape != shape:
-            raise DimensionMismatch(f"value shapes differ: {shape} vs {v.shape}")
-    logs = np.array([0.0 if uniform else e.log_weight for e in estimates], dtype=float)
-    mean = weighted_means(np.stack(values), logs, [len(values)])[0]
-    return float(mean) if mean.ndim == 0 else mean
-
-
 def combine_determinantal(estimates: Sequence[LocalEstimate]) -> Value:
     """Weighted mean sum_t w_t v_t / sum_t w_t with w_t = exp(log_weight_t).
 
@@ -108,9 +95,13 @@ def combine_determinantal(estimates: Sequence[LocalEstimate]) -> Value:
     NonFiniteWeight
         If a log-weight is NaN or infinite.
     """
-    return _combine(estimates, uniform=False)
-
-
-def combine_uniform(estimates: Sequence[LocalEstimate]) -> Value:
-    """Plain mean of the values; log-weights are ignored."""
-    return _combine(estimates, uniform=True)
+    if len(estimates) == 0:
+        raise EmptyBatch("no estimates to combine")
+    values = [np.asarray(e.value, dtype=float) for e in estimates]
+    shape = values[0].shape
+    for v in values[1:]:
+        if v.shape != shape:
+            raise DimensionMismatch(f"value shapes differ: {shape} vs {v.shape}")
+    logs = np.array([e.log_weight for e in estimates], dtype=float)
+    mean = weighted_means(np.stack(values), logs, [len(values)])[0]
+    return float(mean) if mean.ndim == 0 else mean

@@ -24,19 +24,20 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import dataio, linalg
 from .errors import NumericalError
-from .newton import MachineConfig, Scheme, coherence, error_sweep, run_distributed_newton
+from .newton import MachineConfig, Scheme, SweepRow, coherence, error_sweep, run_distributed_newton
 from .objective import Dataset, LossKind, Objective
 from .oracle import identity_suite
-from .uq import Statistic, uq_sweep
+from .uq import Statistic, UqRow, uq_sweep
 
-NEWTON_SWEEP_HEADER = ("scheme", "m", "k", "trial", "err_euclidean", "err_hnorm")
-UQ_SWEEP_HEADER = ("statistic", "m", "k", "eta", "trial", "estimate", "exact", "abs_err")
+NEWTON_SWEEP_HEADER = tuple(f.name for f in fields(SweepRow))
+UQ_SWEEP_HEADER = tuple(f.name for f in fields(UqRow))
 CONVERGE_HEADER = ("iter", "dist_to_opt", "loss", "scheme")
 
 IDENTITY_TOL = 1e-10
@@ -134,11 +135,7 @@ def cmd_newton_sweep(args) -> int:
     w0 = np.zeros(obj.d)
     rows = error_sweep(obj, w0, args.k, m_list, args.trials, _schemes(args.scheme), seed)
     out = Path(args.out)
-    write_csv(
-        out,
-        NEWTON_SWEEP_HEADER,
-        ((r.scheme, r.m, r.k, r.trial, r.err_euclidean, r.err_hnorm) for r in rows),
-    )
+    write_csv(out, NEWTON_SWEEP_HEADER, map(astuple, rows))
     step = obj.exact_newton_step(w0)
     meta = {
         "command": "newton-sweep",
@@ -166,11 +163,7 @@ def cmd_uq_sweep(args) -> int:
     data, _ = load_data(args, seed)
     m_list = parse_m_list(args.m)
     rows = uq_sweep(data, args.k, args.eta, m_list, args.trials, Statistic(args.statistic), seed)
-    write_csv(
-        Path(args.out),
-        UQ_SWEEP_HEADER,
-        ((r.statistic, r.m, r.k, r.eta, r.trial, r.estimate, r.exact, r.abs_err) for r in rows),
-    )
+    write_csv(Path(args.out), UQ_SWEEP_HEADER, map(astuple, rows))
     return 0
 
 
@@ -265,7 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify-identities", help="exact expectation-identity checks")
     sp.add_argument("--models", type=int, default=50)
-    sp.add_argument("--max-n", type=int, default=8, help="largest component count per model")
+    sp.add_argument("--max-n", type=int, default=8,
+                    help="largest component count per model, 2..12 (3^max_n outcomes "
+                         "must fit the 2^20 enumeration cap)")
     sp.add_argument("--max-d", type=int, default=3)
     sp.add_argument("--seed", type=int, default=None)
     sp.set_defaults(func=cmd_verify_identities)

@@ -20,6 +20,9 @@ from .errors import EmptyDataset, ParseError
 
 Source = Union[str, TextIO, Iterable[str]]
 
+# Most entries of a parsed dense matrix: 2^27 float64 entries are 1 GiB.
+_MAX_ENTRIES = 1 << 27
+
 
 def _iter_lines(source: Source) -> Iterable[str]:
     if isinstance(source, str):
@@ -44,14 +47,16 @@ def parse_libsvm(source: Source) -> Dataset:
     Raises
     ------
     ParseError
-        On a malformed or non-finite label or pair, or indices that are not
-        strictly increasing within a line.  The error carries the line number.
+        On a malformed or non-finite label or pair, indices that are not
+        strictly increasing within a line, or an index so wide that the
+        dense matrix would exceed ``_MAX_ENTRIES`` entries (checked before
+        allocating).  The error carries the line number.
     EmptyDataset
         If no data lines remain after stripping comments and blanks.
     """
     labels: list[float] = []
     rows: list[list[tuple[int, float]]] = []
-    width = 0
+    width = width_line = 0
     for lineno, raw in enumerate(_iter_lines(source), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -82,11 +87,17 @@ def parse_libsvm(source: Source) -> Dataset:
                 raise ParseError(lineno, f"index {idx} not increasing after {prev}")
             prev = idx
             pairs.append((idx, val))
-        width = max(width, prev)
+        if prev > width:
+            width, width_line = prev, lineno
         labels.append(label)
         rows.append(pairs)
     if not rows:
         raise EmptyDataset("no data lines in input")
+    if len(rows) * width > _MAX_ENTRIES:
+        raise ParseError(
+            width_line, f"index {width} makes a {len(rows)} x {width} matrix, over the cap "
+            f"of {_MAX_ENTRIES} entries"
+        )
     X = np.zeros((len(rows), max(width, 1)))
     for i, pairs in enumerate(rows):
         for idx, val in pairs:

@@ -1,11 +1,13 @@
 """Dense symmetric linear algebra used by every estimator in the package.
 
 All routines take plain ``numpy`` arrays.  Symmetric inputs are validated
-at the public entry points; :func:`factor_solve`, which factors a whole
-stack of simulated machines' matrices that the package built symmetric,
-skips that check.  Factorizations go through Cholesky so that positive
-definiteness failures surface as :class:`~detavg.errors.NotPositiveDefinite`
-instead of silently wrong results.
+at the public entry points.  :func:`factor_solve` is the one Cholesky
+kernel: it factors a single matrix or a whole stack of simulated
+machines' matrices, solves against a shared right-hand side and returns
+the log-determinants, so positive definiteness failures surface as
+:class:`~detavg.errors.NotPositiveDefinite` instead of silently wrong
+results.  It skips the symmetry check, which :func:`solve_psd` and
+:func:`adjugate` make before calling it.
 
 Determinants and adjugates come in two deliberately independent flavors:
 a cofactor-expansion path that is exact (up to rounding) for arbitrary
@@ -27,9 +29,6 @@ _COFACTOR_MAX_DIM = 5
 
 _SYM_RTOL = 1e-10
 
-# Bytes of matrices stacked per decomposition call by the fleets.
-_STACK_BYTES = 1 << 20
-
 
 def require_symmetric(M: np.ndarray) -> np.ndarray:
     """Validate that ``M`` is a square symmetric matrix and return it as float."""
@@ -49,45 +48,11 @@ def symmetrize(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
-def cholesky(M: np.ndarray) -> np.ndarray:
-    """Lower-triangular Cholesky factor of a symmetric positive definite matrix.
-
-    Parameters
-    ----------
-    M : ndarray of shape (d, d)
-        Symmetric matrix to factor.
-
-    Returns
-    -------
-    L : ndarray of shape (d, d)
-        Lower-triangular factor with ``L @ L.T == M`` up to rounding.
-
-    Raises
-    ------
-    NotPositiveDefinite
-        If a pivot fails to be positive, i.e. ``M`` is not positive definite.
-    """
-    M = require_symmetric(M)
-    try:
-        return np.linalg.cholesky(M)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"matrix is not positive definite: {exc}") from exc
-
-
-def block_size(d: int) -> int:
-    """Number of (d, d) matrices a fleet stacks per decomposition call.
-
-    About ``_STACK_BYTES`` of them: the whole fleet at small d, while a
-    large-d fleet never holds all m matrices at once.
-    """
-    return max(1, _STACK_BYTES // (8 * d * d))
-
-
 def factor_solve(M: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve ``M[i] x[i] = rhs`` for a stack of matrices with one Cholesky call.
 
-    The kernel of every Newton fleet: ``np.linalg.cholesky`` factors the
-    whole stack in one call, ``scipy.linalg.cho_solve`` solves it (SciPy
+    The package's only Cholesky: ``np.linalg.cholesky`` factors the whole
+    stack in one call, ``scipy.linalg.cho_solve`` solves it (SciPy
     loops over the slices in Python, one ``potrs`` each), and each
     log-determinant is read off its factor's diagonal.  Every slice of
     ``x`` and of the log-determinants is bit-identical to factoring and
@@ -95,9 +60,9 @@ def factor_solve(M: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray
     accepted too.
 
     The matrices must be exactly symmetric, as every matrix built by
-    :func:`symmetrize` plus a ridge is.  The symmetry check of the public
-    routines is skipped: the callers build their matrices symmetric, and
-    one ``allclose`` per matrix would cost more than its factorization at
+    :func:`symmetrize` plus a ridge is.  The symmetry check is left to the
+    public routines: the fleets build their matrices symmetric, and one
+    ``allclose`` per matrix would cost more than its factorization at
     small d.
 
     Parameters
@@ -140,16 +105,6 @@ def _is_positive_definite(M: np.ndarray) -> bool:
     except np.linalg.LinAlgError:
         return False
     return True
-
-
-def log_det_psd(M: np.ndarray) -> float:
-    """Log-determinant of a positive definite matrix via its Cholesky factor.
-
-    Computed as ``2 * sum(log diag L)``, which stays finite and accurate in
-    regimes where ``det M`` itself would overflow or underflow.
-    """
-    L = cholesky(M)
-    return float(2.0 * np.sum(np.log(np.diag(L))))
 
 
 def det_cofactor(M: np.ndarray) -> float:
@@ -208,10 +163,8 @@ def adjugate(M: np.ndarray) -> np.ndarray:
     d = M.shape[0]
     if d <= _COFACTOR_MAX_DIM:
         return adjugate_cofactor(M)
-    L = cholesky(M)
-    logdet = 2.0 * np.sum(np.log(np.diag(L)))
-    inv = scipy.linalg.cho_solve((L, True), np.eye(d), check_finite=False)
-    return symmetrize(np.exp(logdet) * inv)
+    inv, log_det = factor_solve(M, np.eye(d))
+    return symmetrize(np.exp(log_det) * inv)
 
 
 def solve_psd(M: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -227,11 +180,11 @@ def solve_psd(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     NotPositiveDefinite
         If ``M`` fails the Cholesky factorization.
     """
-    L = cholesky(M)
+    M = require_symmetric(M)
     v = np.asarray(v, dtype=float)
     if v.shape[0] != M.shape[0]:
         raise ValueError(f"shape mismatch: {M.shape} vs {v.shape}")
-    return scipy.linalg.cho_solve((L, True), v, check_finite=False)
+    return factor_solve(M, v)[0]
 
 
 def mahalanobis_norm(v: np.ndarray, M: np.ndarray) -> float:

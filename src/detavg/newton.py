@@ -21,7 +21,7 @@ from . import linalg
 from .averaging import LocalEstimate, weighted_means
 from .errors import NotPositiveDefinite
 from .objective import Objective
-from .sketch import SeedSpec, SketchMask, draw_mask, local_hessian
+from .sketch import SketchMask, check_sweep, local_hessian, local_stacks, machine_failure
 
 
 class Scheme(enum.Enum):
@@ -110,10 +110,9 @@ def _local_steps(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Steps (m, d) and log-determinants (m,) of machines 0..m-1 of one fleet.
 
-    Machine t draws its mask from the stream keyed by (seed, trial, t), so
-    the first m rows are the same whatever m is.  Each row is bit-identical
-    to :func:`local_newton_estimate` for that machine.  The local Hessians
-    are factored in stacks of :func:`linalg.block_size` machines.
+    The local Hessians come in the stacks of :func:`sketch.local_stacks`,
+    one :func:`linalg.factor_solve` each.  Each row is bit-identical to
+    :func:`local_newton_estimate` for that machine.
 
     Raises
     ------
@@ -121,25 +120,16 @@ def _local_steps(
         Naming the (seed, trial, machine) triple of the first machine whose
         local Hessian fails the factorization.
     """
-    d = obj.d
-    block = linalg.block_size(d)
-    steps = np.empty((m, d))
+    steps = np.empty((m, obj.d))
     log_dets = np.empty(m)
-    hessians = np.empty((min(block, m), d, d))
-    for start in range(0, m, block):
-        stop = min(start + block, m)
-        for t in range(start, stop):
-            mask = draw_mask(obj.data.n, k, SeedSpec(seed, trial, t))
-            hessians[t - start] = local_hessian(obj, w, mask)
+    hessians = local_stacks(lambda mask: local_hessian(obj, w, mask),
+                            obj.data.n, obj.d, k, m, seed, trial)
+    for start, stack in hessians:
+        stop = start + len(stack)
         try:
-            steps[start:stop], log_dets[start:stop] = linalg.factor_solve(
-                hessians[:stop - start], grad)
+            steps[start:stop], log_dets[start:stop] = linalg.factor_solve(stack, grad)
         except NotPositiveDefinite as exc:
-            machine = start + exc.index
-            raise NotPositiveDefinite(
-                f"local Hessian of (seed, trial, machine) = ({seed}, {trial}, {machine}) "
-                f"is not positive definite", index=machine,
-            ) from exc
+            raise machine_failure("local Hessian", seed, trial, start + exc.index) from exc
     return steps, log_dets
 
 
@@ -201,12 +191,7 @@ def error_sweep(
     schemes = [scheme] if isinstance(scheme, Scheme) else list(scheme)
     if len(schemes) == 0:
         raise ValueError("need at least one scheme")
-    if len(m_list) == 0 or any(m < 1 for m in m_list):
-        raise ValueError(f"machine counts must be positive, got {m_list}")
-    if sorted(set(m_list)) != list(m_list):
-        raise ValueError(f"m_list must be strictly increasing, got {m_list}")
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
+    check_sweep(m_list, trials)
     w = np.asarray(w, dtype=float)
     grad = obj.gradient(w)
     H = obj.hessian(w)

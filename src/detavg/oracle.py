@@ -297,7 +297,9 @@ def identity_suite(models: int = 50, max_n: int = 8, max_d: int = 3, seed: int =
     determinant and adjugate maxima; the rank-two counterexample is
     reported separately since its whole point is to violate the identity.
     ``max_d`` and ``max_n`` bound each model's dimension and component
-    count; both are checked before any model is drawn.
+    count; both are checked before any model is drawn.  ``max_n`` is at
+    most 12, so that the 3^max_n outcomes of a model whose components all
+    draw three-point laws fit the enumeration cap.
     """
     if models < 1:
         raise ValueError(f"need at least one model, got {models}")
@@ -305,9 +307,11 @@ def identity_suite(models: int = 50, max_n: int = 8, max_d: int = 3, seed: int =
         raise ValueError(f"max_d must be at least 1, got {max_d}")
     if max_n < 2:
         raise ValueError(f"max_n must be at least 2, got {max_n}")
-    if max_n > _MAX_COMPONENTS:
+    # a model of max_n three-point laws has 3**max_n outcomes
+    if 3**max_n > _MAX_OUTCOMES:
         raise EnumerationBudgetExceeded(
-            f"max_n {max_n} exceeds the enumeration cap of {_MAX_COMPONENTS}"
+            f"max_n {max_n} allows 3^{max_n} outcomes per model, over the "
+            f"enumeration cap of {_MAX_OUTCOMES}"
         )
     rng = np.random.default_rng(seed)
     dev_det = 0.0

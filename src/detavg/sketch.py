@@ -5,17 +5,25 @@ by the triple (master_seed, trial, machine).  The stream is a pure function
 of that triple: no global state, no dependence on execution order, so a
 sweep gives bit-identical masks whatever order its machines and trials
 run in.
+
+:func:`local_stacks` builds a whole fleet from those streams, one stack of
+local matrices of about 1 MiB at a time, for the Newton and the
+precision sweeps alike; the sweeps only decompose the stacks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import linalg
-from .errors import InvalidSampleSize
+from .errors import InvalidSampleSize, NotPositiveDefinite
 from .objective import Dataset, Objective
+
+# Bytes of matrices stacked per decomposition call by the fleets.
+_STACK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -108,3 +116,56 @@ def local_covariance(data: Dataset, mask: SketchMask) -> np.ndarray:
         return np.zeros((data.d, data.d))
     X = data.X[mask.include]
     return linalg.symmetrize(X.T @ X / mask.k)
+
+
+def block_size(d: int) -> int:
+    """Number of (d, d) matrices a fleet stacks per decomposition call.
+
+    About ``_STACK_BYTES`` of them: the whole fleet at small d, while a
+    large-d fleet never holds all m matrices at once.
+    """
+    return max(1, _STACK_BYTES // (8 * d * d))
+
+
+def local_stacks(
+    build: Callable[[SketchMask], np.ndarray], n: int, d: int, k: int, m: int,
+    seed: int, trial: int,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Local matrices of machines 0..m-1 of one fleet, in stacks.
+
+    Machine t draws its mask over n rows from the stream keyed by
+    (seed, trial, t), and ``build(mask)`` returns its (d, d) matrix.  Yields
+    ``(start, stack)`` with ``stack[i]`` the matrix of machine ``start + i``,
+    :func:`block_size` machines per stack, so the first m machines are the
+    same whatever m is.  The stack is one buffer, refilled for the next
+    block: read it before asking for the next one.
+    """
+    block = block_size(d)
+    stack = np.empty((min(block, m), d, d))
+    for start in range(0, m, block):
+        stop = min(start + block, m)
+        for t in range(start, stop):
+            stack[t - start] = build(draw_mask(n, k, SeedSpec(seed, trial, t)))
+        yield start, stack[:stop - start]
+
+
+def check_sweep(m_list: Sequence[int], trials: int) -> None:
+    """Raise ValueError unless the machine counts of a sweep are positive and
+    strictly increasing and it has at least one trial."""
+    if len(m_list) == 0 or any(m < 1 for m in m_list):
+        raise ValueError(f"machine counts must be positive, got {m_list}")
+    if sorted(set(m_list)) != list(m_list):
+        raise ValueError(f"m_list must be strictly increasing, got {m_list}")
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
+
+
+def machine_failure(
+    matrix: str, seed: int, trial: int, machine: int, detail: str = ""
+) -> NotPositiveDefinite:
+    """The error for a fleet machine whose local matrix is not positive
+    definite, naming the (seed, trial, machine) triple that replays it."""
+    return NotPositiveDefinite(
+        f"{matrix} of (seed, trial, machine) = ({seed}, {trial}, {machine}) "
+        f"is not positive definite{detail}", index=int(machine),
+    )

@@ -30,7 +30,7 @@ from . import linalg
 from .averaging import LocalEstimate, weighted_means
 from .errors import NotPositiveDefinite, SingularCovariance
 from .objective import Dataset
-from .sketch import SeedSpec, SketchMask, draw_mask, local_covariance
+from .sketch import SketchMask, check_sweep, local_covariance, local_stacks, machine_failure
 
 
 class Statistic(enum.Enum):
@@ -139,26 +139,22 @@ class _Spectra(NamedTuple):
 def _local_spectra(
     data: Dataset, k: int, m: int, seed: int, trial: int, statistic: Statistic
 ) -> _Spectra:
-    """Spectra of machines 0..m-1, decomposing their stacked covariances.
+    """Spectra of machines 0..m-1, decomposing the stacked covariances of
+    :func:`sketch.local_stacks`.
 
     The trace needs only the eigenvalues (``eigvalsh``); the diagonal also
-    keeps the squared eigenvectors (``eigh``).  The covariances are stacked
-    :func:`linalg.block_size` at a time, so a large-d fleet never holds all
-    m of them at once.
+    keeps the squared eigenvectors (``eigh``).
     """
-    d = data.d
-    block = linalg.block_size(d)
-    eigenvalues = np.empty((m, d))
-    sq_eigenvectors = None if statistic is Statistic.TRACE else np.empty((m, d, d))
-    covs = np.empty((min(block, m), d, d))
-    for start in range(0, m, block):
-        stop = min(start + block, m)
-        for t in range(start, stop):
-            covs[t - start] = local_covariance(data, draw_mask(data.n, k, SeedSpec(seed, trial, t)))
+    eigenvalues = np.empty((m, data.d))
+    sq_eigenvectors = None if statistic is Statistic.TRACE else np.empty((m, data.d, data.d))
+    covs = local_stacks(lambda mask: local_covariance(data, mask),
+                        data.n, data.d, k, m, seed, trial)
+    for start, stack in covs:
+        stop = start + len(stack)
         if sq_eigenvectors is None:
-            eigenvalues[start:stop] = np.linalg.eigvalsh(covs[:stop - start])
+            eigenvalues[start:stop] = np.linalg.eigvalsh(stack)
         else:
-            eigenvalues[start:stop], V = np.linalg.eigh(covs[:stop - start])
+            eigenvalues[start:stop], V = np.linalg.eigh(stack)
             sq_eigenvectors[start:stop] = V * V
     return _Spectra(eigenvalues, sq_eigenvectors, seed, trial)
 
@@ -183,11 +179,8 @@ def _fleet_estimate(spectra: _Spectra, m: int, eta: float, statistic: Statistic
     s = spectra.eigenvalues[:m] + eta / np.sqrt(m)
     bad = np.flatnonzero(~np.all(s > 0, axis=1))
     if bad.size:
-        raise NotPositiveDefinite(
-            f"ridged covariance of (seed, trial, machine) = "
-            f"({spectra.seed}, {spectra.trial}, {bad[0]}) is not positive definite "
-            f"(smallest eigenvalue {s[bad[0]].min():.3e})", index=int(bad[0]),
-        )
+        raise machine_failure("ridged covariance", spectra.seed, spectra.trial, bad[0],
+                              f" (smallest eigenvalue {s[bad[0]].min():.3e})")
     inv_s = 1.0 / s
     if statistic is Statistic.TRACE:
         values = inv_s.sum(axis=1)
@@ -235,12 +228,7 @@ def uq_sweep(
     Trials run one after another; trial i uses streams keyed by
     (seed, i, *).  Returns rows sorted by (m, trial).
     """
-    if len(m_list) == 0 or any(m < 1 for m in m_list):
-        raise ValueError(f"machine counts must be positive, got {m_list}")
-    if sorted(set(m_list)) != list(m_list):
-        raise ValueError(f"m_list must be strictly increasing, got {m_list}")
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
+    check_sweep(m_list, trials)
     UqConfig(m=m_list[0], k=k, eta=eta, statistic=statistic)  # validates k, eta
     exact = exact_statistic(data, statistic)
     exact_sum = float(np.atleast_1d(np.asarray(exact, dtype=float)).sum())

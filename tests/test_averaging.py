@@ -5,20 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detavg.averaging import (
-    LocalEstimate,
-    combine_determinantal,
-    combine_uniform,
-    weighted_means,
-)
+from detavg.averaging import LocalEstimate, combine_determinantal, weighted_means
 from detavg.errors import DimensionMismatch, EmptyBatch, NonFiniteWeight, NumericalError
+from detavg.newton import Scheme
 
 
 def test_two_scalar_hand_instance():
     batch = [LocalEstimate(1.0, np.log(1.0)), LocalEstimate(3.0, np.log(3.0))]
     # (1*1 + 3*3) / (1 + 3)
     assert combine_determinantal(batch) == pytest.approx(2.5, rel=1e-14)
-    assert combine_uniform(batch) == pytest.approx(2.0, rel=1e-14)
+    # uniform merging is the same reduction with zero log-weights
+    uniform = [LocalEstimate(e.value, 0.0) for e in batch]
+    assert combine_determinantal(uniform) == pytest.approx(2.0, rel=1e-14)
 
 
 @pytest.mark.parametrize("shift", [40000.0, -40000.0])
@@ -50,7 +48,7 @@ def test_equal_weights_reduce_to_uniform():
     values = [rng.standard_normal(4) for _ in range(9)]
     batch = [LocalEstimate(v, 12.34) for v in values]
     det = combine_determinantal(batch)
-    uni = combine_uniform(batch)
+    uni = weighted_means(np.stack(values), np.zeros(len(values)), [len(values)])[0]
     assert np.allclose(det, uni, rtol=1e-13, atol=1e-13)
 
 
@@ -73,13 +71,9 @@ def test_single_estimate_passes_through_exactly():
 def test_empty_and_mismatched_batches():
     with pytest.raises(EmptyBatch):
         combine_determinantal([])
-    with pytest.raises(EmptyBatch):
-        combine_uniform([])
     bad = [LocalEstimate(np.zeros(2), 0.0), LocalEstimate(np.zeros(3), 0.0)]
     with pytest.raises(DimensionMismatch):
         combine_determinantal(bad)
-    with pytest.raises(DimensionMismatch):
-        combine_uniform(bad)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -89,7 +83,9 @@ def test_non_finite_log_weight_is_a_numerical_error(bad):
         combine_determinantal(batch)
     assert isinstance(err.value, NumericalError)  # the CLI's exit code 2
     # uniform merging never looks at the log-weights
-    assert np.array_equal(combine_uniform(batch), np.full(2, 0.5))
+    values = np.stack([e.value for e in batch])
+    uniform_logs = Scheme.UNIFORM.log_weights(np.array([e.log_weight for e in batch]))
+    assert np.array_equal(weighted_means(values, uniform_logs, [2])[0], np.full(2, 0.5))
 
 
 def test_reduction_rejects_bad_shapes_and_counts():

@@ -211,6 +211,7 @@ class TestVerifyIdentities:
 
     @pytest.mark.parametrize("flag, value", [
         pytest.param("--max-n", "25", id="max-n-over-enumeration-cap"),
+        pytest.param("--max-n", "13", id="max-n-over-outcome-cap"),
         pytest.param("--max-n", "1", id="max-n-below-2"),
         pytest.param("--max-d", "0", id="max-d-below-1"),
     ])

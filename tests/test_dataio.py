@@ -52,6 +52,7 @@ def test_parse_crlf_and_file_object(tmp_path):
         ("0 1:2\n1 1:nan", 2),
         ("0 1:2\n\n1 1:inf", 3),
         ("nan 1:1", 1),
+        ("0 1:1\n1 1099511627776:1\n0 2:1", 2),  # 2^40 columns: refused, not allocated
     ],
 )
 def test_parse_errors_carry_line_numbers(text, lineno):

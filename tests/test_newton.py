@@ -8,7 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detavg import linalg
+from detavg import linalg, sketch
 from detavg.dataio import synth_regression
 from detavg.errors import NotPositiveDefinite
 from detavg.newton import (
@@ -196,7 +196,7 @@ def test_coherence_scales_with_leverage():
 
 
 D_WIDE = 65
-BLOCK_WIDE = linalg.block_size(D_WIDE)
+BLOCK_WIDE = sketch.block_size(D_WIDE)
 
 
 @settings(max_examples=6, deadline=None)

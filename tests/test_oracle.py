@@ -146,8 +146,9 @@ def test_enumeration_budget():
         expect_uniform_newton_bias(
             Objective(big, LossKind.SQUARE, lam=0.1), np.zeros(2), k=5
         )
-    with pytest.raises(EnumerationBudgetExceeded, match="max_n"):
-        identity_suite(models=1, max_n=21)
+    for max_n in (13, 21):
+        with pytest.raises(EnumerationBudgetExceeded, match="max_n"):
+            identity_suite(models=1, max_n=max_n)
 
 
 def test_model_validation():

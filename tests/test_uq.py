@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detavg import linalg
+from detavg import sketch
 from detavg.averaging import combine_determinantal
 from detavg.errors import NotPositiveDefinite, SingularCovariance
 from detavg.objective import Dataset
@@ -150,7 +150,7 @@ def test_eigen_fleet_estimate_matches_cholesky_route(seed, trial, n, d, k, m, et
 
 
 D_WIDE = 65
-BLOCK_WIDE = linalg.block_size(D_WIDE)
+BLOCK_WIDE = sketch.block_size(D_WIDE)
 
 
 @settings(max_examples=6, deadline=None)
