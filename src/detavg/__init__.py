@@ -25,8 +25,8 @@ The package provides
 * distributed estimation of precision-matrix statistics such as the trace
   of an inverse covariance (:mod:`detavg.uq`),
 * a brute-force enumeration oracle that evaluates the determinant and
-  adjugate expectation identities exactly on small instances
-  (:mod:`detavg.oracle`),
+  adjugate expectation identities exactly on small instances, a stack of
+  outcomes at a time (:mod:`detavg.oracle`),
 * dataset parsing, degree-2 feature expansion, and synthetic instance
   generation (:mod:`detavg.dataio`), and a command line front end
   (:mod:`detavg.cli`).

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import astuple, fields
@@ -30,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio, linalg
-from .errors import NumericalError
+from .errors import NonFiniteResult, NumericalError
 from .newton import MachineConfig, Scheme, SweepRow, coherence, error_sweep, run_distributed_newton
 from .objective import Dataset, LossKind, Objective
 from .oracle import identity_suite
@@ -55,6 +56,13 @@ def _fmt(value) -> str:
 
 
 def write_csv(path: Path, header: tuple[str, ...], rows) -> None:
+    """Write a table, or raise NonFiniteResult and write nothing if a float
+    cell is infinite or NaN: a CSV is complete and finite, or absent."""
+    rows = [tuple(row) for row in rows]
+    for i, row in enumerate(rows, start=1):
+        for name, value in zip(header, row):
+            if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+                raise NonFiniteResult(f"row {i} of {path}: {name} is {value}")
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(",".join(header) + "\n")
         for row in rows:
@@ -261,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-n", type=int, default=8,
                     help="largest component count per model, 2..12 (3^max_n outcomes "
                          "must fit the 2^20 enumeration cap)")
-    sp.add_argument("--max-d", type=int, default=3)
+    sp.add_argument("--max-d", type=int, default=3,
+                    help="largest model dimension, 1..5 (cofactor expansion costs d!)")
     sp.add_argument("--seed", type=int, default=None)
     sp.set_defaults(func=cmd_verify_identities)
 

@@ -30,6 +30,14 @@ class NonFiniteWeight(NumericalError):
     """A log-weight passed to the weighted reduction is NaN or infinite."""
 
 
+class NoConvergence(NumericalError):
+    """An iterative solve did not reach its tolerance within its iteration budget."""
+
+
+class NonFiniteResult(NumericalError):
+    """A computed quantity overflowed to infinity or came out NaN."""
+
+
 class SingularCovariance(NumericalError):
     """The exact covariance is singular, so its inverse statistic is undefined."""
 

@@ -13,8 +13,9 @@ Determinants and adjugates come in two deliberately independent flavors:
 a cofactor-expansion path that is exact (up to rounding) for arbitrary
 symmetric matrices of dimension at most five, including singular and
 indefinite ones, and a Cholesky-based path for larger positive definite
-matrices.  The enumeration oracle leans on the cofactor path; the two are
-cross-checked in the test suite rather than sharing code.
+matrices.  The enumeration oracle leans on the cofactor path, which takes a
+stack of shape (..., d, d) and expands every matrix of it at once; the two
+paths are cross-checked in the test suite rather than sharing code.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .errors import NegativeQuadraticForm, NotPositiveDefinite
+from .errors import NegativeQuadraticForm, NonFiniteResult, NotPositiveDefinite
 
 # Largest dimension for which the O(d!) cofactor expansion is the default.
 _COFACTOR_MAX_DIM = 5
@@ -107,45 +108,56 @@ def _is_positive_definite(M: np.ndarray) -> bool:
     return True
 
 
-def det_cofactor(M: np.ndarray) -> float:
-    """Determinant by recursive cofactor expansion.
+def det_cofactor(M: np.ndarray) -> float | np.ndarray:
+    """Determinant by recursive cofactor expansion along the first row.
 
     Exact up to rounding for any square matrix, including singular and
-    indefinite ones.  Cost grows factorially, so this is reserved for the
-    small dimensions the enumeration oracle works at.
+    indefinite ones.  ``M`` may be one (d, d) matrix, which gives a
+    ``float``, or a stack of shape (..., d, d), which gives an array of the
+    leading shape; the recursion runs over the whole stack at once, and each
+    slice is bit-identical to expanding that matrix on its own.  Cost grows
+    factorially in d, so this is reserved for the small dimensions the
+    enumeration oracle works at.
     """
     M = np.asarray(M, dtype=float)
-    d = M.shape[0]
+    d = M.shape[-1]
     if d == 0:
-        return 1.0
-    if d == 1:
-        return float(M[0, 0])
-    if d == 2:
-        return float(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0])
-    total = 0.0
-    rest = M[1:]
-    cols = np.arange(d)
-    for j in range(d):
-        minor = rest[:, cols != j]
-        term = M[0, j] * det_cofactor(minor)
-        total += term if j % 2 == 0 else -term
-    return float(total)
+        det = np.ones(M.shape[:-2])
+    elif d == 1:
+        det = M[..., 0, 0].copy()
+    elif d == 2:
+        det = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
+    else:
+        det = np.zeros(M.shape[:-2])
+        rest = M[..., 1:, :]
+        cols = np.arange(d)
+        for j in range(d):
+            term = M[..., 0, j] * det_cofactor(rest[..., cols != j])
+            if j % 2 == 0:
+                det += term
+            else:
+                det -= term
+    return float(det) if M.ndim == 2 else det
 
 
 def adjugate_cofactor(M: np.ndarray) -> np.ndarray:
     """Adjugate via cofactor minors: ``adj(M)[i, j] = (-1)^{i+j} det(M with
-    row j and column i removed)``.  Valid for singular matrices."""
+    row j and column i removed)``.  Valid for singular matrices.
+
+    Accepts one (d, d) matrix or a stack of shape (..., d, d) and returns an
+    array of the same shape; each slice is bit-identical to the adjugate of
+    that matrix on its own.
+    """
     M = np.asarray(M, dtype=float)
-    d = M.shape[0]
+    d = M.shape[-1]
     if d == 1:
-        return np.ones((1, 1))
-    adj = np.empty((d, d))
+        return np.ones(M.shape)
+    adj = np.empty(M.shape)
     rows = np.arange(d)
     for i in range(d):
-        keep_r = rows != i
+        without_row = M[..., rows != i, :]
         for j in range(d):
-            minor = M[np.ix_(keep_r, rows != j)]
-            adj[j, i] = (-1) ** (i + j) * det_cofactor(minor)
+            adj[..., j, i] = (-1) ** (i + j) * det_cofactor(without_row[..., rows != j])
     return adj
 
 
@@ -192,11 +204,16 @@ def mahalanobis_norm(v: np.ndarray, M: np.ndarray) -> float:
 
     Tiny negative quadratic forms from rounding are clamped to zero; a
     value below ``-1e-12`` signals an indefinite ``M`` and raises
-    :class:`~detavg.errors.NegativeQuadraticForm`.
+    :class:`~detavg.errors.NegativeQuadraticForm`.  A quadratic form that
+    overflows or comes out NaN raises
+    :class:`~detavg.errors.NonFiniteResult`.
     """
     v = np.asarray(v, dtype=float)
     M = require_symmetric(M)
-    q = float(v @ M @ v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = float(v @ M @ v)
+    if not np.isfinite(q):
+        raise NonFiniteResult(f"quadratic form v^T M v is not finite: {q}")
     if q < -1e-12:
         raise NegativeQuadraticForm(f"v^T M v = {q} < -1e-12")
     return float(np.sqrt(max(q, 0.0)))

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import linalg
 from .averaging import LocalEstimate, weighted_means
-from .errors import NotPositiveDefinite
+from .errors import NoConvergence, NotPositiveDefinite
 from .objective import Objective
 from .sketch import SketchMask, check_sweep, local_hessian, local_stacks, machine_failure
 
@@ -135,7 +135,9 @@ def _local_steps(
 
 def _step_errors(step: np.ndarray, exact: np.ndarray, H: np.ndarray) -> tuple[float, float]:
     diff = step - exact
-    return float(np.linalg.norm(diff)), linalg.mahalanobis_norm(diff, H)
+    with np.errstate(over="ignore"):  # past the float range the norm reads inf
+        err = float(np.linalg.norm(diff))
+    return err, linalg.mahalanobis_norm(diff, H)
 
 
 def merged_step(
@@ -216,14 +218,24 @@ def error_sweep(
 
 def exact_minimizer(obj: Objective, w0: np.ndarray | None = None, tol: float = 1e-12,
                     max_iter: int = 100) -> np.ndarray:
-    """Minimize by exact Newton iteration until ||grad|| <= tol."""
+    """Minimize by exact Newton iteration until ||grad|| <= tol.
+
+    Raises :class:`~detavg.errors.NoConvergence` if ``max_iter`` steps do not
+    get there; a gradient norm past the float range counts as not there.
+    """
+
+    def converged(w: np.ndarray) -> bool:
+        g = obj.gradient(w)
+        with np.errstate(over="ignore"):
+            return np.linalg.norm(g) <= tol
+
     w = np.zeros(obj.d) if w0 is None else np.asarray(w0, dtype=float).copy()
     for _ in range(max_iter):
-        if np.linalg.norm(obj.gradient(w)) <= tol:
+        if converged(w):
             return w
         w = w - obj.exact_newton_step(w)
-    if np.linalg.norm(obj.gradient(w)) > tol:
-        raise RuntimeError(f"exact Newton did not reach tol={tol} in {max_iter} iterations")
+    if not converged(w):
+        raise NoConvergence(f"exact Newton did not reach tol={tol} in {max_iter} iterations")
     return w
 
 

@@ -17,6 +17,11 @@ cofactor expansion so singular outcomes are handled exactly.  With a
 rank-two component the identities genuinely fail, and the test suite pins
 a counterexample.
 
+A pass over a model enumerates it in chunks of about a mebibyte, each of
+probabilities ``p`` (b,) and a stack ``A = B + S @ Z`` (b, d, d), with
+``S`` the chunk's rows of the product grid of supports.  ``E[f(A)]`` is
+``p @ f(A)`` summed over the chunks, ``f`` taking the whole stack at once.
+
 Everything here is exponential in the number of components and exists to
 check the fast estimators, not to be one.
 """
@@ -24,15 +29,16 @@ check the fast estimators, not to be one.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import linalg
 from .errors import EnumerationBudgetExceeded
 from .objective import Objective
-from .sketch import SketchMask, local_hessian
+from .sketch import SketchMask, block_size, local_hessian
 
 _MAX_COMPONENTS = 20
 _MAX_OUTCOMES = 1 << 20
@@ -97,10 +103,7 @@ class RandomRankOneSum:
 
     @property
     def n_outcomes(self) -> int:
-        total = 1
-        for c in self.components:
-            total *= len(c.values)
-        return total
+        return math.prod(len(c.values) for c in self.components)
 
     @classmethod
     def bernoulli(
@@ -138,42 +141,52 @@ class RandomRankOneSum:
             total = total + c.mean_scale * c.matrix
         return total
 
-    def outcomes(self) -> Iterator[tuple[float, np.ndarray]]:
-        """Yield (probability, A) over the full product of supports."""
-        self._check_budget()
-        supports = [list(zip(c.values, c.probs)) for c in self.components]
-        mats = [c.matrix for c in self.components]
-        for combo in itertools.product(*supports):
-            prob = 1.0
-            A = self.base.copy()
-            for (value, p), Z in zip(combo, mats):
-                prob *= p
-                if value != 0.0:
-                    A += value * Z
-            yield prob, A
-
-    def _check_budget(self) -> None:
+    def outcome_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Yield ``(p, A)``: probabilities (b,) and matrices (b, d, d) of the
+        outcomes, in :func:`itertools.product` order of the supports, with
+        ``block_size(max(n, d * d))`` outcomes per chunk, so neither the
+        (N, n) grid of scales nor the (N, d, d) stack is ever built whole."""
         if len(self.components) > _MAX_COMPONENTS:
             raise EnumerationBudgetExceeded(
                 f"{len(self.components)} components exceed the cap of {_MAX_COMPONENTS}"
             )
-        if self.n_outcomes > _MAX_OUTCOMES:
-            raise EnumerationBudgetExceeded(
-                f"{self.n_outcomes} outcomes exceed the cap of {_MAX_OUTCOMES}"
-            )
+        d, total = self.dim, self.n_outcomes
+        if total > _MAX_OUTCOMES:
+            raise EnumerationBudgetExceeded(f"{total} outcomes exceed the cap of {_MAX_OUTCOMES}")
+        sizes = tuple(len(c.values) for c in self.components)
+        laws = [(np.array(c.values), np.array(c.probs)) for c in self.components]
+        Z = np.array([c.matrix.ravel() for c in self.components])
+        chunk = block_size(max(len(sizes), d * d))
+        for start in range(0, total, chunk):
+            digits = np.unravel_index(np.arange(start, min(start + chunk, total)), sizes)
+            p = np.ones(len(digits[0]))
+            for (_, probs), digit in zip(laws, digits):
+                p *= probs[digit]
+            S = np.column_stack([values[digit] for (values, _), digit in zip(laws, digits)])
+            yield p, self.base + (S @ Z).reshape(-1, d, d)
+
+
+def _expect(model: RandomRankOneSum, *fs: Callable[[np.ndarray], np.ndarray]) -> list:
+    """``[E[f(A)] for f in fs]`` in one pass; ``f`` maps a stack (b, d, d) to (b, ...)."""
+    totals = [0.0] * len(fs)
+    for p, A in model.outcome_blocks():
+        for i, f in enumerate(fs):
+            totals[i] = totals[i] + np.tensordot(p, f(A), axes=1)
+    return totals
+
+
+def _det_times_inverse(A: np.ndarray) -> np.ndarray:
+    return linalg.det_cofactor(A)[:, None, None] * np.linalg.inv(A)
 
 
 def expect_det(model: RandomRankOneSum) -> float:
     """E[det A] by full enumeration, determinants by cofactor expansion."""
-    return float(sum(p * linalg.det_cofactor(A) for p, A in model.outcomes()))
+    return float(_expect(model, linalg.det_cofactor)[0])
 
 
 def expect_adjugate(model: RandomRankOneSum) -> np.ndarray:
     """E[adj A] by full enumeration, adjugates by cofactor minors."""
-    total = np.zeros((model.dim, model.dim))
-    for p, A in model.outcomes():
-        total += p * linalg.adjugate_cofactor(A)
-    return total
+    return _expect(model, linalg.adjugate_cofactor)[0]
 
 
 def expect_inverse(model: RandomRankOneSum) -> np.ndarray:
@@ -183,10 +196,7 @@ def expect_inverse(model: RandomRankOneSum) -> np.ndarray:
     positive definite and all scales and components are positive
     semidefinite).
     """
-    total = np.zeros((model.dim, model.dim))
-    for p, A in model.outcomes():
-        total += p * np.linalg.inv(A)
-    return total
+    return _expect(model, np.linalg.inv)[0]
 
 
 def expect_weighted_inverse(model: RandomRankOneSum) -> np.ndarray:
@@ -197,12 +207,7 @@ def expect_weighted_inverse(model: RandomRankOneSum) -> np.ndarray:
     ``inv(E[A])`` is a genuine cross-check rather than an algebraic
     restatement of :func:`expect_adjugate`.
     """
-    num = np.zeros((model.dim, model.dim))
-    den = 0.0
-    for p, A in model.outcomes():
-        det = linalg.det_cofactor(A)
-        num += p * det * np.linalg.inv(A)
-        den += p * det
+    num, den = _expect(model, _det_times_inverse, linalg.det_cofactor)
     return num / den
 
 
@@ -274,12 +279,9 @@ def random_model(rng: np.random.Generator, max_n: int = 8, max_d: int = 3) -> Ra
         z = rng.standard_normal(d)
         Z = np.outer(z, z)
         kind = int(rng.integers(0, 4))
-        if kind == 0:
+        if kind < 2:
             g = float(rng.uniform(0.2, 0.9))
-            comps.append(Component(Z, (0.0, 1.0 / g), (1.0 - g, g)))
-        elif kind == 1:
-            g = float(rng.uniform(0.2, 0.9))
-            comps.append(Component(Z, (0.0, 1.0), (1.0 - g, g)))
+            comps.append(Component(Z, (0.0, 1.0 / g if kind == 0 else 1.0), (1.0 - g, g)))
         elif kind == 2:
             comps.append(Component(Z, (0.5, 1.5), (0.5, 0.5)))
         else:
@@ -296,15 +298,17 @@ def identity_suite(models: int = 50, max_n: int = 8, max_d: int = 3, seed: int =
     all outcomes.  The fixed hand-checked instance participates in the
     determinant and adjugate maxima; the rank-two counterexample is
     reported separately since its whole point is to violate the identity.
+    Each random model is enumerated once for all three identities.
     ``max_d`` and ``max_n`` bound each model's dimension and component
-    count; both are checked before any model is drawn.  ``max_n`` is at
-    most 12, so that the 3^max_n outcomes of a model whose components all
-    draw three-point laws fit the enumeration cap.
+    count; both are checked before any model is drawn.  ``max_d`` is at
+    most 5, the largest dimension the O(d!) cofactor expansion serves, and
+    ``max_n`` at most 12, so that the 3^max_n outcomes of a model whose
+    components all draw three-point laws fit the enumeration cap.
     """
     if models < 1:
         raise ValueError(f"need at least one model, got {models}")
-    if max_d < 1:
-        raise ValueError(f"max_d must be at least 1, got {max_d}")
+    if not 1 <= max_d <= linalg._COFACTOR_MAX_DIM:
+        raise ValueError(f"max_d must be in 1..{linalg._COFACTOR_MAX_DIM}, got {max_d}")
     if max_n < 2:
         raise ValueError(f"max_n must be at least 2, got {max_n}")
     # a model of max_n three-point laws has 3**max_n outcomes
@@ -314,34 +318,24 @@ def identity_suite(models: int = 50, max_n: int = 8, max_d: int = 3, seed: int =
             f"enumeration cap of {_MAX_OUTCOMES}"
         )
     rng = np.random.default_rng(seed)
-    dev_det = 0.0
-    dev_adj = 0.0
-    dev_winv = 0.0
+    dev_det = dev_adj = dev_winv = 0.0
     for _ in range(models):
         model = random_model(rng, max_n=max_n, max_d=max_d)
         mean = model.mean()
-        dev_det = max(dev_det, _rel_dev(expect_det(model), linalg.det_cofactor(mean)))
-        dev_adj = max(dev_adj, _rel_dev(expect_adjugate(model), linalg.adjugate_cofactor(mean)))
-        dev_winv = max(
-            dev_winv, _rel_dev(expect_weighted_inverse(model), np.linalg.inv(mean))
+        e_det, e_adj, e_det_inv = _expect(
+            model, linalg.det_cofactor, linalg.adjugate_cofactor, _det_times_inverse
         )
+        dev_det = max(dev_det, _rel_dev(e_det, linalg.det_cofactor(mean)))
+        dev_adj = max(dev_adj, _rel_dev(e_adj, linalg.adjugate_cofactor(mean)))
+        dev_winv = max(dev_winv, _rel_dev(e_det_inv / e_det, np.linalg.inv(mean)))
     hand = hand_checked_instance()
-    hand_det, hand_adj = expect_det(hand), expect_adjugate(hand)
-    hand_dev = max(
-        abs(hand_det - 0.75), _rel_dev(hand_adj, np.array([[1.0, -0.5], [-0.5, 1.0]]))
-    )
-    dev_det = max(dev_det, abs(hand_det - linalg.det_cofactor(hand.mean())))
+    hand_det, hand_adj = _expect(hand, linalg.det_cofactor, linalg.adjugate_cofactor)
+    hand_dev = max(_rel_dev(hand_det, 0.75), _rel_dev(hand_adj, [[1.0, -0.5], [-0.5, 1.0]]))
+    dev_det = max(dev_det, _rel_dev(hand_det, linalg.det_cofactor(hand.mean())))
     dev_adj = max(dev_adj, _rel_dev(hand_adj, linalg.adjugate_cofactor(hand.mean())))
     counter = rank_two_counterexample()
     gap = abs(expect_det(counter) - linalg.det_cofactor(counter.mean()))
-    return IdentityReport(
-        models=models,
-        max_dev_det=dev_det,
-        max_dev_adjugate=dev_adj,
-        max_dev_weighted_inverse=dev_winv,
-        hand_instance_dev=hand_dev,
-        counterexample_gap=gap,
-    )
+    return IdentityReport(models, dev_det, dev_adj, dev_winv, hand_dev, gap)
 
 
 def hessian_sketch_model(obj: Objective, w: np.ndarray, k: int) -> RandomRankOneSum:

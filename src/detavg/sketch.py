@@ -118,13 +118,14 @@ def local_covariance(data: Dataset, mask: SketchMask) -> np.ndarray:
     return linalg.symmetrize(X.T @ X / mask.k)
 
 
-def block_size(d: int) -> int:
-    """Number of (d, d) matrices a fleet stacks per decomposition call.
+def block_size(width: int) -> int:
+    """Number of items of ``width`` float64 values each that one stack holds.
 
-    About ``_STACK_BYTES`` of them: the whole fleet at small d, while a
-    large-d fleet never holds all m matrices at once.
+    About ``_STACK_BYTES`` of them.  A fleet stacks (d, d) matrices, width
+    d * d: the whole fleet at small d, while a large-d fleet never holds all
+    m matrices at once.
     """
-    return max(1, _STACK_BYTES // (8 * d * d))
+    return max(1, _STACK_BYTES // (8 * width))
 
 
 def local_stacks(
@@ -140,7 +141,7 @@ def local_stacks(
     same whatever m is.  The stack is one buffer, refilled for the next
     block: read it before asking for the next one.
     """
-    block = block_size(d)
+    block = block_size(d * d)
     stack = np.empty((min(block, m), d, d))
     for start in range(0, m, block):
         stop = min(start + block, m)

@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from detavg.cli import main
+from detavg.cli import main, write_csv
 from detavg.dataio import serialize_libsvm, synth_regression
+from detavg.errors import NonFiniteResult
 from detavg.objective import Dataset
 
 
@@ -14,6 +15,11 @@ def run(tmp_path, name, *argv):
     out = tmp_path / name
     code = main([*argv, "--out", str(out)])
     return code, out
+
+
+def assert_one_line(err, prefix):
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix), err
 
 
 def sweep_args(out_name="sweep.csv", **over):
@@ -93,6 +99,14 @@ class TestNewtonSweep:
             synth="50,10,1.0", k="2", m="2,4", trials="1", seed="0", **{"lambda": "1e-300"}))
         assert code == 2
         assert "(seed, trial, machine) = (0, 0, 0)" in capsys.readouterr().err
+
+    def test_overflowing_step_error_exits_2_without_csv(self, tmp_path, capsys):
+        # labels near 1e300 overflow the squared step errors
+        code, out = run(tmp_path, "s.csv", *sweep_args(
+            synth="50,3,1e300", k="2", m="2", trials="1", seed=None))
+        assert code == 2
+        assert not out.exists() and not out.with_suffix(".meta.json").exists()
+        assert_one_line(capsys.readouterr().err, "numerical failure:")
 
 
 class TestSeedResolution:
@@ -192,6 +206,17 @@ class TestNewtonConverge:
         assert code == 0
         assert len(out.read_text().splitlines()) == 1 + 4
 
+    def test_unreachable_exact_tolerance_exits_2(self, tmp_path, capsys):
+        # at label scale 1e200 the gradient norm cannot reach 1e-12
+        out = tmp_path / "t.csv"
+        code = main([
+            "newton-converge", "--synth", "50,3,1e200", "--k", "5", "--m", "4",
+            "--iters", "3", "--out", str(out),
+        ])
+        assert code == 2
+        assert not out.exists()
+        assert_one_line(capsys.readouterr().err, "numerical failure: exact Newton")
+
     def test_multiple_m_rejected(self, tmp_path):
         code = main([
             "newton-converge", "--synth", "150,3,0.5", "--k", "50",
@@ -214,6 +239,7 @@ class TestVerifyIdentities:
         pytest.param("--max-n", "13", id="max-n-over-outcome-cap"),
         pytest.param("--max-n", "1", id="max-n-below-2"),
         pytest.param("--max-d", "0", id="max-d-below-1"),
+        pytest.param("--max-d", "6", id="max-d-over-cofactor-cap"),
     ])
     def test_bad_model_bounds_exit_1(self, flag, value, capsys):
         assert main(["verify-identities", "--models", "2", flag, value]) == 1
@@ -257,3 +283,13 @@ class TestExitCodes:
     def test_k_larger_than_n_exits_1(self, tmp_path):
         code, _ = run(tmp_path, "x.csv", *sweep_args(k="500"))
         assert code == 1
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_write_csv_refuses_non_finite_cells(tmp_path, bad):
+    out = tmp_path / "t.csv"
+    with pytest.raises(NonFiniteResult, match="row 2 .*: err is"):
+        write_csv(out, ("m", "err"), iter([(1, 0.5), (2, bad)]))
+    assert not out.exists()
+    write_csv(out, ("m", "err"), iter([(1, 0.5), (2, 0.25)]))
+    assert out.read_text() == "m,err\n1,0.5\n2,0.25\n"

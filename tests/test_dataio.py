@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from detavg.dataio import (
     expand_degree2,
@@ -68,18 +70,33 @@ def test_empty_input(text):
         parse_libsvm(text)
 
 
-def test_round_trip():
-    text = "1.5 1:0.001 3:-2.25e-3\n-0.5 2:7.125\n3 1:-1 2:0.3333333333333333 3:9\n"
-    first = parse_libsvm(text)
-    again = parse_libsvm(serialize_libsvm(first))
-    assert np.array_equal(first.X, again.X)
-    assert np.array_equal(first.y, again.y)
+finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
-def test_round_trip_with_all_zero_row():
-    data = Dataset(X=[[1.0, 2.0], [0.0, 0.0], [0.0, 3.0]], y=[1.0, 0.0, -1.0])
+@st.composite
+def datasets(draw):
+    n, d = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    cells = st.one_of(st.just(0.0), finite)
+    X = draw(st.lists(cells, min_size=n * d, max_size=n * d))
+    y = draw(st.lists(finite, min_size=n, max_size=n))
+    return Dataset(X=np.reshape(X, (n, d)), y=y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(datasets())
+@example(parse_libsvm("1.5 1:0.001 3:-2.25e-3\n-0.5 2:7.125\n3 1:-1 2:0.3333333333333333 3:9\n"))
+@example(Dataset(X=[[1.0, 2.0], [0.0, 0.0], [0.0, 3.0]], y=[1.0, 0.0, -1.0]))  # all-zero row
+@example(Dataset(X=[[1.0, 0.0], [2.0, 0.0]], y=[0.0, 1.0]))  # trailing all-zero column
+def test_round_trip(data):
+    # only nonzero entries are written, so trailing all-zero columns come back
+    # narrower: the parsed width is the last column holding a nonzero, and at
+    # least 1; every value and label comes back exactly
     again = parse_libsvm(serialize_libsvm(data))
-    assert np.array_equal(again.X, data.X)
+    nonzero_cols = np.flatnonzero(np.any(data.X != 0.0, axis=0))
+    width = int(nonzero_cols[-1]) + 1 if len(nonzero_cols) else 1
+    assert again.X.shape == (data.n, width)
+    assert np.array_equal(again.X, data.X[:, :width])
+    assert not np.any(data.X[:, width:])
     assert np.array_equal(again.y, data.y)
 
 

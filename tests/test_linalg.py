@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detavg import linalg
-from detavg.errors import NegativeQuadraticForm, NotPositiveDefinite
+from detavg.errors import NegativeQuadraticForm, NonFiniteResult, NotPositiveDefinite
 
 
 def random_pd(rng, d, ridge=0.1):
@@ -137,6 +137,37 @@ def test_sylvester_rank_one_update():
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    lead=st.sampled_from([(1,), (6,), (3, 2)]),
+    d=st.integers(1, 5),
+    kind=st.sampled_from(["general", "symmetric", "rank_one", "integer", "mixed"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cofactor_stack_equals_per_slice(lead, d, kind, seed):
+    # every slice bit for bit what the single-matrix call gives; rank-one
+    # (singular for d > 1), indefinite and integer stacks included
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((*lead, d, d))
+    z = rng.standard_normal((*lead, d))
+    rank_one = z[..., :, None] * z[..., None, :]
+    if kind == "symmetric":
+        M = M + np.swapaxes(M, -1, -2)
+    elif kind == "rank_one":
+        M = rank_one
+    elif kind == "integer":
+        M = np.round(2 * M)
+    elif kind == "mixed":
+        M = np.where(rng.random((*lead, 1, 1)) < 0.5, rank_one, M)
+    dets, adjs = linalg.det_cofactor(M), linalg.adjugate_cofactor(M)
+    assert dets.shape == lead and adjs.shape == M.shape
+    for idx in np.ndindex(*lead):
+        det = linalg.det_cofactor(M[idx])
+        assert isinstance(det, float) and np.float64(det).tobytes() == dets[idx].tobytes()
+        adj = linalg.adjugate_cofactor(M[idx])
+        assert adj.shape == (d, d) and adj.tobytes() == adjs[idx].tobytes()
+
+
 def test_solve_hand_instance():
     M = np.array([[2.0, 1.0], [1.0, 2.0]])
     x = linalg.solve_psd(M, np.array([1.0, 0.0]))
@@ -171,6 +202,13 @@ def test_mahalanobis_clamps_rounding_and_rejects_indefinite():
     assert linalg.mahalanobis_norm(z, M) == 0.0
     with pytest.raises(NegativeQuadraticForm):
         linalg.mahalanobis_norm(np.array([0.0, 1.0]), np.diag([1.0, -1.0]))
+
+
+@pytest.mark.parametrize("v", [np.array([1e200, 0.0]), np.array([np.nan, 0.0])])
+def test_mahalanobis_rejects_non_finite_form(v):
+    # the overflow or NaN raises instead of warning and returning inf or nan
+    with pytest.raises(NonFiniteResult):
+        linalg.mahalanobis_norm(v, np.eye(2))
 
 
 def test_require_symmetric_rejects_asymmetric():

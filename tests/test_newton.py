@@ -196,7 +196,7 @@ def test_coherence_scales_with_leverage():
 
 
 D_WIDE = 65
-BLOCK_WIDE = sketch.block_size(D_WIDE)
+BLOCK_WIDE = sketch.block_size(D_WIDE * D_WIDE)
 
 
 @settings(max_examples=6, deadline=None)

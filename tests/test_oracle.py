@@ -1,7 +1,11 @@
 """Exact enumeration oracle: expectation identities and their breakdown."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detavg import linalg
 from detavg.errors import EnumerationBudgetExceeded
@@ -20,6 +24,36 @@ from detavg.oracle import (
     random_model,
     rank_two_counterexample,
 )
+
+
+def per_outcome(model):
+    """Slow path: (probability, matrix) one outcome at a time, in
+    itertools.product order of the supports."""
+    supports = [list(zip(c.values, c.probs)) for c in model.components]
+    for combo in itertools.product(*supports):
+        prob = 1.0
+        A = model.base.copy()
+        for (value, p), c in zip(combo, model.components):
+            prob *= p
+            A += value * c.matrix
+        yield prob, A
+
+
+def per_outcome_expectations(model):
+    """E[det A], E[adj A] and E[det(A) inv(A)] / E[det A], outcome by outcome."""
+    det = 0.0
+    adj = np.zeros((model.dim, model.dim))
+    det_inv = np.zeros((model.dim, model.dim))
+    for p, A in per_outcome(model):
+        det_A = linalg.det_cofactor(A)
+        det += p * det_A
+        adj += p * linalg.adjugate_cofactor(A)
+        det_inv += p * det_A * np.linalg.inv(A)
+    return det, adj, det_inv / det
+
+
+def rel_err(got, want):
+    return np.abs(np.asarray(got) - want).max() / max(1.0, np.abs(want).max())
 
 
 def test_hand_checked_instance_values():
@@ -135,11 +169,11 @@ def test_enumeration_budget():
     z = np.ones((1, 1))
     comps = tuple(Component(z, (0.0, 1.0), (0.5, 0.5)) for _ in range(21))
     with pytest.raises(EnumerationBudgetExceeded):
-        list(RandomRankOneSum(components=comps, base=np.eye(1)).outcomes())
+        list(RandomRankOneSum(components=comps, base=np.eye(1)).outcome_blocks())
     # 3^13 outcomes exceed the 2^20 outcome cap even with few components
     comps3 = tuple(Component(z, (0.0, 1.0, 2.0), (0.3, 0.3, 0.4)) for _ in range(13))
     with pytest.raises(EnumerationBudgetExceeded):
-        list(RandomRankOneSum(components=comps3, base=np.eye(1)).outcomes())
+        list(RandomRankOneSum(components=comps3, base=np.eye(1)).outcome_blocks())
     rng = np.random.default_rng(1)
     big = Dataset(X=rng.standard_normal((21, 2)), y=rng.standard_normal(21))
     with pytest.raises(EnumerationBudgetExceeded):
@@ -164,8 +198,9 @@ def test_model_validation():
         )
     with pytest.raises(ValueError):
         RandomRankOneSum.bernoulli([np.eye(2)], gamma=0.0, base=np.eye(2))
-    with pytest.raises(ValueError, match="max_d"):
-        identity_suite(models=1, max_d=0)
+    for max_d in (0, 6):
+        with pytest.raises(ValueError, match="max_d"):
+            identity_suite(models=1, max_d=max_d)
     with pytest.raises(ValueError, match="max_n"):
         identity_suite(models=1, max_n=1)
 
@@ -176,3 +211,41 @@ def test_identity_suite_report():
     assert report.max_identity_dev <= 1e-12
     assert report.hand_instance_dev <= 1e-12
     assert report.counterexample_gap >= 1e-6
+
+
+@settings(max_examples=40, deadline=None)
+@given(max_n=st.integers(2, 6), max_d=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_batched_expectations_match_per_outcome_loop(max_n, max_d, seed):
+    model = random_model(np.random.default_rng(seed), max_n=max_n, max_d=max_d)
+    det, adj, weighted_inverse = per_outcome_expectations(model)
+    assert rel_err(expect_det(model), det) <= 1e-12
+    assert rel_err(expect_adjugate(model), adj) <= 1e-12
+    assert rel_err(expect_weighted_inverse(model), weighted_inverse) <= 1e-12
+
+
+def test_outcome_blocks_span_chunks_in_product_order():
+    # 2^18 outcomes at d=1 fill several chunks; the identity still holds and
+    # every chunk boundary continues itertools.product order
+    rng = np.random.default_rng(131)
+    z = rng.uniform(0.5, 2.0, size=18)
+    model = RandomRankOneSum.bernoulli(
+        [np.array([[v]]) for v in z], gamma=rng.uniform(0.2, 0.9, size=18), base=np.eye(1)
+    )
+    blocks = list(model.outcome_blocks())
+    assert len(blocks) >= 2
+    p = np.concatenate([b[0] for b in blocks])
+    A = np.concatenate([b[1] for b in blocks])
+    assert A.shape == (2**18, 1, 1)
+    assert abs(p.sum() - 1.0) <= 1e-12
+    starts = np.cumsum([0] + [len(b[0]) for b in blocks])
+    supports = [list(zip(c.values, c.probs)) for c in model.components]
+    for i in sorted({0, len(p) - 1, *starts[1:-1], *(starts[1:-1] - 1)}):
+        # outcome i of itertools.product: the binary digits of i, last
+        # component fastest
+        combo = [support[int(bit)] for support, bit in zip(supports, f"{i:018b}")]
+        prob = np.prod([q for _, q in combo])
+        A_i = model.base + sum(v * c.matrix for (v, _), c in zip(combo, model.components))
+        assert p[i] == pytest.approx(prob, rel=1e-14)
+        assert np.abs(A[i] - A_i).max() <= 1e-13 * np.abs(A_i).max()
+    det_mean = linalg.det_cofactor(model.mean())
+    assert abs(expect_det(model) - det_mean) <= 1e-12 * abs(det_mean)

@@ -150,7 +150,7 @@ def test_eigen_fleet_estimate_matches_cholesky_route(seed, trial, n, d, k, m, et
 
 
 D_WIDE = 65
-BLOCK_WIDE = sketch.block_size(D_WIDE)
+BLOCK_WIDE = sketch.block_size(D_WIDE * D_WIDE)
 
 
 @settings(max_examples=6, deadline=None)
