@@ -142,9 +142,11 @@ def cmd_newton_sweep(args) -> int:
     m_list = parse_m_list(args.m)
     w0 = np.zeros(obj.d)
     rows = error_sweep(obj, w0, args.k, m_list, args.trials, _schemes(args.scheme), seed)
-    out = Path(args.out)
-    write_csv(out, NEWTON_SWEEP_HEADER, map(astuple, rows))
     step = obj.exact_newton_step(w0)
+    with np.errstate(over="ignore"):  # past the float range the norm reads inf
+        step_norm = float(np.linalg.norm(step))
+    if not math.isfinite(step_norm):
+        raise NonFiniteResult(f"the exact step's norm is {step_norm}")
     meta = {
         "command": "newton-sweep",
         "source": source,
@@ -157,9 +159,11 @@ def cmd_newton_sweep(args) -> int:
         "scheme": args.scheme,
         "seed": seed,
         "coherence": coherence(obj, w0),
-        "step_norm_euclidean": float(np.linalg.norm(step)),
+        "step_norm_euclidean": step_norm,
         "step_norm_hessian": linalg.mahalanobis_norm(step, obj.hessian(w0)),
     }
+    out = Path(args.out)
+    write_csv(out, NEWTON_SWEEP_HEADER, map(astuple, rows))
     with open(out.with_suffix(".meta.json"), "w", encoding="utf-8") as f:
         json.dump(meta, f, indent=2, sort_keys=True)
         f.write("\n")

@@ -20,8 +20,10 @@ from .errors import EmptyDataset, ParseError
 
 Source = Union[str, TextIO, Iterable[str]]
 
-# Most entries of a parsed dense matrix: 2^27 float64 entries are 1 GiB.
-_MAX_ENTRIES = 1 << 27
+# Most entries of an array sized from user input, checked before allocating:
+# a parsed dense matrix here, a fleet's outputs in sketch.local_fleet.  2^27
+# float64 entries are 1 GiB.
+MAX_ENTRIES = 1 << 27
 
 
 def _iter_lines(source: Source) -> Iterable[str]:
@@ -49,7 +51,7 @@ def parse_libsvm(source: Source) -> Dataset:
     ParseError
         On a malformed or non-finite label or pair, indices that are not
         strictly increasing within a line, or an index so wide that the
-        dense matrix would exceed ``_MAX_ENTRIES`` entries (checked before
+        dense matrix would exceed ``MAX_ENTRIES`` entries (checked before
         allocating).  The error carries the line number.
     EmptyDataset
         If no data lines remain after stripping comments and blanks.
@@ -93,10 +95,10 @@ def parse_libsvm(source: Source) -> Dataset:
         rows.append(pairs)
     if not rows:
         raise EmptyDataset("no data lines in input")
-    if len(rows) * width > _MAX_ENTRIES:
+    if len(rows) * width > MAX_ENTRIES:
         raise ParseError(
             width_line, f"index {width} makes a {len(rows)} x {width} matrix, over the cap "
-            f"of {_MAX_ENTRIES} entries"
+            f"of {MAX_ENTRIES} entries"
         )
     X = np.zeros((len(rows), max(width, 1)))
     for i, pairs in enumerate(rows):

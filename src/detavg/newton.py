@@ -13,15 +13,16 @@ an exact Newton method would take.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .averaging import LocalEstimate, weighted_means
-from .errors import NoConvergence, NotPositiveDefinite
+from .errors import NoConvergence
 from .objective import Objective
-from .sketch import SketchMask, check_sweep, local_hessian, local_stacks, machine_failure
+from .sketch import SketchMask, check_sweep, local_fleet, local_hessian
 
 
 class Scheme(enum.Enum):
@@ -110,27 +111,13 @@ def _local_steps(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Steps (m, d) and log-determinants (m,) of machines 0..m-1 of one fleet.
 
-    The local Hessians come in the stacks of :func:`sketch.local_stacks`,
-    one :func:`linalg.factor_solve` each.  Each row is bit-identical to
-    :func:`local_newton_estimate` for that machine.
-
-    Raises
-    ------
-    NotPositiveDefinite
-        Naming the (seed, trial, machine) triple of the first machine whose
-        local Hessian fails the factorization.
+    One :func:`sketch.local_fleet` with :func:`linalg.factor_solve` as the
+    decomposition; each row is bit-identical to :func:`local_newton_estimate`
+    for that machine.
     """
-    steps = np.empty((m, obj.d))
-    log_dets = np.empty(m)
-    hessians = local_stacks(lambda mask: local_hessian(obj, w, mask),
-                            obj.data.n, obj.d, k, m, seed, trial)
-    for start, stack in hessians:
-        stop = start + len(stack)
-        try:
-            steps[start:stop], log_dets[start:stop] = linalg.factor_solve(stack, grad)
-        except NotPositiveDefinite as exc:
-            raise machine_failure("local Hessian", seed, trial, start + exc.index) from exc
-    return steps, log_dets
+    return local_fleet(lambda mask: local_hessian(obj, w, mask),
+                       lambda stack: linalg.factor_solve(stack, grad),
+                       obj.data.n, obj.d, k, m, seed, trial)
 
 
 def _step_errors(step: np.ndarray, exact: np.ndarray, H: np.ndarray) -> tuple[float, float]:
@@ -218,24 +205,28 @@ def error_sweep(
 
 def exact_minimizer(obj: Objective, w0: np.ndarray | None = None, tol: float = 1e-12,
                     max_iter: int = 100) -> np.ndarray:
-    """Minimize by exact Newton iteration until ||grad|| <= tol.
+    """Minimize by exact Newton iteration until ||grad|| <= tol * max(1, ||grad(w0)||).
 
-    Raises :class:`~detavg.errors.NoConvergence` if ``max_iter`` steps do not
-    get there; a gradient norm past the float range counts as not there.
+    Relative, so that large labels do not ask for more digits than float64
+    holds.  Raises :class:`~detavg.errors.NoConvergence` if ``max_iter``
+    steps do not get there; a non-finite gradient norm never counts.
     """
 
-    def converged(w: np.ndarray) -> bool:
-        g = obj.gradient(w)
+    def gradient_norm(w: np.ndarray) -> float:
         with np.errstate(over="ignore"):
-            return np.linalg.norm(g) <= tol
+            return float(np.linalg.norm(obj.gradient(w)))
 
     w = np.zeros(obj.d) if w0 is None else np.asarray(w0, dtype=float).copy()
+    norm = gradient_norm(w)
+    target = tol * max(1.0, norm)
     for _ in range(max_iter):
-        if converged(w):
+        if norm <= target < math.inf:
             return w
         w = w - obj.exact_newton_step(w)
-    if not converged(w):
-        raise NoConvergence(f"exact Newton did not reach tol={tol} in {max_iter} iterations")
+        norm = gradient_norm(w)
+    if not norm <= target < math.inf:
+        raise NoConvergence(f"exact Newton did not reach tol={tol} relative to the first "
+                            f"gradient norm ({target:.3e}) in {max_iter} iterations")
     return w
 
 
@@ -250,7 +241,8 @@ def run_distributed_newton(
 
     Iteration i draws fresh masks from streams keyed by (seed, i, machine).
     Distances are measured to the minimizer found by exact Newton iteration
-    driven to gradient norm 1e-12.
+    driven to gradient norm 1e-12 relative to the first (see
+    :func:`exact_minimizer`).
     """
     if iters < 1:
         raise ValueError(f"need at least one iteration, got {iters}")

@@ -6,20 +6,22 @@ of that triple: no global state, no dependence on execution order, so a
 sweep gives bit-identical masks whatever order its machines and trials
 run in.
 
-:func:`local_stacks` builds a whole fleet from those streams, one stack of
-local matrices of about 1 MiB at a time, for the Newton and the
-precision sweeps alike; the sweeps only decompose the stacks.
+:func:`local_fleet` is the one loop over a fleet's machines, for Newton
+and precision sweeps alike: it draws, builds and decomposes each machine's
+local matrix, in stacks of about 1 MiB, stores the fleet's results, and
+names the (seed, trial, machine) triple of a machine that fails.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import linalg
-from .errors import InvalidSampleSize, NotPositiveDefinite
+from .dataio import MAX_ENTRIES
+from .errors import InvalidSampleSize, NonFiniteResult, NotPositiveDefinite
 from .objective import Dataset, Objective
 
 # Bytes of matrices stacked per decomposition call by the fleets.
@@ -128,26 +130,53 @@ def block_size(width: int) -> int:
     return max(1, _STACK_BYTES // (8 * width))
 
 
-def local_stacks(
-    build: Callable[[SketchMask], np.ndarray], n: int, d: int, k: int, m: int,
-    seed: int, trial: int,
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Local matrices of machines 0..m-1 of one fleet, in stacks.
+def local_fleet(
+    build: Callable[[SketchMask], np.ndarray],
+    decompose: Callable[[np.ndarray], tuple[np.ndarray, ...]],
+    n: int, d: int, k: int, m: int, seed: int, trial: int,
+) -> tuple[np.ndarray, ...]:
+    """Decomposed local matrices of machines 0..m-1 of one fleet.
 
     Machine t draws its mask over n rows from the stream keyed by
-    (seed, trial, t), and ``build(mask)`` returns its (d, d) matrix.  Yields
-    ``(start, stack)`` with ``stack[i]`` the matrix of machine ``start + i``,
-    :func:`block_size` machines per stack, so the first m machines are the
-    same whatever m is.  The stack is one buffer, refilled for the next
-    block: read it before asking for the next one.
+    (seed, trial, t), and ``build(mask)`` returns its (d, d) matrix.
+    ``decompose(stack)`` maps a stack of :func:`block_size` such matrices
+    to a tuple of arrays with one row per matrix.  Returns those arrays for
+    the whole fleet, row t for machine t, so the first m machines are the
+    same whatever m is.
+
+    Raises ValueError, before any draw, if the outputs would hold more than
+    ``MAX_ENTRIES`` values.  A ``NotPositiveDefinite`` from ``decompose``,
+    or an output row that is not finite (``NonFiniteResult``), is raised
+    naming the (seed, trial, machine) triple that replays the machine.
     """
+    def where(t: int) -> str:
+        return f"local matrix of (seed, trial, machine) = ({seed}, {trial}, {t})"
+
+    # decomposing one identity matrix gives the output shapes per machine
+    probe = decompose(np.eye(d)[None])
+    entries = m * sum(out[0].size for out in probe)
+    if entries > MAX_ENTRIES:
+        raise ValueError(f"a fleet of m={m} machines would store {entries} values, "
+                         f"more than {MAX_ENTRIES}")
+    fleet = tuple(np.empty((m, *out.shape[1:])) for out in probe)
     block = block_size(d * d)
     stack = np.empty((min(block, m), d, d))
     for start in range(0, m, block):
         stop = min(start + block, m)
         for t in range(start, stop):
             stack[t - start] = build(draw_mask(n, k, SeedSpec(seed, trial, t)))
-        yield start, stack[:stop - start]
+        try:
+            outputs = decompose(stack[:stop - start])
+        except NotPositiveDefinite as exc:
+            t = start + exc.index
+            raise NotPositiveDefinite(f"{where(t)} is not positive definite", index=t) from exc
+        finite = np.ones(stop - start, dtype=bool)
+        for whole, out in zip(fleet, outputs):
+            whole[start:stop] = out
+            finite &= np.isfinite(out.reshape(stop - start, -1)).all(axis=1)
+        if not finite.all():
+            raise NonFiniteResult(f"{where(start + np.argmin(finite))} has a non-finite result")
+    return fleet
 
 
 def check_sweep(m_list: Sequence[int], trials: int) -> None:
@@ -159,14 +188,3 @@ def check_sweep(m_list: Sequence[int], trials: int) -> None:
         raise ValueError(f"m_list must be strictly increasing, got {m_list}")
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-
-
-def machine_failure(
-    matrix: str, seed: int, trial: int, machine: int, detail: str = ""
-) -> NotPositiveDefinite:
-    """The error for a fleet machine whose local matrix is not positive
-    definite, naming the (seed, trial, machine) triple that replays it."""
-    return NotPositiveDefinite(
-        f"{matrix} of (seed, trial, machine) = ({seed}, {trial}, {machine}) "
-        f"is not positive definite{detail}", index=int(machine),
-    )

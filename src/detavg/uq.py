@@ -10,11 +10,13 @@ unridged inverse covariance, which is also the exact reference the
 estimates are scored against.
 
 The ridges of a sweep differ only in their shift, so a fleet decomposes
-each machine's covariance once, ``Sigma_hat_t = V diag(lambda) V^T``, and
-reads every fleet size off that spectrum: the ridged eigenvalues are
-``lambda + eta/sqrt(m)``.  The exact reference and the single-machine
-:func:`local_uq_estimate` stay on Cholesky factorizations, independent of
-the eigen route.
+each machine's covariance once, ``Sigma_hat_t = V diag(lambda) V^T``, in
+one :func:`sketch.local_fleet`, and reads every fleet size off that
+spectrum: the ridged eigenvalues are ``lambda + eta/sqrt(m)``.  The
+smallest ridge of the sweep is checked against every spectrum as the fleet
+is built, so a failing machine is named before any estimate is combined.
+The exact reference and the single-machine :func:`local_uq_estimate` stay
+on Cholesky factorizations, independent of the eigen route.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from . import linalg
 from .averaging import LocalEstimate, weighted_means
 from .errors import NotPositiveDefinite, SingularCovariance
 from .objective import Dataset
-from .sketch import SketchMask, check_sweep, local_covariance, local_stacks, machine_failure
+from .sketch import SketchMask, check_sweep, local_covariance, local_fleet
 
 
 class Statistic(enum.Enum):
@@ -110,88 +111,75 @@ def exact_statistic(data: Dataset, statistic: Statistic) -> float | np.ndarray:
     """
     sigma = linalg.symmetrize(data.X.T @ data.X / data.n)
     # roundoff can hand a rank-deficient matrix a tiny positive pivot, so a
-    # successful factorization alone does not certify invertibility
+    # successful factorization alone does not certify invertibility; past
+    # this check the condition number is below 1e12, well inside Cholesky's reach
     spectrum = np.linalg.eigvalsh(sigma)
     if spectrum[0] <= spectrum[-1] * 1e-12:
         raise SingularCovariance(
             "covariance is singular to working precision "
             f"(eigenvalue range [{spectrum[0]:.3e}, {spectrum[-1]:.3e}])"
         )
-    try:
-        value, _ = _statistic_of_inverse(sigma, statistic)
-    except NotPositiveDefinite as exc:
-        raise SingularCovariance(f"covariance is singular: {exc}") from exc
-    return value
-
-
-class _Spectra(NamedTuple):
-    """Eigendecompositions of the subsampled covariances of one trial's machines.
-
-    Row t belongs to the machine whose mask is keyed by (seed, trial, t).
-    """
-
-    eigenvalues: np.ndarray  # (m, d)
-    sq_eigenvectors: np.ndarray | None  # (m, d, d) entries V**2; None for the trace
-    seed: int
-    trial: int
+    return _statistic_of_inverse(sigma, statistic)[0]
 
 
 def _local_spectra(
-    data: Dataset, k: int, m: int, seed: int, trial: int, statistic: Statistic
-) -> _Spectra:
-    """Spectra of machines 0..m-1, decomposing the stacked covariances of
-    :func:`sketch.local_stacks`.
+    data: Dataset, k: int, eta: float, m: int, seed: int, trial: int, statistic: Statistic
+) -> tuple[np.ndarray, ...]:
+    """Spectra of the subsampled covariances of machines 0..m-1, from one
+    :func:`sketch.local_fleet`: the eigenvalues (m, d) from ``eigvalsh`` for
+    the trace, plus the squared eigenvectors ``V * V`` (m, d, d) from
+    ``eigh`` for the diagonal.
 
-    The trace needs only the eigenvalues (``eigvalsh``); the diagonal also
-    keeps the squared eigenvectors (``eigh``).
+    A machine whose smallest eigenvalue plus the fleet's smallest ridge
+    ``eta/sqrt(m)`` is at most ``d / float max`` (the trace of its ridged
+    inverse would not be finite) raises ``NotPositiveDefinite`` naming its
+    triple, so the others hold in every fleet of at most m machines.
     """
-    eigenvalues = np.empty((m, data.d))
-    sq_eigenvectors = None if statistic is Statistic.TRACE else np.empty((m, data.d, data.d))
-    covs = local_stacks(lambda mask: local_covariance(data, mask),
-                        data.n, data.d, k, m, seed, trial)
-    for start, stack in covs:
-        stop = start + len(stack)
-        if sq_eigenvectors is None:
-            eigenvalues[start:stop] = np.linalg.eigvalsh(stack)
+    ridge = eta / np.sqrt(m)
+    floor = data.d / np.finfo(float).max
+
+    def decompose(stack: np.ndarray) -> tuple[np.ndarray, ...]:
+        if statistic is Statistic.TRACE:
+            spectra = (np.linalg.eigvalsh(stack),)
         else:
-            eigenvalues[start:stop], V = np.linalg.eigh(stack)
-            sq_eigenvectors[start:stop] = V * V
-    return _Spectra(eigenvalues, sq_eigenvectors, seed, trial)
+            eigenvalues, V = np.linalg.eigh(stack)
+            spectra = (eigenvalues, V * V)
+        # eigenvalues come in ascending order; a NaN fails the test too
+        bad = np.flatnonzero(~(spectra[0][:, 0] + ridge > floor))
+        if bad.size:
+            raise NotPositiveDefinite("ridged covariance is not positive definite",
+                                      index=int(bad[0]))
+        return spectra
+
+    return local_fleet(lambda mask: local_covariance(data, mask), decompose,
+                       data.n, data.d, k, m, seed, trial)
 
 
-def _fleet_estimate(spectra: _Spectra, m: int, eta: float, statistic: Statistic
-                    ) -> float | np.ndarray:
+def _fleet_estimate(spectra: tuple[np.ndarray, ...], m: int, eta: float,
+                    statistic: Statistic) -> float | np.ndarray:
     """Determinant-weighted statistic of the fleet of machines 0..m-1.
 
+    ``spectra`` comes from :func:`_local_spectra` over at least m machines.
     Machine t's ridged matrix ``Sigma_hat_t + (eta/sqrt(m)) I`` has the
     eigenvectors of ``Sigma_hat_t`` and the eigenvalues ``s = lambda +
     eta/sqrt(m)``, so its log-determinant is ``sum log s``, the trace of
     its inverse ``sum 1/s`` and the diagonal of its inverse ``(V*V) @
     (1/s)``.  Each fleet size costs O(m d) (trace) or O(m d^2) (diagonal)
     on top of the one decomposition per machine, whatever the grid of m.
-
-    Raises
-    ------
-    NotPositiveDefinite
-        Naming the (seed, trial, machine) triple of the first machine with
-        a non-positive ridged eigenvalue.
     """
-    s = spectra.eigenvalues[:m] + eta / np.sqrt(m)
-    bad = np.flatnonzero(~np.all(s > 0, axis=1))
-    if bad.size:
-        raise machine_failure("ridged covariance", spectra.seed, spectra.trial, bad[0],
-                              f" (smallest eigenvalue {s[bad[0]].min():.3e})")
+    s = spectra[0][:m] + eta / np.sqrt(m)
     inv_s = 1.0 / s
     if statistic is Statistic.TRACE:
         values = inv_s.sum(axis=1)
     else:
-        values = np.einsum("tij,tj->ti", spectra.sq_eigenvectors[:m], inv_s)
+        values = np.einsum("tij,tj->ti", spectra[1][:m], inv_s)
     estimate = weighted_means(values, np.log(s).sum(axis=1), [m])[0]
     return float(estimate) if statistic is Statistic.TRACE else estimate
 
 
 def _abs_err(estimate: float | np.ndarray, exact: float | np.ndarray) -> float:
-    return float(np.linalg.norm(np.atleast_1d(np.asarray(estimate) - np.asarray(exact))))
+    with np.errstate(over="ignore"):  # past the float range the norm reads inf
+        return float(np.linalg.norm(np.atleast_1d(np.asarray(estimate) - np.asarray(exact))))
 
 
 def estimate_precision_statistic(
@@ -204,7 +192,7 @@ def estimate_precision_statistic(
     the trace statistic is just the absolute error.
     """
     exact = exact_statistic(data, cfg.statistic)
-    spectra = _local_spectra(data, cfg.k, cfg.m, seed, trial, cfg.statistic)
+    spectra = _local_spectra(data, cfg.k, cfg.eta, cfg.m, seed, trial, cfg.statistic)
     estimate = _fleet_estimate(spectra, cfg.m, cfg.eta, cfg.statistic)
     return estimate, exact, _abs_err(estimate, exact)
 
@@ -236,7 +224,7 @@ def uq_sweep(
     def run(trial: int) -> list[float | np.ndarray]:
         # each machine is drawn and decomposed once per trial; the fleet of
         # size m is the first m of them, as in estimate_precision_statistic
-        spectra = _local_spectra(data, k, m_list[-1], seed, trial, statistic)
+        spectra = _local_spectra(data, k, eta, m_list[-1], seed, trial, statistic)
         return [_fleet_estimate(spectra, m, eta, statistic) for m in m_list]
 
     per_trial = [run(trial) for trial in range(trials)]

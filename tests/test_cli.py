@@ -1,9 +1,17 @@
 """Command-line interface: output contracts, determinism, exit codes."""
 
+import csv
+import io
 import json
+import math
+import time
+import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from detavg.cli import main, write_csv
 from detavg.dataio import serialize_libsvm, synth_regression
@@ -20,6 +28,15 @@ def run(tmp_path, name, *argv):
 def assert_one_line(err, prefix):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(prefix), err
+
+
+# a vanishing ridge: an empty mask's step grad/lam overflows to inf
+NON_FINITE_STEP_ARGV = [
+    ["newton-sweep", "--synth", "20,2,1.0", "--k", "1", "--m", "2,4",
+     "--lambda", "1e-320", "--trials", "1"],
+    ["newton-converge", "--synth", "20,2,1.0", "--k", "1", "--m", "4",
+     "--lambda", "1e-300", "--iters", "2"],
+]
 
 
 def sweep_args(out_name="sweep.csv", **over):
@@ -217,6 +234,17 @@ class TestNewtonConverge:
         assert not out.exists()
         assert_one_line(capsys.readouterr().err, "numerical failure: exact Newton")
 
+    def test_large_labels_meet_the_relative_exact_tolerance(self, tmp_path):
+        # the gradient norm starts at 4.65e4 and stalls above 1e-12, but
+        # reaches 1e-12 relative to that start after one step
+        out = tmp_path / "t.csv"
+        code = main([
+            "newton-converge", "--synth", "50,3,1e5", "--k", "5", "--m", "4",
+            "--iters", "3", "--out", str(out),
+        ])
+        assert code == 0
+        assert len(out.read_text().splitlines()) == 1 + 4
+
     def test_multiple_m_rejected(self, tmp_path):
         code = main([
             "newton-converge", "--synth", "150,3,0.5", "--k", "50",
@@ -283,6 +311,114 @@ class TestExitCodes:
     def test_k_larger_than_n_exits_1(self, tmp_path):
         code, _ = run(tmp_path, "x.csv", *sweep_args(k="500"))
         assert code == 1
+
+
+class TestFleetBoundary:
+    @pytest.mark.parametrize("argv", NON_FINITE_STEP_ARGV, ids=lambda argv: argv[0])
+    def test_non_finite_local_step_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "o.csv"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert_one_line(err, "numerical failure: local matrix of (seed, trial, machine) = (0, ")
+        assert "non-finite" in err
+
+    @pytest.mark.parametrize("command, extra", [
+        ("newton-sweep", ["--trials", "1"]),
+        ("uq-sweep", ["--trials", "1"]),
+        ("newton-converge", ["--iters", "1"]),
+    ])
+    def test_oversized_fleet_refused_before_allocating(self, tmp_path, capsys, command, extra):
+        argv = [command, "--synth", "20,2,1.0", "--k", "1", "--m", "100000000000", *extra,
+                "--out", str(tmp_path / "o.csv")]
+        tracemalloc.start()
+        try:
+            t0 = time.perf_counter()
+            code = main(argv)
+            elapsed = time.perf_counter() - t0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert_one_line(capsys.readouterr().err, "error: a fleet of m=100000000000 machines")
+        assert elapsed < 0.5
+        assert peak < 1 << 20
+
+
+SCALARS = ["0", "1", "-1", "inf", "-inf", "nan", "1e300", "-1e300", "1e-300", "1e-320"]
+SCHEMES = ["uniform", "determinantal", "both"]
+
+
+def flag_int(lo, hi):
+    """An integer flag value in lo..hi, or about one time in ten the edge
+    value 0 or -1."""
+    values = list(range(lo, hi + 1))
+    return st.sampled_from([0, -1] + values * (1 + 18 // len(values)))
+
+
+# sorted distinct machine counts; the sweeps' own tests cover an unsorted list
+M_LISTS = st.lists(flag_int(1, 8), min_size=1, max_size=3).map(
+    lambda ms: ",".join(map(str, sorted(set(ms)))))
+
+
+@st.composite
+def cli_argv(draw):
+    """A well-typed argv of tiny size with extreme scalars.
+
+    Values are attached as ``--flag=value`` so that argparse reads ``-inf``
+    and ``-1e300`` as values, not as flags.
+    """
+    command = draw(st.sampled_from(
+        ["newton-sweep", "uq-sweep", "newton-converge", "verify-identities"]))
+    flags = {"seed": draw(flag_int(0, 3))}
+    if command != "verify-identities":
+        n, d, noise = draw(flag_int(1, 30)), draw(flag_int(1, 3)), draw(st.sampled_from(SCALARS))
+        flags.update(synth=f"{n},{d},{noise}", k=draw(flag_int(1, max(n, 1))))
+    if command in ("newton-sweep", "newton-converge"):
+        flags.update(loss=draw(st.sampled_from(["square", "logistic"])),
+                     scheme=draw(st.sampled_from(SCHEMES)),
+                     **{"lambda": draw(st.sampled_from(["auto", *SCALARS]))})
+    if command == "newton-sweep":
+        flags.update(m=draw(M_LISTS), trials=draw(flag_int(1, 2)))
+    elif command == "uq-sweep":
+        flags.update(m=draw(M_LISTS), trials=draw(flag_int(1, 2)),
+                     eta=draw(st.sampled_from(SCALARS)),
+                     statistic=draw(st.sampled_from(["trace", "diagonal"])))
+    elif command == "newton-converge":
+        flags.update(m=draw(flag_int(1, 8)), iters=draw(flag_int(1, 2)))
+    else:
+        flags.update(models=draw(flag_int(1, 3)), **{"max-n": draw(flag_int(2, 4)),
+                                                    "max-d": draw(flag_int(1, 3))})
+    return [command, *(f"--{key}={value}" for key, value in flags.items())]
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=cli_argv())
+@example(argv=NON_FINITE_STEP_ARGV[0])
+@example(argv=NON_FINITE_STEP_ARGV[1])
+def test_exit_contract(tmp_path_factory, argv):
+    # exit 0, 1 or 2; no exception escapes; a failure is one stderr line;
+    # a written table holds only finite numbers
+    out = tmp_path_factory.mktemp("argv") / "o.csv"
+    if argv[0] != "verify-identities":
+        argv = [*argv, f"--out={out}"]
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code != 0:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith(("error:", "numerical failure:")), lines
+    elif out.exists():
+        with open(out, newline="") as f:
+            for row in list(csv.reader(f))[1:]:
+                for cell in row:
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        continue  # scheme or statistic name
+                    assert math.isfinite(value), (row, argv)
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])

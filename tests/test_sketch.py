@@ -3,9 +3,19 @@
 import numpy as np
 import pytest
 
-from detavg.errors import InvalidSampleSize
+from detavg import linalg
+from detavg.dataio import MAX_ENTRIES
+from detavg.errors import InvalidSampleSize, NonFiniteResult, NotPositiveDefinite
 from detavg.objective import Dataset, LossKind, Objective
-from detavg.sketch import SeedSpec, SketchMask, draw_mask, local_covariance, local_hessian
+from detavg.sketch import (
+    SeedSpec,
+    SketchMask,
+    block_size,
+    draw_mask,
+    local_covariance,
+    local_fleet,
+    local_hessian,
+)
 
 
 def small_objective(seed=101, n=40, d=4, lam=0.25):
@@ -103,3 +113,48 @@ def test_subsampled_estimates_are_unbiased():
         var = sq / T - mean**2
         se = np.sqrt(np.maximum(var, 0.0) / T)
         assert np.all(np.abs(mean - target) <= 3 * se + 1e-12)
+
+
+D_FLEET = 30
+BLOCK_FLEET = block_size(D_FLEET * D_FLEET)
+
+
+def fleet_with_one_bad_machine(bad, scale):
+    """Fleet of identity matrices in which machine ``bad`` is ``scale * I``,
+    solved by :func:`linalg.factor_solve`."""
+    built = []
+
+    def build(mask):
+        built.append(mask)
+        return np.eye(D_FLEET) * (scale if len(built) == bad + 1 else 1.0)
+
+    def decompose(stack):
+        return linalg.factor_solve(stack, np.ones(D_FLEET))
+
+    return build, decompose, built
+
+
+@pytest.mark.parametrize("scale, error, text", [
+    (-1.0, NotPositiveDefinite, "is not positive definite"),
+    (1e-320, NonFiniteResult, "has a non-finite result"),
+])
+def test_local_fleet_names_the_failing_machine(scale, error, text):
+    # the bad machine sits in the second stack, so its index is block-relative there
+    bad = BLOCK_FLEET + 2
+    build, decompose, built = fleet_with_one_bad_machine(bad, scale)
+    with pytest.raises(error) as info:
+        local_fleet(build, decompose, 10, D_FLEET, 1, BLOCK_FLEET + 5, 7, 3)
+    assert f"(seed, trial, machine) = (7, 3, {bad}) {text}" in str(info.value)
+    if error is NotPositiveDefinite:
+        assert info.value.index == bad
+    assert len(built) == BLOCK_FLEET + 5  # the whole second stack was built
+
+
+def test_local_fleet_refuses_oversized_outputs_before_drawing():
+    build, decompose, built = fleet_with_one_bad_machine(-1, 1.0)
+    m = MAX_ENTRIES // (D_FLEET + 1) + 1  # steps (m, d) plus log-dets (m,)
+    with pytest.raises(ValueError, match=f"m={m} machines"):
+        local_fleet(build, decompose, 10, D_FLEET, 1, m, 0, 0)
+    assert built == []
+    steps, log_dets = local_fleet(build, decompose, 10, D_FLEET, 1, 3, 0, 0)
+    assert np.array_equal(steps, np.ones((3, D_FLEET))) and np.array_equal(log_dets, np.zeros(3))

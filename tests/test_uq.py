@@ -140,7 +140,8 @@ def test_sweep_rows_equal_single_fleet_estimates(statistic):
 def test_eigen_fleet_estimate_matches_cholesky_route(seed, trial, n, d, k, m, eta, statistic):
     # small k/n leaves many masks empty, so bare-ridge machines are covered
     data = gaussian_data(seed, n, d)
-    got = _fleet_estimate(_local_spectra(data, k, m, seed, trial, statistic), m, eta, statistic)
+    got = _fleet_estimate(_local_spectra(data, k, eta, m, seed, trial, statistic), m, eta,
+                          statistic)
     want = combine_determinantal([
         local_uq_estimate(data, draw_mask(n, k, SeedSpec(seed, trial, t)), eta, m, statistic)
         for t in range(m)
@@ -165,17 +166,17 @@ def test_local_spectra_equal_per_machine_decompositions(m, seed, trial, statisti
     # bit, the per-machine decomposition of each local covariance
     assert BLOCK_WIDE > 1
     data = gaussian_data(seed, n=300, d=D_WIDE)
-    spectra = _local_spectra(data, 100, m, seed, trial, statistic)
-    assert spectra.eigenvalues.shape == (m, D_WIDE)
+    spectra = _local_spectra(data, 100, 1.0, m, seed, trial, statistic)
+    assert spectra[0].shape == (m, D_WIDE)
     for t in range(m):
         cov = local_covariance(data, draw_mask(data.n, 100, SeedSpec(seed, trial, t)))
         if statistic is Statistic.TRACE:
-            assert spectra.sq_eigenvectors is None
-            assert np.array_equal(spectra.eigenvalues[t], np.linalg.eigvalsh(cov))
+            assert len(spectra) == 1
+            assert np.array_equal(spectra[0][t], np.linalg.eigvalsh(cov))
         else:
             lam, V = np.linalg.eigh(cov)
-            assert np.array_equal(spectra.eigenvalues[t], lam)
-            assert np.array_equal(spectra.sq_eigenvectors[t], V * V)
+            assert np.array_equal(spectra[0][t], lam)
+            assert np.array_equal(spectra[1][t], V * V)
 
 
 def test_non_positive_ridged_eigenvalue_names_the_machine():
@@ -188,8 +189,8 @@ def test_non_positive_ridged_eigenvalue_names_the_machine():
         estimate_precision_statistic(data, cfg, seed=5, trial=2)
     machine = info.value.index
     assert f"(seed, trial, machine) = (5, 2, {machine})" in str(info.value)
-    spectra = _local_spectra(data, 2, 8, 5, 2, Statistic.TRACE)
-    first_bad = [t for t in range(8) if spectra.eigenvalues[t].min() + 1e-300 / np.sqrt(8) <= 0]
+    spectra = _local_spectra(data, 2, 1.0, 8, 5, 2, Statistic.TRACE)
+    first_bad = [t for t in range(8) if spectra[0][t].min() + 1e-300 / np.sqrt(8) <= 0]
     assert machine == first_bad[0]
 
 
