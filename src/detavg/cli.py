@@ -143,8 +143,7 @@ def cmd_newton_sweep(args) -> int:
     w0 = np.zeros(obj.d)
     rows = error_sweep(obj, w0, args.k, m_list, args.trials, _schemes(args.scheme), seed)
     step = obj.exact_newton_step(w0)
-    with np.errstate(over="ignore"):  # past the float range the norm reads inf
-        step_norm = float(np.linalg.norm(step))
+    step_norm = linalg.norm(step)
     if not math.isfinite(step_norm):
         raise NonFiniteResult(f"the exact step's norm is {step_norm}")
     meta = {

@@ -199,6 +199,16 @@ def solve_psd(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     return factor_solve(M, v)[0]
 
 
+def norm(v: np.ndarray) -> float:
+    """Euclidean norm of ``v``, or inf, without a warning, where it overflows.
+
+    ``np.linalg.norm`` sums the squared entries, so it reads inf once the
+    norm passes sqrt(float max), about 1.34e154, not float max itself.
+    """
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(v))
+
+
 def mahalanobis_norm(v: np.ndarray, M: np.ndarray) -> float:
     """Norm ``sqrt(v^T M v)`` induced by a positive semidefinite matrix.
 

@@ -144,23 +144,24 @@ def local_fleet(
     the whole fleet, row t for machine t, so the first m machines are the
     same whatever m is.
 
-    Raises ValueError, before any draw, if the outputs would hold more than
-    ``MAX_ENTRIES`` values.  A ``NotPositiveDefinite`` from ``decompose``,
-    or an output row that is not finite (``NonFiniteResult``), is raised
-    naming the (seed, trial, machine) triple that replays the machine.
+    Raises ValueError naming m, before the arrays are allocated, if they
+    would hold more than ``MAX_ENTRIES`` values (an m above it is refused
+    before any draw).  A ``NotPositiveDefinite`` from ``decompose``, or an
+    output row that is not finite (``NonFiniteResult``), names the
+    (seed, trial, machine) triple that replays the machine.
     """
     def where(t: int) -> str:
         return f"local matrix of (seed, trial, machine) = ({seed}, {trial}, {t})"
 
-    # decomposing one identity matrix gives the output shapes per machine
-    probe = decompose(np.eye(d)[None])
-    entries = m * sum(out[0].size for out in probe)
-    if entries > MAX_ENTRIES:
-        raise ValueError(f"a fleet of m={m} machines would store {entries} values, "
-                         f"more than {MAX_ENTRIES}")
-    fleet = tuple(np.empty((m, *out.shape[1:])) for out in probe)
+    def refuse_above_cap(entries: int) -> None:
+        if entries > MAX_ENTRIES:
+            raise ValueError(f"a fleet of m={m} machines would store at least {entries} "
+                             f"values, more than {MAX_ENTRIES}")
+
+    refuse_above_cap(m)
     block = block_size(d * d)
     stack = np.empty((min(block, m), d, d))
+    fleet = ()
     for start in range(0, m, block):
         stop = min(start + block, m)
         for t in range(start, stop):
@@ -170,6 +171,9 @@ def local_fleet(
         except NotPositiveDefinite as exc:
             t = start + exc.index
             raise NotPositiveDefinite(f"{where(t)} is not positive definite", index=t) from exc
+        if not fleet:
+            refuse_above_cap(m * sum(out[0].size for out in outputs))
+            fleet = tuple(np.empty((m, *out.shape[1:])) for out in outputs)
         finite = np.ones(stop - start, dtype=bool)
         for whole, out in zip(fleet, outputs):
             whole[start:stop] = out

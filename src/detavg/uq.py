@@ -111,15 +111,18 @@ def exact_statistic(data: Dataset, statistic: Statistic) -> float | np.ndarray:
     """
     sigma = linalg.symmetrize(data.X.T @ data.X / data.n)
     # roundoff can hand a rank-deficient matrix a tiny positive pivot, so a
-    # successful factorization alone does not certify invertibility; past
-    # this check the condition number is below 1e12, well inside Cholesky's reach
+    # successful factorization alone does not certify invertibility
     spectrum = np.linalg.eigvalsh(sigma)
     if spectrum[0] <= spectrum[-1] * 1e-12:
         raise SingularCovariance(
             "covariance is singular to working precision "
             f"(eigenvalue range [{spectrum[0]:.3e}, {spectrum[-1]:.3e}])"
         )
-    return _statistic_of_inverse(sigma, statistic)[0]
+    try:
+        value, _ = _statistic_of_inverse(sigma, statistic)
+    except NotPositiveDefinite as exc:
+        raise SingularCovariance(f"covariance is singular: {exc}") from exc
+    return value
 
 
 def _local_spectra(
@@ -178,8 +181,7 @@ def _fleet_estimate(spectra: tuple[np.ndarray, ...], m: int, eta: float,
 
 
 def _abs_err(estimate: float | np.ndarray, exact: float | np.ndarray) -> float:
-    with np.errstate(over="ignore"):  # past the float range the norm reads inf
-        return float(np.linalg.norm(np.atleast_1d(np.asarray(estimate) - np.asarray(exact))))
+    return linalg.norm(np.atleast_1d(np.asarray(estimate) - np.asarray(exact)))
 
 
 def estimate_precision_statistic(

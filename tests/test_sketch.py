@@ -150,11 +150,17 @@ def test_local_fleet_names_the_failing_machine(scale, error, text):
     assert len(built) == BLOCK_FLEET + 5  # the whole second stack was built
 
 
-def test_local_fleet_refuses_oversized_outputs_before_drawing():
+def test_local_fleet_refuses_oversized_outputs_before_allocating():
+    # m alone is under the cap, so the first stack is drawn and gives the sizes
     build, decompose, built = fleet_with_one_bad_machine(-1, 1.0)
     m = MAX_ENTRIES // (D_FLEET + 1) + 1  # steps (m, d) plus log-dets (m,)
     with pytest.raises(ValueError, match=f"m={m} machines"):
         local_fleet(build, decompose, 10, D_FLEET, 1, m, 0, 0)
+    assert len(built) == BLOCK_FLEET
+    # m above the cap is refused before any draw
+    built.clear()
+    with pytest.raises(ValueError, match=f"m={MAX_ENTRIES + 1} machines"):
+        local_fleet(build, decompose, 10, D_FLEET, 1, MAX_ENTRIES + 1, 0, 0)
     assert built == []
     steps, log_dets = local_fleet(build, decompose, 10, D_FLEET, 1, 3, 0, 0)
     assert np.array_equal(steps, np.ones((3, D_FLEET))) and np.array_equal(log_dets, np.zeros(3))
