@@ -16,7 +16,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyBatch, NonFiniteWeight
+from .errors import DimensionMismatch, EmptyBatch, NonFiniteResult, NonFiniteWeight
 
 Value = Union[float, np.ndarray]
 
@@ -54,6 +54,8 @@ def weighted_means(
     ------
     NonFiniteWeight
         If a log-weight is NaN or infinite.
+    NonFiniteResult
+        If a mean is not finite, e.g. because its weighted sum overflows.
     DimensionMismatch
         If ``log_weights`` is not one weight per row of ``values``.
     """
@@ -74,7 +76,11 @@ def weighted_means(
         logs = log_weights[:c]
         # shift by the max so the largest weight is exactly 1
         w = np.exp(logs - logs.max())
-        means.append(np.tensordot(w, values[:c], axes=(0, 0)) / w.sum())
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = np.tensordot(w, values[:c], axes=(0, 0)) / w.sum()
+        if not np.all(np.isfinite(mean)):
+            raise NonFiniteResult(f"the weighted mean of the first {c} values is not finite")
+        means.append(mean)
     return np.stack(means)
 
 

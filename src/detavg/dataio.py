@@ -192,6 +192,7 @@ def synth_regression(
     rng = np.random.default_rng(seed)
     w_planted = rng.standard_normal(d)
     X = rng.standard_normal((n, d))
-    y = X @ w_planted + noise_sd * rng.standard_normal(n)
+    with np.errstate(over="ignore"):  # a non-finite label is refused by Dataset
+        y = X @ w_planted + noise_sd * rng.standard_normal(n)
     data = Dataset(X=X, y=y)
     return (data, w_planted) if return_planted else data

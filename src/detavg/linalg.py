@@ -20,8 +20,10 @@ paths are cross-checked in the test suite rather than sharing code.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrs
 
 from .errors import NegativeQuadraticForm, NonFiniteResult, NotPositiveDefinite
 
@@ -42,6 +44,14 @@ def require_symmetric(M: np.ndarray) -> np.ndarray:
     return M
 
 
+def require_finite(values: np.ndarray, what: str) -> np.ndarray:
+    """Return ``values``, or raise :class:`~detavg.errors.NonFiniteResult`
+    naming ``what`` if an entry is infinite or NaN."""
+    if not np.isfinite(values).all():
+        raise NonFiniteResult(f"{what} is not finite")
+    return values
+
+
 def symmetrize(M: np.ndarray) -> np.ndarray:
     """Return (M + M^T)/2; used when building Gram matrices so rounding
     cannot leave the result asymmetric."""
@@ -53,12 +63,12 @@ def factor_solve(M: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """Solve ``M[i] x[i] = rhs`` for a stack of matrices with one Cholesky call.
 
     The package's only Cholesky: ``np.linalg.cholesky`` factors the whole
-    stack in one call, ``scipy.linalg.cho_solve`` solves it (SciPy
-    loops over the slices in Python, one ``potrs`` each), and each
-    log-determinant is read off its factor's diagonal.  Every slice of
-    ``x`` and of the log-determinants is bit-identical to factoring and
-    solving that matrix on its own.  A single matrix of shape (d, d) is
-    accepted too.
+    stack in one call, LAPACK's ``dpotrs`` solves each factor in turn (the
+    routine ``scipy.linalg.cho_solve`` wraps, called without its per-slice
+    checks), and each log-determinant is read off its factor's diagonal.
+    Every slice of ``x`` and of the log-determinants is bit-identical to
+    factoring and solving that matrix on its own.  A single matrix of shape
+    (d, d) is accepted too.
 
     The matrices must be exactly symmetric, as every matrix built by
     :func:`symmetrize` plus a ridge is.  The symmetry check is left to the
@@ -95,9 +105,23 @@ def factor_solve(M: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray
         raise NotPositiveDefinite(
             f"matrix {index} of the stack is not positive definite: {exc}", index=index
         ) from exc
-    x = scipy.linalg.cho_solve((L, True), rhs, check_finite=False)
+    if M.ndim == 2:
+        x = _potrs(L, rhs, None)
+    else:
+        x = np.empty((len(L), *np.shape(rhs)))
+        for i, Li in enumerate(L):
+            x[i] = _potrs(Li, rhs, i)
     log_dets = 2.0 * np.sum(np.log(np.diagonal(L, axis1=-2, axis2=-1)), axis=-1)
     return x, log_dets
+
+
+def _potrs(L: np.ndarray, rhs: np.ndarray, index: int | None) -> np.ndarray:
+    x, info = dpotrs(L, rhs, lower=1)
+    if info != 0:
+        where = "matrix" if index is None else f"matrix {index} of the stack"
+        raise NotPositiveDefinite(f"{where} was not solved: dpotrs returned info={info}",
+                                  index=index)
+    return x
 
 
 def _is_positive_definite(M: np.ndarray) -> bool:
@@ -199,31 +223,50 @@ def solve_psd(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     return factor_solve(M, v)[0]
 
 
-def norm(v: np.ndarray) -> float:
-    """Euclidean norm of ``v``, or inf, without a warning, where it overflows.
+def norm(v: np.ndarray) -> float | np.ndarray:
+    """Euclidean norm of a vector ``v``, or of each row of a matrix ``v``.
 
-    ``np.linalg.norm`` sums the squared entries, so it reads inf once the
-    norm passes sqrt(float max), about 1.34e154, not float max itself.
+    Computed first as ``np.linalg.norm`` computes it: through ``dot`` for a
+    vector, a sum of squares per row for a matrix (the two can differ in the
+    last bit).  That squares the entries, so it overflows once a norm passes
+    sqrt(float max), about 1.34e154.  Only such a norm is recomputed on its
+    vector divided by its largest entry and scaled back, so every norm the
+    plain form gets keeps its bytes and a norm that fits in a float reads
+    finite.  A norm past float max reads inf, without a warning.
     """
-    with np.errstate(over="ignore"):
-        return float(np.linalg.norm(v))
+    v = np.asarray(v, dtype=float)
+    rows = np.atleast_2d(v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.atleast_1d(np.linalg.norm(v, axis=None if v.ndim == 1 else 1))
+        for i in np.flatnonzero(norms == math.inf):
+            scale = np.abs(rows[i]).max()
+            if scale < math.inf:
+                norms[i] = scale * np.linalg.norm(rows[i] / scale)
+    return float(norms[0]) if v.ndim == 1 else norms
 
 
 def mahalanobis_norm(v: np.ndarray, M: np.ndarray) -> float:
     """Norm ``sqrt(v^T M v)`` induced by a positive semidefinite matrix.
 
-    Tiny negative quadratic forms from rounding are clamped to zero; a
-    value below ``-1e-12`` signals an indefinite ``M`` and raises
-    :class:`~detavg.errors.NegativeQuadraticForm`.  A quadratic form that
-    overflows or comes out NaN raises
-    :class:`~detavg.errors.NonFiniteResult`.
+    A quadratic form that overflows is recomputed on ``v / max|v|`` and
+    scaled back, as in :func:`norm`, so a norm that fits in a float reads
+    finite.  Tiny negative quadratic forms from rounding are clamped to
+    zero; a value below ``-1e-12`` signals an indefinite ``M`` and raises
+    :class:`~detavg.errors.NegativeQuadraticForm`.  A norm that is NaN or
+    past float max raises :class:`~detavg.errors.NonFiniteResult`.
     """
     v = np.asarray(v, dtype=float)
     M = require_symmetric(M)
+    scale = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         q = float(v @ M @ v)
-    if not np.isfinite(q):
-        raise NonFiniteResult(f"quadratic form v^T M v is not finite: {q}")
+        if math.isinf(q):
+            scale = float(np.abs(v).max())
+            u = v / scale
+            q = float(u @ M @ u)
     if q < -1e-12:
         raise NegativeQuadraticForm(f"v^T M v = {q} < -1e-12")
-    return float(np.sqrt(max(q, 0.0)))
+    result = scale * math.sqrt(max(q, 0.0))  # max keeps a NaN q
+    if not math.isfinite(result):
+        raise NonFiniteResult(f"the norm sqrt(v^T M v) is not finite: {result}")
+    return result

@@ -22,7 +22,7 @@ from . import linalg
 from .averaging import LocalEstimate, weighted_means
 from .errors import NoConvergence
 from .objective import Objective
-from .sketch import SketchMask, check_sweep, local_fleet, local_hessian
+from .sketch import SketchMask, _hessian_into, check_sweep, local_fleet, local_hessian
 
 
 class Scheme(enum.Enum):
@@ -111,17 +111,20 @@ def _local_steps(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Steps (m, d) and log-determinants (m,) of machines 0..m-1 of one fleet.
 
-    One :func:`sketch.local_fleet` with :func:`linalg.factor_solve` as the
-    decomposition; each row is bit-identical to :func:`local_newton_estimate`
-    for that machine.
+    One :func:`sketch.local_fleet` with the Hessian kernel of
+    :func:`sketch.local_hessian` as the build and :func:`linalg.factor_solve`
+    as the decomposition; each row is bit-identical to
+    :func:`local_newton_estimate` for that machine.
     """
-    return local_fleet(lambda mask: local_hessian(obj, w, mask),
+    ridge = obj.lam * np.eye(obj.d)
+    return local_fleet(lambda include, out: _hessian_into(out, obj, w, include, k, ridge),
                        lambda stack: linalg.factor_solve(stack, grad),
                        obj.data.n, obj.d, k, m, seed, trial)
 
 
 def _step_errors(step: np.ndarray, exact: np.ndarray, H: np.ndarray) -> tuple[float, float]:
-    diff = step - exact
+    with np.errstate(over="ignore"):
+        diff = step - exact
     return linalg.norm(diff), linalg.mahalanobis_norm(diff, H)
 
 
@@ -207,8 +210,9 @@ def exact_minimizer(obj: Objective, w0: np.ndarray | None = None, tol: float = 1
 
     Relative, so that large labels do not ask for more digits than float64
     holds.  Raises :class:`~detavg.errors.NoConvergence` if ``max_iter``
-    steps do not get there; a non-finite gradient norm never counts (one
-    past about 1.3e154 reads inf, see :func:`linalg.norm`).
+    steps do not get there; a gradient norm past float max reads inf (see
+    :func:`linalg.norm`) and never counts.  A gradient that overflows raises
+    :class:`~detavg.errors.NonFiniteResult` (see :meth:`Objective.gradient`).
     """
     w = np.zeros(obj.d) if w0 is None else np.asarray(w0, dtype=float).copy()
     norm = linalg.norm(obj.gradient(w))
@@ -248,7 +252,7 @@ def run_distributed_newton(
         w = w - report.step
         iterates.append(w.copy())
     iterates = np.array(iterates)
-    dists = np.linalg.norm(iterates - w_star, axis=1)
+    dists = linalg.norm(iterates - w_star)
     losses = np.array([obj.loss_value(wi) for wi in iterates])
     return Trajectory(
         scheme=cfg.scheme.value,

@@ -101,6 +101,10 @@ class Objective:
     loss : LossKind
     lam : float
         Ridge weight, must be positive and finite.
+
+    The full-data loss, gradient and Hessian raise
+    :class:`~detavg.errors.NonFiniteResult`, without a numpy warning, where
+    extreme data or iterates overflow them.
     """
 
     data: Dataset
@@ -118,22 +122,28 @@ class Objective:
 
     def loss_value(self, w: np.ndarray) -> float:
         w = np.asarray(w, dtype=float)
-        z = self.data.X @ w
-        terms = self.loss.value_terms(z, self.data.y)
-        return float(terms.mean() + 0.5 * self.lam * (w @ w))
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = self.data.X @ w
+            terms = self.loss.value_terms(z, self.data.y)
+            value = float(terms.mean() + 0.5 * self.lam * (w @ w))
+        return linalg.require_finite(value, "the full-data loss")
 
     def gradient(self, w: np.ndarray) -> np.ndarray:
         w = np.asarray(w, dtype=float)
-        z = self.data.X @ w
-        g = self.data.X.T @ self.loss.dvalue(z, self.data.y) / self.data.n
-        return g + self.lam * w
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = self.data.X @ w
+            g = self.data.X.T @ self.loss.dvalue(z, self.data.y) / self.data.n
+            g = g + self.lam * w
+        return linalg.require_finite(g, "the full-data gradient")
 
     def hessian(self, w: np.ndarray) -> np.ndarray:
         w = np.asarray(w, dtype=float)
-        z = self.data.X @ w
-        curv = self.loss.d2value(z, self.data.y)
-        H = (self.data.X.T * curv) @ self.data.X / self.data.n
-        return linalg.symmetrize(H) + self.lam * np.eye(self.data.d)
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = self.data.X @ w
+            curv = self.loss.d2value(z, self.data.y)
+            H = (self.data.X.T * curv) @ self.data.X / self.data.n
+            H = linalg.symmetrize(H) + self.lam * np.eye(self.data.d)
+        return linalg.require_finite(H, "the full-data Hessian")
 
     def exact_newton_step(self, w: np.ndarray) -> np.ndarray:
         """Step p solving hess(w) p = grad(w); the update is w - p."""

@@ -9,7 +9,13 @@ run in.
 :func:`local_fleet` is the one loop over a fleet's machines, for Newton
 and precision sweeps alike: it draws, builds and decomposes each machine's
 local matrix, in stacks of about 1 MiB, stores the fleet's results, and
-names the (seed, trial, machine) triple of a machine that fails.
+names the (seed, trial, machine) triple of a machine that fails.  Per
+machine it runs only the kernels: one private mask kernel, shared with
+:func:`draw_mask`, and one private Gram kernel per estimator, shared with
+:func:`local_hessian` and :func:`local_covariance`, which write the matrix
+straight into the fleet's stack.  The public functions check their inputs
+and then call the same kernels, so a fleet's machine is bit-identical to
+the public route, with no ``SeedSpec`` or ``SketchMask`` built per machine.
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import linalg
 from .dataio import MAX_ENTRIES
 from .errors import InvalidSampleSize, NonFiniteResult, NotPositiveDefinite
 from .objective import Dataset, Objective
@@ -37,10 +42,19 @@ class SeedSpec:
     machine: int = 0
 
     def generator(self) -> np.random.Generator:
-        seq = np.random.SeedSequence(
-            entropy=self.master_seed, spawn_key=(self.trial, self.machine)
-        )
-        return np.random.Generator(np.random.Philox(seed=seq))
+        return _generator(self.master_seed, self.trial, self.machine)
+
+
+def _generator(seed: int, trial: int, machine: int) -> np.random.Generator:
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=(trial, machine))
+    return np.random.Generator(np.random.Philox(seed=seq))
+
+
+def _include(n: int, rate: float, seed: int, trial: int, machine: int) -> np.ndarray:
+    """Inclusion mask over n rows, each kept with probability ``rate``, from
+    the stream of (seed, trial, machine): the kernel of :func:`draw_mask` and
+    :func:`local_fleet`."""
+    return _generator(seed, trial, machine).random(n) < rate
 
 
 @dataclass(frozen=True)
@@ -63,7 +77,7 @@ class SketchMask:
 
     @property
     def count(self) -> int:
-        return int(self.include.sum())
+        return int(np.count_nonzero(self.include))
 
 
 def draw_mask(n: int, k: int, seed: SeedSpec) -> SketchMask:
@@ -83,11 +97,15 @@ def draw_mask(n: int, k: int, seed: SeedSpec) -> SketchMask:
     InvalidSampleSize
         If ``k <= 0`` or ``k > n``.
     """
+    include = _include(n, _rate(n, k), seed.master_seed, seed.trial, seed.machine)
+    return SketchMask(include=include, k=k, n=n)
+
+
+def _rate(n: int, k: int) -> float:
+    """Inclusion probability k/n, or InvalidSampleSize unless 1 <= k <= n."""
     if k <= 0 or k > n:
         raise InvalidSampleSize(f"need 1 <= k <= n, got k={k}, n={n}")
-    rng = seed.generator()
-    include = rng.random(n) < (k / n)
-    return SketchMask(include=include, k=k, n=n)
+    return k / n
 
 
 def local_hessian(obj: Objective, w: np.ndarray, mask: SketchMask) -> np.ndarray:
@@ -100,24 +118,43 @@ def local_hessian(obj: Objective, w: np.ndarray, mask: SketchMask) -> np.ndarray
     if mask.n != obj.data.n:
         raise ValueError(f"mask over {mask.n} rows, dataset has {obj.data.n}")
     d = obj.data.d
-    ridge = obj.lam * np.eye(d)
-    if mask.count == 0:
-        return ridge
-    X = obj.data.X[mask.include]
-    z = X @ np.asarray(w, dtype=float)
-    curv = obj.loss.d2value(z, obj.data.y[mask.include])
-    H = (X.T * curv) @ X / mask.k
-    return linalg.symmetrize(H) + ridge
+    out = np.empty((d, d))
+    _hessian_into(out, obj, np.asarray(w, dtype=float), mask.include, mask.k,
+                  obj.lam * np.eye(d))
+    return out
+
+
+def _hessian_into(out: np.ndarray, obj: Objective, w: np.ndarray, include: np.ndarray,
+                  k: int, ridge: np.ndarray) -> None:
+    """Write :func:`local_hessian` of the mask ``include`` into ``out``, with
+    no checks; ``ridge`` is ``lam * I``.  The Gram kernel of Newton fleets."""
+    if not include.any():
+        out[...] = ridge
+        return
+    X = obj.data.X.compress(include, axis=0)
+    curv = obj.loss.d2value(X @ w, obj.data.y.compress(include))
+    H = (X.T * curv) @ X / k
+    np.add((H + H.T) * 0.5, ridge, out=out)
 
 
 def local_covariance(data: Dataset, mask: SketchMask) -> np.ndarray:
     """Subsampled second-moment matrix (1/k) sum_{included} x_i x_i^T."""
     if mask.n != data.n:
         raise ValueError(f"mask over {mask.n} rows, dataset has {data.n}")
-    if mask.count == 0:
-        return np.zeros((data.d, data.d))
-    X = data.X[mask.include]
-    return linalg.symmetrize(X.T @ X / mask.k)
+    out = np.empty((data.d, data.d))
+    _covariance_into(out, data.X, mask.include, mask.k)
+    return out
+
+
+def _covariance_into(out: np.ndarray, X: np.ndarray, include: np.ndarray, k: int) -> None:
+    """Write :func:`local_covariance` of the mask ``include`` into ``out``,
+    with no checks.  The Gram kernel of precision fleets."""
+    if not include.any():
+        out[...] = 0.0
+        return
+    Xs = X.compress(include, axis=0)
+    C = Xs.T @ Xs / k
+    np.multiply(C + C.T, 0.5, out=out)
 
 
 def block_size(width: int) -> int:
@@ -131,24 +168,25 @@ def block_size(width: int) -> int:
 
 
 def local_fleet(
-    build: Callable[[SketchMask], np.ndarray],
+    build: Callable[[np.ndarray, np.ndarray], None],
     decompose: Callable[[np.ndarray], tuple[np.ndarray, ...]],
     n: int, d: int, k: int, m: int, seed: int, trial: int,
 ) -> tuple[np.ndarray, ...]:
     """Decomposed local matrices of machines 0..m-1 of one fleet.
 
-    Machine t draws its mask over n rows from the stream keyed by
-    (seed, trial, t), and ``build(mask)`` returns its (d, d) matrix.
-    ``decompose(stack)`` maps a stack of :func:`block_size` such matrices
-    to a tuple of arrays with one row per matrix.  Returns those arrays for
-    the whole fleet, row t for machine t, so the first m machines are the
-    same whatever m is.
+    Machine t draws its inclusion mask over n rows from the stream keyed by
+    (seed, trial, t), as :func:`draw_mask` does, and ``build(include, out)``
+    writes its (d, d) matrix into ``out``.  ``decompose(stack)`` maps a
+    stack of :func:`block_size` such matrices to a tuple of arrays with one
+    row per matrix.  Returns those arrays for the whole fleet, row t for
+    machine t, so the first m machines are the same whatever m is.
 
-    Raises ValueError naming m, before the arrays are allocated, if they
+    Raises InvalidSampleSize unless 1 <= k <= n, and ValueError naming m, before the arrays are allocated, if they
     would hold more than ``MAX_ENTRIES`` values (an m above it is refused
     before any draw).  A ``NotPositiveDefinite`` from ``decompose``, or an
     output row that is not finite (``NonFiniteResult``), names the
-    (seed, trial, machine) triple that replays the machine.
+    (seed, trial, machine) triple that replays the machine; an overflow on
+    the way there raises no warning.
     """
     def where(t: int) -> str:
         return f"local matrix of (seed, trial, machine) = ({seed}, {trial}, {t})"
@@ -159,27 +197,30 @@ def local_fleet(
                              f"values, more than {MAX_ENTRIES}")
 
     refuse_above_cap(m)
+    rate = _rate(n, k)
     block = block_size(d * d)
     stack = np.empty((min(block, m), d, d))
     fleet = ()
-    for start in range(0, m, block):
-        stop = min(start + block, m)
-        for t in range(start, stop):
-            stack[t - start] = build(draw_mask(n, k, SeedSpec(seed, trial, t)))
-        try:
-            outputs = decompose(stack[:stop - start])
-        except NotPositiveDefinite as exc:
-            t = start + exc.index
-            raise NotPositiveDefinite(f"{where(t)} is not positive definite", index=t) from exc
-        if not fleet:
-            refuse_above_cap(m * sum(out[0].size for out in outputs))
-            fleet = tuple(np.empty((m, *out.shape[1:])) for out in outputs)
-        finite = np.ones(stop - start, dtype=bool)
-        for whole, out in zip(fleet, outputs):
-            whole[start:stop] = out
-            finite &= np.isfinite(out.reshape(stop - start, -1)).all(axis=1)
-        if not finite.all():
-            raise NonFiniteResult(f"{where(start + np.argmin(finite))} has a non-finite result")
+    with np.errstate(all="ignore"):  # every output row is checked below
+        for start in range(0, m, block):
+            stop = min(start + block, m)
+            for t in range(start, stop):
+                build(_include(n, rate, seed, trial, t), stack[t - start])
+            try:
+                outputs = decompose(stack[:stop - start])
+            except NotPositiveDefinite as exc:
+                t = start + exc.index
+                raise NotPositiveDefinite(f"{where(t)} is not positive definite",
+                                          index=t) from exc
+            if not fleet:
+                refuse_above_cap(m * sum(out[0].size for out in outputs))
+                fleet = tuple(np.empty((m, *out.shape[1:])) for out in outputs)
+            finite = np.ones(stop - start, dtype=bool)
+            for whole, out in zip(fleet, outputs):
+                whole[start:stop] = out
+                finite &= np.isfinite(out.reshape(stop - start, -1)).all(axis=1)
+            if not finite.all():
+                raise NonFiniteResult(f"{where(start + np.argmin(finite))} has a non-finite result")
     return fleet
 
 

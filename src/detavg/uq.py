@@ -31,7 +31,7 @@ from . import linalg
 from .averaging import LocalEstimate, weighted_means
 from .errors import NotPositiveDefinite, SingularCovariance
 from .objective import Dataset
-from .sketch import SketchMask, check_sweep, local_covariance, local_fleet
+from .sketch import SketchMask, _covariance_into, check_sweep, local_covariance, local_fleet
 
 
 class Statistic(enum.Enum):
@@ -109,7 +109,9 @@ def exact_statistic(data: Dataset, statistic: Statistic) -> float | np.ndarray:
     SingularCovariance
         If the covariance is not invertible, e.g. when n < d.
     """
-    sigma = linalg.symmetrize(data.X.T @ data.X / data.n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma = linalg.symmetrize(data.X.T @ data.X / data.n)
+    linalg.require_finite(sigma, "the full-data covariance")
     # roundoff can hand a rank-deficient matrix a tiny positive pivot, so a
     # successful factorization alone does not certify invertibility
     spectrum = np.linalg.eigvalsh(sigma)
@@ -154,8 +156,8 @@ def _local_spectra(
                                       index=int(bad[0]))
         return spectra
 
-    return local_fleet(lambda mask: local_covariance(data, mask), decompose,
-                       data.n, data.d, k, m, seed, trial)
+    return local_fleet(lambda include, out: _covariance_into(out, data.X, include, k),
+                       decompose, data.n, data.d, k, m, seed, trial)
 
 
 def _fleet_estimate(spectra: tuple[np.ndarray, ...], m: int, eta: float,

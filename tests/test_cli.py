@@ -118,12 +118,23 @@ class TestNewtonSweep:
         assert "(seed, trial, machine) = (0, 0, 0)" in capsys.readouterr().err
 
     def test_overflowing_step_error_exits_2_without_csv(self, tmp_path, capsys):
-        # labels near 1e300 overflow the squared step errors
+        # labels near 5e306 overflow the weighted sum of the local steps
         code, out = run(tmp_path, "s.csv", *sweep_args(
-            synth="50,3,1e300", k="2", m="2", trials="1", seed=None))
+            synth="50,3,5e306", k="2", m="2", trials="1", seed=None))
         assert code == 2
         assert not out.exists() and not out.with_suffix(".meta.json").exists()
-        assert_one_line(capsys.readouterr().err, "numerical failure:")
+        assert_one_line(capsys.readouterr().err, "numerical failure: the weighted mean")
+
+    def test_step_errors_past_sqrt_float_max_read_finite(self, tmp_path):
+        # labels near 1e300: squaring the step errors overflows, the errors do not
+        code, out = run(tmp_path, "s.csv", *sweep_args(
+            synth="50,3,1e300", k="2", m="2", trials="1", seed=None))
+        assert code == 0
+        errors = [float(v) for line in out.read_text().splitlines()[1:]
+                  for v in line.split(",")[4:]]
+        assert len(errors) == 4 and all(1e300 < e < math.inf for e in errors)
+        meta = json.loads(out.with_suffix(".meta.json").read_text())
+        assert 1e298 < meta["step_norm_euclidean"] < meta["step_norm_hessian"] < math.inf
 
 
 class TestSeedResolution:
@@ -223,8 +234,9 @@ class TestNewtonConverge:
         assert code == 0
         assert len(out.read_text().splitlines()) == 1 + 4
 
-    def test_unreachable_exact_tolerance_exits_2(self, tmp_path, capsys):
-        # at label scale 1e200 the gradient norm cannot reach 1e-12
+    def test_overflowing_loss_exits_2(self, tmp_path, capsys):
+        # at label scale 1e200 exact Newton converges, but the squared labels
+        # overflow the loss column
         out = tmp_path / "t.csv"
         code = main([
             "newton-converge", "--synth", "50,3,1e200", "--k", "5", "--m", "4",
@@ -232,7 +244,8 @@ class TestNewtonConverge:
         ])
         assert code == 2
         assert not out.exists()
-        assert_one_line(capsys.readouterr().err, "numerical failure: exact Newton")
+        assert_one_line(capsys.readouterr().err,
+                        "numerical failure: the full-data loss is not finite")
 
     def test_large_labels_meet_the_relative_exact_tolerance(self, tmp_path):
         # the gradient norm starts at 4.65e4 and stalls above 1e-12, but
@@ -308,6 +321,21 @@ class TestExitCodes:
         assert code == 1
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, quantity", [
+        (["newton-sweep", "--m", "2,4", "--trials", "1"], "gradient"),
+        (["newton-converge", "--m", "2", "--loss", "square"], "gradient"),
+        (["newton-converge", "--m", "2", "--loss", "logistic"], "Hessian"),
+        (["uq-sweep", "--m", "2,4", "--trials", "1"], "covariance"),
+    ], ids=["newton-sweep", "converge-square", "converge-logistic", "uq-sweep"])
+    def test_overflowing_full_data_quantity_exits_2(self, tmp_path, capsys, argv, quantity):
+        path = tmp_path / "extreme.txt"
+        path.write_text("1 1:1e308 2:-1e308\n0 1:1e308 2:1e308\n1 2:1e-320\n")
+        out = tmp_path / "o.csv"
+        assert main([*argv, "--dataset", str(path), "--k", "1", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert_one_line(capsys.readouterr().err,
+                        f"numerical failure: the full-data {quantity} is not finite")
+
     def test_k_larger_than_n_exits_1(self, tmp_path):
         code, _ = run(tmp_path, "x.csv", *sweep_args(k="500"))
         assert code == 1
@@ -361,17 +389,41 @@ M_LISTS = st.lists(flag_int(1, 8), min_size=1, max_size=3).map(
     lambda ms: ",".join(map(str, sorted(set(ms)))))
 
 
+# dataset entries: extreme magnitudes, a subnormal, and plain values
+ENTRIES = [0.0, 1.0, -1.0, 2.5, 1e308, -1e308, 1.7e308, 1e-320]
+
+
 @st.composite
-def cli_argv(draw):
+def extreme_datasets(draw):
+    """A small dataset with extreme and subnormal entries, possibly one row,
+    a constant column, or duplicate rows."""
+    n, d = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    rows = [[draw(st.sampled_from(ENTRIES)) for _ in range(d)] for _ in range(n)]
+    if draw(st.booleans()):
+        j, value = draw(st.integers(0, d - 1)), draw(st.sampled_from(ENTRIES))
+        for row in rows:
+            row[j] = value
+    rows += [rows[0]] * draw(st.integers(0, 3))
+    labels = [draw(st.sampled_from([0.0, 1.0, -1.0, 1e308])) for _ in rows]
+    return Dataset(X=np.array(rows), y=np.array(labels))
+
+
+@st.composite
+def cli_argv(draw, dataset=False):
     """A well-typed argv of tiny size with extreme scalars.
 
     Values are attached as ``--flag=value`` so that argparse reads ``-inf``
-    and ``-1e300`` as values, not as flags.
+    and ``-1e300`` as values, not as flags.  With ``dataset``, a data
+    subcommand whose ``--dataset`` file holds ``data``: returns
+    ``(data, argv)`` without that flag.
     """
-    command = draw(st.sampled_from(
-        ["newton-sweep", "uq-sweep", "newton-converge", "verify-identities"]))
+    commands = ["newton-sweep", "uq-sweep", "newton-converge"]
+    command = draw(st.sampled_from(commands if dataset else [*commands, "verify-identities"]))
     flags = {"seed": draw(flag_int(0, 3))}
-    if command != "verify-identities":
+    if dataset:
+        data = draw(extreme_datasets())
+        flags.update(k=draw(flag_int(1, data.n)))
+    elif command != "verify-identities":
         n, d, noise = draw(flag_int(1, 30)), draw(flag_int(1, 3)), draw(st.sampled_from(SCALARS))
         flags.update(synth=f"{n},{d},{noise}", k=draw(flag_int(1, max(n, 1))))
     if command in ("newton-sweep", "newton-converge"):
@@ -389,17 +441,14 @@ def cli_argv(draw):
     else:
         flags.update(models=draw(flag_int(1, 3)), **{"max-n": draw(flag_int(2, 4)),
                                                     "max-d": draw(flag_int(1, 3))})
-    return [command, *(f"--{key}={value}" for key, value in flags.items())]
+    argv = [command, *(f"--{key}={value}" for key, value in flags.items())]
+    return (data, argv) if dataset else argv
 
 
-@settings(max_examples=300, deadline=None)
-@given(argv=cli_argv())
-@example(argv=NON_FINITE_STEP_ARGV[0])
-@example(argv=NON_FINITE_STEP_ARGV[1])
-def test_exit_contract(tmp_path_factory, argv):
-    # exit 0, 1 or 2; no exception escapes; a failure is one stderr line;
-    # a written table holds only finite numbers
-    out = tmp_path_factory.mktemp("argv") / "o.csv"
+def assert_exit_contract(tmp, argv):
+    """Exit 0, 1 or 2; no exception escapes; a failure is one stderr line;
+    a written table holds only finite numbers."""
+    out = tmp / "o.csv"
     if argv[0] != "verify-identities":
         argv = [*argv, f"--out={out}"]
     err = io.StringIO()
@@ -419,6 +468,25 @@ def test_exit_contract(tmp_path_factory, argv):
                     except ValueError:
                         continue  # scheme or statistic name
                     assert math.isfinite(value), (row, argv)
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=cli_argv())
+@example(argv=NON_FINITE_STEP_ARGV[0])
+@example(argv=NON_FINITE_STEP_ARGV[1])
+def test_exit_contract(tmp_path_factory, argv):
+    assert_exit_contract(tmp_path_factory.mktemp("argv"), argv)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data_argv=cli_argv(dataset=True))
+def test_exit_contract_on_dataset_files(tmp_path_factory, data_argv):
+    # the same contract on small --dataset files with extreme entries, one
+    # row, a constant column or duplicate rows
+    data, argv = data_argv
+    path = tmp_path_factory.mktemp("data") / "data.txt"
+    path.write_text(serialize_libsvm(data))
+    assert_exit_contract(path.parent, [*argv, f"--dataset={path}"])
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])

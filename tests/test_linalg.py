@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from detavg import linalg
@@ -206,9 +206,31 @@ def test_mahalanobis_clamps_rounding_and_rejects_indefinite():
 
 @pytest.mark.parametrize("v", [np.array([1e200, 0.0]), np.array([np.nan, 0.0])])
 def test_mahalanobis_rejects_non_finite_form(v):
-    # the overflow or NaN raises instead of warning and returning inf or nan
+    # a norm past float max (1e350 here) or NaN raises instead of warning
+    # and returning inf or nan
     with pytest.raises(NonFiniteResult):
-        linalg.mahalanobis_norm(v, np.eye(2))
+        linalg.mahalanobis_norm(v, 1e300 * np.eye(2))
+
+
+def test_norms_past_sqrt_float_max_read_finite():
+    v = np.array([3e200, -4e200])
+    assert linalg.norm(v) == pytest.approx(5e200, rel=1e-15)
+    assert linalg.mahalanobis_norm(v, 4.0 * np.eye(2)) == pytest.approx(1e201, rel=1e-15)
+    rows = np.array([[3.0, 4.0], [3e200, -4e200], [np.inf, 0.0], [1.7e308, 1.7e308]])
+    assert np.array_equal(linalg.norm(rows)[:3], [5.0, linalg.norm(v), np.inf])
+    assert linalg.norm(rows)[3] == np.inf  # the norm itself is past float max
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 12), exponent=st.integers(-150, 150), seed=st.integers(0, 2**32 - 1))
+def test_norms_below_the_overflow_keep_numpys_bytes(d, exponent, seed):
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((3, d)) * 10.0**exponent
+    M = linalg.symmetrize(random_pd(rng, d))
+    assert np.array_equal(linalg.norm(rows), np.linalg.norm(rows, axis=1))
+    for v in rows:
+        assert linalg.norm(v) == float(np.linalg.norm(v))
+        assert linalg.mahalanobis_norm(v, M) == float(np.sqrt(max(float(v @ M @ v), 0.0)))
 
 
 def test_require_symmetric_rejects_asymmetric():
@@ -221,12 +243,21 @@ def test_require_symmetric_rejects_asymmetric():
 @settings(max_examples=60, deadline=None)
 @given(
     b=st.integers(1, 12),
-    d=st.integers(1, 12),
+    d=st.integers(1, 12) | st.just(65),
     rhs_cols=st.sampled_from([None, 1, 3]),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(b=3, d=1, rhs_cols=None, seed=1)
+@example(b=3, d=1, rhs_cols=3, seed=1)
+@example(b=3, d=2, rhs_cols=None, seed=2)
+@example(b=3, d=2, rhs_cols=3, seed=2)
+@example(b=3, d=10, rhs_cols=None, seed=10)
+@example(b=3, d=10, rhs_cols=3, seed=10)
+@example(b=3, d=65, rhs_cols=None, seed=65)
+@example(b=3, d=65, rhs_cols=3, seed=65)
 def test_factor_solve_stack_equals_per_matrix_loop(b, d, rhs_cols, seed):
-    # every slice bit for bit what one Cholesky plus cho_solve per matrix gives
+    # every slice, and each matrix solved alone, byte for byte what one
+    # Cholesky plus scipy's cho_solve on that factor gives
     rng = np.random.default_rng(seed)
     M = np.array([linalg.symmetrize(random_pd(rng, d)) for _ in range(b)])
     rhs = rng.standard_normal(d if rhs_cols is None else (d, rhs_cols))
@@ -234,8 +265,29 @@ def test_factor_solve_stack_equals_per_matrix_loop(b, d, rhs_cols, seed):
     assert x.shape == (b, *rhs.shape) and log_dets.shape == (b,)
     for i in range(b):
         L = np.linalg.cholesky(M[i])
-        assert np.array_equal(x[i], scipy.linalg.cho_solve((L, True), rhs, check_finite=False))
+        want = scipy.linalg.cho_solve((L, True), rhs, check_finite=False)
+        assert x[i].tobytes() == want.tobytes()
+        assert linalg.factor_solve(M[i], rhs)[0].tobytes() == want.tobytes()
         assert log_dets[i] == float(2.0 * np.sum(np.log(np.diag(L))))
+
+
+def test_factor_solve_raises_on_a_dpotrs_failure(monkeypatch):
+    # dpotrs reports an illegal argument through info; a stack names the slice
+    calls = []
+
+    def failing_second_call(L, rhs, lower):
+        calls.append(L)
+        return rhs.copy(), -2 if len(calls) == 2 else 0
+
+    monkeypatch.setattr(linalg, "dpotrs", failing_second_call)
+    with pytest.raises(NotPositiveDefinite, match="matrix 1 of the stack") as info:
+        linalg.factor_solve(np.stack([np.eye(2)] * 3), np.ones(2))
+    assert info.value.index == 1
+    calls.clear()
+    linalg.factor_solve(np.eye(2), np.ones(2))
+    with pytest.raises(NotPositiveDefinite, match="info=-2") as info:
+        linalg.factor_solve(np.eye(2), np.ones(2))
+    assert info.value.index is None
 
 
 def test_factor_solve_names_first_failing_matrix():

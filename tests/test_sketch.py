@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from detavg import linalg
 from detavg.dataio import MAX_ENTRIES
@@ -10,6 +12,8 @@ from detavg.objective import Dataset, LossKind, Objective
 from detavg.sketch import (
     SeedSpec,
     SketchMask,
+    _covariance_into,
+    _hessian_into,
     block_size,
     draw_mask,
     local_covariance,
@@ -124,9 +128,9 @@ def fleet_with_one_bad_machine(bad, scale):
     solved by :func:`linalg.factor_solve`."""
     built = []
 
-    def build(mask):
-        built.append(mask)
-        return np.eye(D_FLEET) * (scale if len(built) == bad + 1 else 1.0)
+    def build(include, out):
+        built.append(include)
+        out[...] = np.eye(D_FLEET) * (scale if len(built) == bad + 1 else 1.0)
 
     def decompose(stack):
         return linalg.factor_solve(stack, np.ones(D_FLEET))
@@ -164,3 +168,58 @@ def test_local_fleet_refuses_oversized_outputs_before_allocating():
     assert built == []
     steps, log_dets = local_fleet(build, decompose, 10, D_FLEET, 1, 3, 0, 0)
     assert np.array_equal(steps, np.ones((3, D_FLEET))) and np.array_equal(log_dets, np.zeros(3))
+
+
+def seed_mask(n, k, seed, trial, machine):
+    """The mask as first written: one Philox stream per (seed, trial, machine)."""
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=(trial, machine))
+    return np.random.Generator(np.random.Philox(seed=seq)).random(n) < (k / n)
+
+
+def seed_hessian(obj, w, include, k):
+    """The local Hessian as first written."""
+    ridge = obj.lam * np.eye(obj.data.d)
+    if include.sum() == 0:
+        return ridge
+    X = obj.data.X[include]
+    curv = obj.loss.d2value(X @ w, obj.data.y[include])
+    return linalg.symmetrize((X.T * curv) @ X / k) + ridge
+
+
+def seed_covariance(data, include, k):
+    """The local covariance as first written."""
+    if include.sum() == 0:
+        return np.zeros((data.d, data.d))
+    X = data.X[include]
+    return linalg.symmetrize(X.T @ X / k)
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st.sampled_from([1, 2, 10, 65]), loss=st.sampled_from(list(LossKind)),
+       k=st.sampled_from([1, 3, 20]), seed=st.integers(0, 2**32 - 1))
+@example(d=65, loss=LossKind.LOGISTIC, k=1, seed=0)
+@example(d=10, loss=LossKind.LOGISTIC, k=1, seed=1)
+def test_fleet_kernels_equal_the_seed_formulas(d, loss, k, seed):
+    # byte for byte, per machine: the fleet's masks and Gram matrices, and the
+    # public routines that share their kernels.  At k=1 about a third of the
+    # 60-row masks are empty; at d=65 the fleet spans two stacks.
+    rng = np.random.default_rng(seed)
+    n = 60
+    data = Dataset(X=rng.standard_normal((n, d)), y=(rng.random(n) < 0.5).astype(float))
+    obj = Objective(data, loss, lam=0.3)
+    w = rng.standard_normal(d)
+    m = block_size(d * d) + 3 if d == 65 else 12
+    ridge = obj.lam * np.eye(d)
+    stack = lambda matrices: (matrices.copy(),)  # noqa: E731
+    hessians, = local_fleet(lambda include, out: _hessian_into(out, obj, w, include, k, ridge),
+                            stack, n, d, k, m, seed, 1)
+    covariances, = local_fleet(lambda include, out: _covariance_into(out, data.X, include, k),
+                               stack, n, d, k, m, seed, 1)
+    for t in range(m):
+        include = seed_mask(n, k, seed, 1, t)
+        mask = draw_mask(n, k, SeedSpec(seed, 1, t))
+        assert mask.include.tobytes() == include.tobytes() and mask.count == include.sum()
+        want = seed_hessian(obj, w, include, k).tobytes()
+        assert hessians[t].tobytes() == want and local_hessian(obj, w, mask).tobytes() == want
+        want = seed_covariance(data, include, k).tobytes()
+        assert covariances[t].tobytes() == want and local_covariance(data, mask).tobytes() == want
