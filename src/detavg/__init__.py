@@ -16,7 +16,8 @@ The package provides
   (:mod:`detavg.averaging`),
 * one Cholesky kernel that factors a stack of local matrices, solves and
   returns their log-determinants (:mod:`detavg.linalg`),
-* regularized convex objectives with exact gradients and Hessians
+* regularized convex objectives with exact gradients and Hessians, and
+  the one Hessian and one second-moment Gram kernel of every matrix
   (:mod:`detavg.objective`), and Bernoulli row subsampling with
   counter-based per-machine random streams plus the fleet builder that
   stacks every machine's local matrix (:mod:`detavg.sketch`),

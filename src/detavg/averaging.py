@@ -16,7 +16,8 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyBatch, NonFiniteResult, NonFiniteWeight
+from . import linalg
+from .errors import DimensionMismatch, EmptyBatch, NonFiniteWeight
 
 Value = Union[float, np.ndarray]
 
@@ -55,7 +56,8 @@ def weighted_means(
     NonFiniteWeight
         If a log-weight is NaN or infinite.
     NonFiniteResult
-        If a mean is not finite, e.g. because its weighted sum overflows.
+        If a mean is not finite.  A mean of finite values that fits in a
+        float reads finite, although its weighted sum may overflow.
     DimensionMismatch
         If ``log_weights`` is not one weight per row of ``values``.
     """
@@ -76,11 +78,9 @@ def weighted_means(
         logs = log_weights[:c]
         # shift by the max so the largest weight is exactly 1
         w = np.exp(logs - logs.max())
-        with np.errstate(over="ignore", invalid="ignore"):
-            mean = np.tensordot(w, values[:c], axes=(0, 0)) / w.sum()
-        if not np.all(np.isfinite(mean)):
-            raise NonFiniteResult(f"the weighted mean of the first {c} values is not finite")
-        means.append(mean)
+        mean = linalg._scaled_back(
+            lambda vals: np.tensordot(w, vals, axes=(0, 0)) / w.sum(), values[:c])
+        means.append(linalg.require_finite(mean, f"the weighted mean of the first {c} values"))
     return np.stack(means)
 
 

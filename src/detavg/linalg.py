@@ -52,13 +52,6 @@ def require_finite(values: np.ndarray, what: str) -> np.ndarray:
     return values
 
 
-def symmetrize(M: np.ndarray) -> np.ndarray:
-    """Return (M + M^T)/2; used when building Gram matrices so rounding
-    cannot leave the result asymmetric."""
-    M = np.asarray(M, dtype=float)
-    return 0.5 * (M + M.T)
-
-
 def factor_solve(M: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve ``M[i] x[i] = rhs`` for a stack of matrices with one Cholesky call.
 
@@ -70,11 +63,11 @@ def factor_solve(M: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray
     factoring and solving that matrix on its own.  A single matrix of shape
     (d, d) is accepted too.
 
-    The matrices must be exactly symmetric, as every matrix built by
-    :func:`symmetrize` plus a ridge is.  The symmetry check is left to the
-    public routines: the fleets build their matrices symmetric, and one
-    ``allclose`` per matrix would cost more than its factorization at
-    small d.
+    The matrices must be exactly symmetric, as every Gram matrix of
+    ``objective.hessian_into`` or ``objective.covariance_into`` is.  The
+    symmetry check is left to the public routines: the fleets build their
+    matrices symmetric, and one ``allclose`` per matrix would cost more
+    than its factorization at small d.
 
     Parameters
     ----------
@@ -200,7 +193,8 @@ def adjugate(M: np.ndarray) -> np.ndarray:
     if d <= _COFACTOR_MAX_DIM:
         return adjugate_cofactor(M)
     inv, log_det = factor_solve(M, np.eye(d))
-    return symmetrize(np.exp(log_det) * inv)
+    adj = np.exp(log_det) * inv
+    return 0.5 * (adj + adj.T)
 
 
 def solve_psd(M: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -223,50 +217,60 @@ def solve_psd(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     return factor_solve(M, v)[0]
 
 
+def _scaled_back(f, v: np.ndarray):
+    """``f(v)`` for ``f`` with ``f(c v) = c f(v)``, c > 0, without a warning:
+    the plain form, or where it is not finite though ``v`` is, ``s f(v / s)``
+    with ``s = max|v|``, so a finite result keeps its bytes and one that fits
+    in a float reads finite.  The overflow rule of :func:`norm`,
+    :func:`mahalanobis_norm` and ``averaging.weighted_means``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = f(v)
+        if not np.isfinite(result).all():
+            scale = float(np.abs(v).max())
+            if 0.0 < scale < math.inf:
+                result = scale * f(v / scale)
+    return result
+
+
 def norm(v: np.ndarray) -> float | np.ndarray:
     """Euclidean norm of a vector ``v``, or of each row of a matrix ``v``.
 
-    Computed first as ``np.linalg.norm`` computes it: through ``dot`` for a
-    vector, a sum of squares per row for a matrix (the two can differ in the
-    last bit).  That squares the entries, so it overflows once a norm passes
-    sqrt(float max), about 1.34e154.  Only such a norm is recomputed on its
-    vector divided by its largest entry and scaled back, so every norm the
-    plain form gets keeps its bytes and a norm that fits in a float reads
-    finite.  A norm past float max reads inf, without a warning.
+    The plain form is ``np.linalg.norm``'s: ``dot`` for a vector, a sum of
+    squares per row for a matrix (the two can differ in the last bit).  A
+    norm past sqrt(float max), about 1.34e154, overflows it and is recomputed
+    as :func:`_scaled_back` says, so a norm that fits in a float reads
+    finite; past float max it reads inf, without a warning.
     """
     v = np.asarray(v, dtype=float)
-    rows = np.atleast_2d(v)
+    if v.ndim == 1:
+        return float(_scaled_back(np.linalg.norm, v))
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.atleast_1d(np.linalg.norm(v, axis=None if v.ndim == 1 else 1))
-        for i in np.flatnonzero(norms == math.inf):
-            scale = np.abs(rows[i]).max()
-            if scale < math.inf:
-                norms[i] = scale * np.linalg.norm(rows[i] / scale)
-    return float(norms[0]) if v.ndim == 1 else norms
+        norms = np.linalg.norm(v, axis=1)
+    for i in np.flatnonzero(norms == math.inf):
+        norms[i] = _scaled_back(np.linalg.norm, v[i])
+    return norms
 
 
 def mahalanobis_norm(v: np.ndarray, M: np.ndarray) -> float:
     """Norm ``sqrt(v^T M v)`` induced by a positive semidefinite matrix.
 
-    A quadratic form that overflows is recomputed on ``v / max|v|`` and
-    scaled back, as in :func:`norm`, so a norm that fits in a float reads
-    finite.  Tiny negative quadratic forms from rounding are clamped to
-    zero; a value below ``-1e-12`` signals an indefinite ``M`` and raises
-    :class:`~detavg.errors.NegativeQuadraticForm`.  A norm that is NaN or
-    past float max raises :class:`~detavg.errors.NonFiniteResult`.
+    A norm that fits in a float reads finite although its quadratic form
+    overflows (see :func:`_scaled_back`).  Tiny negative quadratic forms
+    from rounding are clamped to zero; a value below ``-1e-12`` signals an
+    indefinite ``M`` and raises :class:`~detavg.errors.NegativeQuadraticForm`.
+    A norm that is NaN or past float max raises
+    :class:`~detavg.errors.NonFiniteResult`.
     """
     v = np.asarray(v, dtype=float)
     M = require_symmetric(M)
-    scale = 1.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        q = float(v @ M @ v)
-        if math.isinf(q):
-            scale = float(np.abs(v).max())
-            u = v / scale
-            q = float(u @ M @ u)
-    if q < -1e-12:
-        raise NegativeQuadraticForm(f"v^T M v = {q} < -1e-12")
-    result = scale * math.sqrt(max(q, 0.0))  # max keeps a NaN q
+
+    def root(u: np.ndarray) -> float:
+        q = float(u @ M @ u)
+        if q < -1e-12:
+            raise NegativeQuadraticForm(f"v^T M v = {q} < -1e-12")
+        return math.sqrt(max(q, 0.0))  # max keeps a NaN q
+
+    result = _scaled_back(root, v)
     if not math.isfinite(result):
         raise NonFiniteResult(f"the norm sqrt(v^T M v) is not finite: {result}")
     return result

@@ -21,8 +21,11 @@ import numpy as np
 from . import linalg
 from .averaging import LocalEstimate, weighted_means
 from .errors import NoConvergence
-from .objective import Objective
-from .sketch import SketchMask, _hessian_into, check_sweep, local_fleet, local_hessian
+from .objective import Objective, hessian_into
+from .sketch import SketchMask, check_sweep, local_fleet, local_hessian
+
+_NEWTON_TOL = 1e-12  # of exact_minimizer, relative to the first gradient norm
+_NEWTON_ITERS = 100
 
 
 class Scheme(enum.Enum):
@@ -111,14 +114,17 @@ def _local_steps(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Steps (m, d) and log-determinants (m,) of machines 0..m-1 of one fleet.
 
-    One :func:`sketch.local_fleet` with the Hessian kernel of
-    :func:`sketch.local_hessian` as the build and :func:`linalg.factor_solve`
-    as the decomposition; each row is bit-identical to
+    One :func:`sketch.local_fleet` with :func:`objective.hessian_into` over
+    each machine's rows as the build and :func:`linalg.factor_solve` as the
+    decomposition; each row is bit-identical to
     :func:`local_newton_estimate` for that machine.
     """
-    ridge = obj.lam * np.eye(obj.d)
-    return local_fleet(lambda include, out: _hessian_into(out, obj, w, include, k, ridge),
-                       lambda stack: linalg.factor_solve(stack, grad),
+    X, y, ridge = obj.data.X, obj.data.y, obj.lam * np.eye(obj.d)
+
+    def build(include: np.ndarray, out: np.ndarray) -> None:
+        hessian_into(out, obj.loss, X.compress(include, axis=0), y.compress(include), w, k, ridge)
+
+    return local_fleet(build, lambda stack: linalg.factor_solve(stack, grad),
                        obj.data.n, obj.d, k, m, seed, trial)
 
 
@@ -204,27 +210,26 @@ def error_sweep(
     return rows
 
 
-def exact_minimizer(obj: Objective, w0: np.ndarray | None = None, tol: float = 1e-12,
-                    max_iter: int = 100) -> np.ndarray:
-    """Minimize by exact Newton iteration until ||grad|| <= tol * max(1, ||grad(w0)||).
+def exact_minimizer(obj: Objective) -> np.ndarray:
+    """Minimize by exact Newton from w = 0 until ||grad|| <= 1e-12 max(1, ||grad(0)||).
 
     Relative, so that large labels do not ask for more digits than float64
-    holds.  Raises :class:`~detavg.errors.NoConvergence` if ``max_iter``
-    steps do not get there; a gradient norm past float max reads inf (see
+    holds.  Raises :class:`~detavg.errors.NoConvergence` if 100 steps do not
+    get there; a gradient norm past float max reads inf (see
     :func:`linalg.norm`) and never counts.  A gradient that overflows raises
     :class:`~detavg.errors.NonFiniteResult` (see :meth:`Objective.gradient`).
     """
-    w = np.zeros(obj.d) if w0 is None else np.asarray(w0, dtype=float).copy()
+    w = np.zeros(obj.d)
     norm = linalg.norm(obj.gradient(w))
-    target = tol * max(1.0, norm)
-    for _ in range(max_iter):
+    target = _NEWTON_TOL * max(1.0, norm)
+    for _ in range(_NEWTON_ITERS):
         if norm <= target < math.inf:
             return w
         w = w - obj.exact_newton_step(w)
         norm = linalg.norm(obj.gradient(w))
     if not norm <= target < math.inf:
-        raise NoConvergence(f"exact Newton did not reach tol={tol} relative to the first "
-                            f"gradient norm ({target:.3e}) in {max_iter} iterations")
+        raise NoConvergence(f"exact Newton did not reach tol={_NEWTON_TOL} relative to the first "
+                            f"gradient norm ({target:.3e}) in {_NEWTON_ITERS} iterations")
     return w
 
 

@@ -11,7 +11,10 @@ so the Hessian is a scaled Gram matrix plus a ridge:
     hess L(w) = (1/n) sum_i l_i''(w @ x_i) x_i x_i^T + lam * I
 
 The ridge term makes the Hessian positive definite (eigenvalues >= lam),
-which every solver in the package relies on.
+which every solver in the package relies on.  :func:`hessian_into` is the
+package's one Hessian formula and :func:`covariance_into` its one
+second-moment formula: the exact references pass them every row and n, a
+machine the rows of its mask and k.
 """
 
 from __future__ import annotations
@@ -86,6 +89,22 @@ class LossKind(enum.Enum):
         return s * (1.0 - s)
 
 
+def hessian_into(out: np.ndarray, loss: LossKind, X: np.ndarray, y: np.ndarray,
+                 w: np.ndarray, scale: float, ridge: np.ndarray) -> None:
+    """Write (1/scale) sum_i l_i''(w @ x_i) x_i x_i^T + ridge over the rows of
+    X into ``out``, symmetrized as (H + H^T)/2; no rows give ``ridge``."""
+    curv = loss.d2value(X @ w, y)
+    H = (X.T * curv) @ X / scale
+    np.add((H + H.T) * 0.5, ridge, out=out)
+
+
+def covariance_into(out: np.ndarray, X: np.ndarray, scale: float) -> None:
+    """Write (1/scale) sum_i x_i x_i^T over the rows of X into ``out``,
+    symmetrized as (C + C^T)/2; no rows give zero."""
+    C = X.T @ X / scale
+    np.multiply(C + C.T, 0.5, out=out)
+
+
 def _check_labels(loss: LossKind, y: np.ndarray) -> None:
     if loss is LossKind.LOGISTIC and not np.all(np.isin(y, (0.0, 1.0))):
         raise ValueError("logistic loss expects labels in {0, 1}")
@@ -138,11 +157,10 @@ class Objective:
 
     def hessian(self, w: np.ndarray) -> np.ndarray:
         w = np.asarray(w, dtype=float)
+        H = np.empty((self.d, self.d))
         with np.errstate(over="ignore", invalid="ignore"):
-            z = self.data.X @ w
-            curv = self.loss.d2value(z, self.data.y)
-            H = (self.data.X.T * curv) @ self.data.X / self.data.n
-            H = linalg.symmetrize(H) + self.lam * np.eye(self.data.d)
+            hessian_into(H, self.loss, self.data.X, self.data.y, w, self.data.n,
+                         self.lam * np.eye(self.d))
         return linalg.require_finite(H, "the full-data Hessian")
 
     def exact_newton_step(self, w: np.ndarray) -> np.ndarray:

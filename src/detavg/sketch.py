@@ -6,16 +6,14 @@ of that triple: no global state, no dependence on execution order, so a
 sweep gives bit-identical masks whatever order its machines and trials
 run in.
 
-:func:`local_fleet` is the one loop over a fleet's machines, for Newton
-and precision sweeps alike: it draws, builds and decomposes each machine's
-local matrix, in stacks of about 1 MiB, stores the fleet's results, and
-names the (seed, trial, machine) triple of a machine that fails.  Per
-machine it runs only the kernels: one private mask kernel, shared with
-:func:`draw_mask`, and one private Gram kernel per estimator, shared with
-:func:`local_hessian` and :func:`local_covariance`, which write the matrix
-straight into the fleet's stack.  The public functions check their inputs
-and then call the same kernels, so a fleet's machine is bit-identical to
-the public route, with no ``SeedSpec`` or ``SketchMask`` built per machine.
+The module holds the sampling, the one loop over a fleet's machines and
+the sweep check.  :func:`local_fleet` draws, builds and decomposes every
+machine of a Newton or precision fleet, in stacks of about 1 MiB, and
+names the (seed, trial, machine) triple of a machine that fails.  It draws
+with :func:`draw_mask`'s mask kernel and builds with the Gram kernels of
+:mod:`detavg.objective` on each mask's rows, as :func:`local_hessian` and
+:func:`local_covariance` do, so a fleet's machine is bit-identical to the
+public route, with no ``SeedSpec`` or ``SketchMask`` built per machine.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ import numpy as np
 
 from .dataio import MAX_ENTRIES
 from .errors import InvalidSampleSize, NonFiniteResult, NotPositiveDefinite
-from .objective import Dataset, Objective
+from .objective import Dataset, Objective, covariance_into, hessian_into
 
 # Bytes of matrices stacked per decomposition call by the fleets.
 _STACK_BYTES = 1 << 20
@@ -41,20 +39,13 @@ class SeedSpec:
     trial: int = 0
     machine: int = 0
 
-    def generator(self) -> np.random.Generator:
-        return _generator(self.master_seed, self.trial, self.machine)
-
-
-def _generator(seed: int, trial: int, machine: int) -> np.random.Generator:
-    seq = np.random.SeedSequence(entropy=seed, spawn_key=(trial, machine))
-    return np.random.Generator(np.random.Philox(seed=seq))
-
 
 def _include(n: int, rate: float, seed: int, trial: int, machine: int) -> np.ndarray:
     """Inclusion mask over n rows, each kept with probability ``rate``, from
-    the stream of (seed, trial, machine): the kernel of :func:`draw_mask` and
-    :func:`local_fleet`."""
-    return _generator(seed, trial, machine).random(n) < rate
+    the Philox stream of (seed, trial, machine): the kernel of
+    :func:`draw_mask` and :func:`local_fleet`."""
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=(trial, machine))
+    return np.random.Generator(np.random.Philox(seed=seq)).random(n) < rate
 
 
 @dataclass(frozen=True)
@@ -117,24 +108,12 @@ def local_hessian(obj: Objective, w: np.ndarray, mask: SketchMask) -> np.ndarray
     """
     if mask.n != obj.data.n:
         raise ValueError(f"mask over {mask.n} rows, dataset has {obj.data.n}")
-    d = obj.data.d
-    out = np.empty((d, d))
-    _hessian_into(out, obj, np.asarray(w, dtype=float), mask.include, mask.k,
-                  obj.lam * np.eye(d))
+    include = mask.include
+    out = np.empty((obj.d, obj.d))
+    hessian_into(out, obj.loss, obj.data.X.compress(include, axis=0),
+                 obj.data.y.compress(include), np.asarray(w, dtype=float), mask.k,
+                 obj.lam * np.eye(obj.d))
     return out
-
-
-def _hessian_into(out: np.ndarray, obj: Objective, w: np.ndarray, include: np.ndarray,
-                  k: int, ridge: np.ndarray) -> None:
-    """Write :func:`local_hessian` of the mask ``include`` into ``out``, with
-    no checks; ``ridge`` is ``lam * I``.  The Gram kernel of Newton fleets."""
-    if not include.any():
-        out[...] = ridge
-        return
-    X = obj.data.X.compress(include, axis=0)
-    curv = obj.loss.d2value(X @ w, obj.data.y.compress(include))
-    H = (X.T * curv) @ X / k
-    np.add((H + H.T) * 0.5, ridge, out=out)
 
 
 def local_covariance(data: Dataset, mask: SketchMask) -> np.ndarray:
@@ -142,19 +121,8 @@ def local_covariance(data: Dataset, mask: SketchMask) -> np.ndarray:
     if mask.n != data.n:
         raise ValueError(f"mask over {mask.n} rows, dataset has {data.n}")
     out = np.empty((data.d, data.d))
-    _covariance_into(out, data.X, mask.include, mask.k)
+    covariance_into(out, data.X.compress(mask.include, axis=0), mask.k)
     return out
-
-
-def _covariance_into(out: np.ndarray, X: np.ndarray, include: np.ndarray, k: int) -> None:
-    """Write :func:`local_covariance` of the mask ``include`` into ``out``,
-    with no checks.  The Gram kernel of precision fleets."""
-    if not include.any():
-        out[...] = 0.0
-        return
-    Xs = X.compress(include, axis=0)
-    C = Xs.T @ Xs / k
-    np.multiply(C + C.T, 0.5, out=out)
 
 
 def block_size(width: int) -> int:
@@ -181,12 +149,12 @@ def local_fleet(
     row per matrix.  Returns those arrays for the whole fleet, row t for
     machine t, so the first m machines are the same whatever m is.
 
-    Raises InvalidSampleSize unless 1 <= k <= n, and ValueError naming m, before the arrays are allocated, if they
-    would hold more than ``MAX_ENTRIES`` values (an m above it is refused
-    before any draw).  A ``NotPositiveDefinite`` from ``decompose``, or an
-    output row that is not finite (``NonFiniteResult``), names the
-    (seed, trial, machine) triple that replays the machine; an overflow on
-    the way there raises no warning.
+    Raises InvalidSampleSize unless 1 <= k <= n, and ValueError naming m,
+    before the arrays are allocated, if they would hold more than
+    ``MAX_ENTRIES`` values (an m above it is refused before any draw).  A
+    ``NotPositiveDefinite`` from ``decompose``, or an output row that is not
+    finite (``NonFiniteResult``), names the (seed, trial, machine) triple
+    that replays the machine; an overflow on the way there raises no warning.
     """
     def where(t: int) -> str:
         return f"local matrix of (seed, trial, machine) = ({seed}, {trial}, {t})"

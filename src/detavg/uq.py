@@ -30,8 +30,8 @@ import numpy as np
 from . import linalg
 from .averaging import LocalEstimate, weighted_means
 from .errors import NotPositiveDefinite, SingularCovariance
-from .objective import Dataset
-from .sketch import SketchMask, _covariance_into, check_sweep, local_covariance, local_fleet
+from .objective import Dataset, covariance_into
+from .sketch import SketchMask, check_sweep, local_covariance, local_fleet
 
 
 class Statistic(enum.Enum):
@@ -109,8 +109,9 @@ def exact_statistic(data: Dataset, statistic: Statistic) -> float | np.ndarray:
     SingularCovariance
         If the covariance is not invertible, e.g. when n < d.
     """
+    sigma = np.empty((data.d, data.d))
     with np.errstate(over="ignore", invalid="ignore"):
-        sigma = linalg.symmetrize(data.X.T @ data.X / data.n)
+        covariance_into(sigma, data.X, data.n)
     linalg.require_finite(sigma, "the full-data covariance")
     # roundoff can hand a rank-deficient matrix a tiny positive pivot, so a
     # successful factorization alone does not certify invertibility
@@ -156,8 +157,10 @@ def _local_spectra(
                                       index=int(bad[0]))
         return spectra
 
-    return local_fleet(lambda include, out: _covariance_into(out, data.X, include, k),
-                       decompose, data.n, data.d, k, m, seed, trial)
+    def build(include: np.ndarray, out: np.ndarray) -> None:
+        covariance_into(out, data.X.compress(include, axis=0), k)
+
+    return local_fleet(build, decompose, data.n, data.d, k, m, seed, trial)
 
 
 def _fleet_estimate(spectra: tuple[np.ndarray, ...], m: int, eta: float,

@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detavg.averaging import LocalEstimate, combine_determinantal, weighted_means
-from detavg.errors import DimensionMismatch, EmptyBatch, NonFiniteWeight, NumericalError
+from detavg.errors import (
+    DimensionMismatch,
+    EmptyBatch,
+    NonFiniteResult,
+    NonFiniteWeight,
+    NumericalError,
+)
 from detavg.newton import Scheme
 
 
@@ -86,6 +92,21 @@ def test_non_finite_log_weight_is_a_numerical_error(bad):
     values = np.stack([e.value for e in batch])
     uniform_logs = Scheme.UNIFORM.log_weights(np.array([e.log_weight for e in batch]))
     assert np.array_equal(weighted_means(values, uniform_logs, [2])[0], np.full(2, 0.5))
+
+
+def test_weighted_mean_that_fits_in_a_float_reads_finite():
+    # the weighted sum 1.6e308 overflows, the mean 0.8e308 does not
+    values = np.array([[1.0e308, -1.0], [0.6e308, 1.0]])
+    mean = weighted_means(values, np.zeros(2), [1, 2])
+    assert np.array_equal(mean[0], values[0])
+    assert mean[1, 0] == pytest.approx(0.8e308, rel=1e-15) and mean[1, 1] == 0.0
+    # a mean of finite values below the overflow keeps its plain bytes
+    small = values * 1e-10
+    assert weighted_means(small, np.zeros(2), [2])[0].tobytes() == \
+        (small.sum(axis=0) / 2.0).tobytes()
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NonFiniteResult):
+            weighted_means(np.array([[1.0], [bad]]), np.zeros(2), [2])
 
 
 def test_reduction_rejects_bad_shapes_and_counts():

@@ -118,12 +118,21 @@ class TestNewtonSweep:
         assert "(seed, trial, machine) = (0, 0, 0)" in capsys.readouterr().err
 
     def test_overflowing_step_error_exits_2_without_csv(self, tmp_path, capsys):
-        # labels near 5e306 overflow the weighted sum of the local steps
+        # labels near 4.8e306 overflow the weighted sum of the local steps, not
+        # their weighted mean, and every step error still fits in a float
+        code, out = run(tmp_path, "fits.csv", *sweep_args(
+            synth="50,3,4.8e306", k="2", m="2", trials="1", seed=None))
+        assert code == 0
+        errors = [float(v) for line in out.read_text().splitlines()[1:]
+                  for v in line.split(",")[4:]]
+        assert len(errors) == 4 and all(1e308 < e < math.inf for e in errors)
+        # near 5e306 the H-norm of the step error is past float max
         code, out = run(tmp_path, "s.csv", *sweep_args(
             synth="50,3,5e306", k="2", m="2", trials="1", seed=None))
         assert code == 2
         assert not out.exists() and not out.with_suffix(".meta.json").exists()
-        assert_one_line(capsys.readouterr().err, "numerical failure: the weighted mean")
+        assert_one_line(capsys.readouterr().err,
+                        "numerical failure: the norm sqrt(v^T M v) is not finite")
 
     def test_step_errors_past_sqrt_float_max_read_finite(self, tmp_path):
         # labels near 1e300: squaring the step errors overflows, the errors do not

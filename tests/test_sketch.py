@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 from detavg import linalg
 from detavg.dataio import MAX_ENTRIES
 from detavg.errors import InvalidSampleSize, NonFiniteResult, NotPositiveDefinite
-from detavg.objective import Dataset, LossKind, Objective
+from detavg.objective import Dataset, LossKind, Objective, covariance_into, hessian_into
 from detavg.sketch import (
     SeedSpec,
     SketchMask,
-    _covariance_into,
-    _hessian_into,
     block_size,
     draw_mask,
     local_covariance,
@@ -69,11 +67,20 @@ def test_local_hessian_empty_mask_is_ridge():
     assert np.array_equal(local_hessian(obj, np.zeros(4), empty), 0.25 * np.eye(4))
 
 
-def test_local_hessian_full_mask_is_exact():
-    obj = small_objective()
-    full = SketchMask(include=np.ones(40, dtype=bool), k=40, n=40)
-    w = np.full(4, 0.3)
-    assert np.allclose(local_hessian(obj, w, full), obj.hessian(w), atol=1e-14)
+@settings(max_examples=30, deadline=None)
+@given(d=st.sampled_from([1, 2, 10, 65]), loss=st.sampled_from(list(LossKind)),
+       extra=st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
+@example(d=4, loss=LossKind.SQUARE, extra=0, seed=0)
+@example(d=4, loss=LossKind.LOGISTIC, extra=0, seed=0)
+def test_local_hessian_full_mask_is_exact(d, loss, extra, seed):
+    # the exact Hessian is the machine that keeps every row at k = n, byte for byte
+    rng = np.random.default_rng(seed)
+    n = d + 1 + extra
+    data = Dataset(X=rng.standard_normal((n, d)), y=(rng.random(n) < 0.5).astype(float))
+    obj = Objective(data, loss, lam=0.25)
+    full = SketchMask(include=np.ones(n, dtype=bool), k=n, n=n)
+    w = rng.standard_normal(d)
+    assert local_hessian(obj, w, full).tobytes() == obj.hessian(w).tobytes()
 
 
 def test_local_hessian_rejects_foreign_mask():
@@ -183,7 +190,8 @@ def seed_hessian(obj, w, include, k):
         return ridge
     X = obj.data.X[include]
     curv = obj.loss.d2value(X @ w, obj.data.y[include])
-    return linalg.symmetrize((X.T * curv) @ X / k) + ridge
+    H = (X.T * curv) @ X / k
+    return 0.5 * (H + H.T) + ridge
 
 
 def seed_covariance(data, include, k):
@@ -191,7 +199,8 @@ def seed_covariance(data, include, k):
     if include.sum() == 0:
         return np.zeros((data.d, data.d))
     X = data.X[include]
-    return linalg.symmetrize(X.T @ X / k)
+    C = X.T @ X / k
+    return 0.5 * (C + C.T)
 
 
 @settings(max_examples=30, deadline=None)
@@ -211,10 +220,13 @@ def test_fleet_kernels_equal_the_seed_formulas(d, loss, k, seed):
     m = block_size(d * d) + 3 if d == 65 else 12
     ridge = obj.lam * np.eye(d)
     stack = lambda matrices: (matrices.copy(),)  # noqa: E731
-    hessians, = local_fleet(lambda include, out: _hessian_into(out, obj, w, include, k, ridge),
-                            stack, n, d, k, m, seed, 1)
-    covariances, = local_fleet(lambda include, out: _covariance_into(out, data.X, include, k),
-                               stack, n, d, k, m, seed, 1)
+    hessians, = local_fleet(
+        lambda include, out: hessian_into(out, loss, data.X.compress(include, axis=0),
+                                          data.y.compress(include), w, k, ridge),
+        stack, n, d, k, m, seed, 1)
+    covariances, = local_fleet(
+        lambda include, out: covariance_into(out, data.X.compress(include, axis=0), k),
+        stack, n, d, k, m, seed, 1)
     for t in range(m):
         include = seed_mask(n, k, seed, 1, t)
         mask = draw_mask(n, k, SeedSpec(seed, 1, t))

@@ -17,6 +17,7 @@ from detavg.uq import (
     UqConfig,
     _fleet_estimate,
     _local_spectra,
+    _statistic_of_inverse,
     estimate_precision_statistic,
     exact_statistic,
     local_uq_estimate,
@@ -60,6 +61,18 @@ def test_full_subsample_is_exact_ridged_statistic():
     assert est == pytest.approx(np.trace(ridged), rel=1e-12)
     assert exact == pytest.approx(np.trace(np.linalg.inv(sigma)), rel=1e-12)
     assert abs_err == pytest.approx(abs(est - exact), rel=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st.sampled_from([1, 2, 10, 65]), extra=st.integers(0, 40),
+       seed=st.integers(0, 2**32 - 1), statistic=st.sampled_from(list(Statistic)))
+def test_exact_statistic_is_the_all_rows_machine(d, extra, seed, statistic):
+    # the exact reference is the machine that keeps every row at k = n, byte for byte
+    data = gaussian_data(seed, n=2 * d + extra, d=d)
+    full = SketchMask(include=np.ones(data.n, dtype=bool), k=data.n, n=data.n)
+    machine, _ = _statistic_of_inverse(local_covariance(data, full), statistic)
+    exact = exact_statistic(data, statistic)
+    assert np.asarray(exact).tobytes() == np.asarray(machine).tobytes()
 
 
 def test_trace_equals_sum_of_diagonal():
