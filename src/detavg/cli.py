@@ -102,6 +102,15 @@ def parse_synth(text: str) -> tuple[int, int, float]:
         raise ValueError(f"--synth expects N,D,NOISE, got {text!r}") from None
 
 
+def check_table_size(flag: str, value: int, cells: int) -> None:
+    """Refuse a run whose output table would hold more than
+    ``dataio.MAX_ENTRIES`` cells, naming the count flag that makes it so;
+    called before the first trial or iteration."""
+    if cells > dataio.MAX_ENTRIES:
+        raise ValueError(f"{flag} {value} would make a table of {cells} cells, more than "
+                         f"{dataio.MAX_ENTRIES}")
+
+
 def load_data(args, seed: int) -> tuple[Dataset, dict]:
     if (args.dataset is None) == (args.synth is None):
         raise ValueError("exactly one of --dataset or --synth is required")
@@ -140,8 +149,11 @@ def cmd_newton_sweep(args) -> int:
     data, source = load_data(args, seed)
     obj, obj_meta = make_objective(args, data)
     m_list = parse_m_list(args.m)
+    schemes = _schemes(args.scheme)
+    check_table_size("--trials", args.trials,
+                     len(schemes) * len(m_list) * args.trials * len(NEWTON_SWEEP_HEADER))
     w0 = np.zeros(obj.d)
-    rows = error_sweep(obj, w0, args.k, m_list, args.trials, _schemes(args.scheme), seed)
+    rows = error_sweep(obj, w0, args.k, m_list, args.trials, schemes, seed)
     step = obj.exact_newton_step(w0)
     step_norm = linalg.norm(step)
     if not math.isfinite(step_norm):
@@ -173,6 +185,7 @@ def cmd_uq_sweep(args) -> int:
     seed = resolve_seed(args)
     data, _ = load_data(args, seed)
     m_list = parse_m_list(args.m)
+    check_table_size("--trials", args.trials, len(m_list) * args.trials * len(UQ_SWEEP_HEADER))
     rows = uq_sweep(data, args.k, args.eta, m_list, args.trials, Statistic(args.statistic), seed)
     write_csv(Path(args.out), UQ_SWEEP_HEADER, map(astuple, rows))
     return 0
@@ -185,9 +198,12 @@ def cmd_newton_converge(args) -> int:
     m_list = parse_m_list(args.m)
     if len(m_list) != 1:
         raise ValueError(f"newton-converge uses a single machine count, got --m {args.m!r}")
+    schemes = _schemes(args.scheme)
+    check_table_size("--iters", args.iters,
+                     len(schemes) * (args.iters + 1) * len(CONVERGE_HEADER))
     w0 = np.zeros(obj.d)
     rows = []
-    for scheme in _schemes(args.scheme):
+    for scheme in schemes:
         cfg = MachineConfig(m=m_list[0], k=args.k, scheme=scheme)
         traj = run_distributed_newton(obj, w0, args.iters, cfg, seed)
         for i in range(len(traj.dist_to_opt)):

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import io
 import math
-from typing import Iterable, TextIO, Union
+from itertools import repeat
+from typing import Iterable, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -35,6 +36,10 @@ def _iter_lines(source: Source) -> Iterable[str]:
 def parse_libsvm(source: Source) -> Dataset:
     """Parse sparse ``label index:value ...`` lines into a dense Dataset.
 
+    Each line's fields are converted in bulk, by ``np.array(..., dtype)``
+    with the semantics of ``int()`` and ``float()``; only a line that fails
+    that test is checked token by token, which names its fault.
+
     Parameters
     ----------
     source : str, file object, or iterable of lines
@@ -57,42 +62,19 @@ def parse_libsvm(source: Source) -> Dataset:
         If no data lines remain after stripping comments and blanks.
     """
     labels: list[float] = []
-    rows: list[list[tuple[int, float]]] = []
+    rows: list[tuple[Sequence[int], Sequence[float]]] = []
     width = width_line = 0
+    previous: dict[str, np.ndarray | None] = {}
     for lineno, raw in enumerate(_iter_lines(source), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        tokens = line.split()
-        try:
-            label = float(tokens[0])
-        except ValueError:
-            raise ParseError(lineno, f"bad label {tokens[0]!r}") from None
-        if not math.isfinite(label):
-            raise ParseError(lineno, f"label {tokens[0]!r} is not finite")
-        pairs: list[tuple[int, float]] = []
-        prev = 0
-        for token in tokens[1:]:
-            idx_str, sep, val_str = token.partition(":")
-            if not sep:
-                raise ParseError(lineno, f"expected index:value, got {token!r}")
-            try:
-                idx = int(idx_str)
-                val = float(val_str)
-            except ValueError:
-                raise ParseError(lineno, f"bad pair {token!r}") from None
-            if not math.isfinite(val):
-                raise ParseError(lineno, f"value in {token!r} is not finite")
-            if idx < 1:
-                raise ParseError(lineno, f"index {idx} is not positive")
-            if idx <= prev:
-                raise ParseError(lineno, f"index {idx} not increasing after {prev}")
-            prev = idx
-            pairs.append((idx, val))
-        if prev > width:
-            width, width_line = prev, lineno
+        label, indices, values = _bulk_row(line, previous) or _checked_row(lineno, line)
+        top = int(indices[-1]) if len(indices) else 0
+        if top > width:
+            width, width_line = top, lineno
         labels.append(label)
-        rows.append(pairs)
+        rows.append((indices, values))
     if not rows:
         raise EmptyDataset("no data lines in input")
     if len(rows) * width > MAX_ENTRIES:
@@ -101,10 +83,89 @@ def parse_libsvm(source: Source) -> Dataset:
             f"of {MAX_ENTRIES} entries"
         )
     X = np.zeros((len(rows), max(width, 1)))
-    for i, pairs in enumerate(rows):
-        for idx, val in pairs:
-            X[i, idx - 1] = val
+    counts = [len(indices) for indices, _ in rows]
+    if sum(counts):
+        columns = np.concatenate([indices for indices, _ in rows]) - 1
+        X[np.repeat(np.arange(len(rows)), counts), columns] = np.concatenate(
+            [values for _, values in rows])
     return Dataset(X=X, y=np.array(labels))
+
+
+def _bulk_row(line: str, previous: dict) -> tuple[float, np.ndarray, np.ndarray] | None:
+    """Label, indices and values of a well-formed data line, converted in
+    bulk, or None if any of them fails a check of :func:`_checked_row`
+    (or an index does not fit in int64).
+
+    ``previous`` maps the index text of the last line converted to its
+    indices, which the next line reuses when it has the same ones, as every
+    line of a dense file does.
+    """
+    tokens = line.split()
+    pairs = tokens[1:]
+    # a colon in every pair and as many colons as pairs: one in each pair,
+    # none in the label
+    if line.count(":") != len(pairs) or not all(map(str.__contains__, pairs, repeat(":"))):
+        return None
+    fields = ":".join(pairs).split(":")
+    text = " ".join(fields[0::2])
+    try:
+        label = float(tokens[0])
+        values = np.array(fields[1::2], dtype=float)
+        if text not in previous:
+            previous.clear()
+            previous[text] = _indices(text)
+    except (ValueError, OverflowError):
+        return None
+    indices = previous[text]
+    # one empty index (":5") joins to the text of no indices
+    if (indices is None or len(indices) != len(values)
+            or not (math.isfinite(label) and np.isfinite(values).all())):
+        return None
+    return label, indices, values
+
+
+def _indices(text: str) -> np.ndarray | None:
+    """The space-separated indices of a line as int64, or None unless they
+    are positive and strictly increasing."""
+    indices = np.array(text.split(" ") if text else [], dtype=np.int64)
+    if not ((indices[:1] > 0).all() and (indices[1:] > indices[:-1]).all()):
+        return None
+    return indices
+
+
+def _checked_row(lineno: int, line: str) -> tuple[float, list[int], list[float]]:
+    """Label, indices and values of a data line, token by token: the
+    ParseError naming the line's first fault, or, for a line that only has
+    an index past int64, the row (which the width cap then refuses)."""
+    tokens = line.split()
+    try:
+        label = float(tokens[0])
+    except ValueError:
+        raise ParseError(lineno, f"bad label {tokens[0]!r}") from None
+    if not math.isfinite(label):
+        raise ParseError(lineno, f"label {tokens[0]!r} is not finite")
+    indices: list[int] = []
+    values: list[float] = []
+    prev = 0
+    for token in tokens[1:]:
+        idx_str, sep, val_str = token.partition(":")
+        if not sep:
+            raise ParseError(lineno, f"expected index:value, got {token!r}")
+        try:
+            idx = int(idx_str)
+            val = float(val_str)
+        except ValueError:
+            raise ParseError(lineno, f"bad pair {token!r}") from None
+        if not math.isfinite(val):
+            raise ParseError(lineno, f"value in {token!r} is not finite")
+        if idx < 1:
+            raise ParseError(lineno, f"index {idx} is not positive")
+        if idx <= prev:
+            raise ParseError(lineno, f"index {idx} not increasing after {prev}")
+        prev = idx
+        indices.append(idx)
+        values.append(val)
+    return label, indices, values
 
 
 def load_libsvm(path) -> Dataset:

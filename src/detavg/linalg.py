@@ -1,10 +1,11 @@
 """Dense symmetric linear algebra used by every estimator in the package.
 
-All routines take plain ``numpy`` arrays.  Symmetric inputs are validated
-at the public entry points.  :func:`factor_solve` is the one Cholesky
-kernel: it factors a single matrix or a whole stack of simulated
-machines' matrices, solves against a shared right-hand side and returns
-the log-determinants, so positive definiteness failures surface as
+All routines take plain ``numpy`` arrays and need nothing else.  Symmetric
+inputs are validated at the public entry points.  :func:`factor_solve` is
+the one Cholesky kernel: it factors a single matrix or a whole stack of
+simulated machines' matrices, solves against a shared right-hand side by
+forward and back substitution on the stacked factors and returns the
+log-determinants, so positive definiteness failures surface as
 :class:`~detavg.errors.NotPositiveDefinite` instead of silently wrong
 results.  It skips the symmetry check, which :func:`solve_psd` and
 :func:`adjugate` make before calling it.
@@ -23,7 +24,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs
 
 from .errors import NegativeQuadraticForm, NonFiniteResult, NotPositiveDefinite
 
@@ -56,12 +56,14 @@ def factor_solve(M: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """Solve ``M[i] x[i] = rhs`` for a stack of matrices with one Cholesky call.
 
     The package's only Cholesky: ``np.linalg.cholesky`` factors the whole
-    stack in one call, LAPACK's ``dpotrs`` solves each factor in turn (the
-    routine ``scipy.linalg.cho_solve`` wraps, called without its per-slice
-    checks), and each log-determinant is read off its factor's diagonal.
-    Every slice of ``x`` and of the log-determinants is bit-identical to
-    factoring and solving that matrix on its own.  A single matrix of shape
-    (d, d) is accepted too.
+    stack ``M = L L^T`` in one call, each log-determinant is read off its
+    factor's diagonal, and one forward substitution ``L y = rhs`` and one
+    back substitution ``L^T x = y`` run over every factor of the stack at
+    once (:func:`_substitute`).  Every slice of ``x`` and of the
+    log-determinants is bit-identical to factoring and solving that matrix
+    on its own.  A single matrix of shape (d, d) is accepted too.  A solve
+    that overflows reads inf or NaN, without a warning, for the caller to
+    refuse.
 
     The matrices must be exactly symmetric, as every Gram matrix of
     ``objective.hessian_into`` or ``objective.covariance_into`` is.  The
@@ -98,22 +100,38 @@ def factor_solve(M: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray
         raise NotPositiveDefinite(
             f"matrix {index} of the stack is not positive definite: {exc}", index=index
         ) from exc
-    if M.ndim == 2:
-        x = _potrs(L, rhs, None)
-    else:
-        x = np.empty((len(L), *np.shape(rhs)))
-        for i, Li in enumerate(L):
-            x[i] = _potrs(Li, rhs, i)
     log_dets = 2.0 * np.sum(np.log(np.diagonal(L, axis1=-2, axis2=-1)), axis=-1)
-    return x, log_dets
+    if M.ndim == 2:
+        return _substitute(L[None], rhs)[0], log_dets
+    return _substitute(L, rhs), log_dets
 
 
-def _potrs(L: np.ndarray, rhs: np.ndarray, index: int | None) -> np.ndarray:
-    x, info = dpotrs(L, rhs, lower=1)
-    if info != 0:
-        where = "matrix" if index is None else f"matrix {index} of the stack"
-        raise NotPositiveDefinite(f"{where} was not solved: dpotrs returned info={info}",
-                                  index=index)
+def _substitute(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``x[i]`` with ``L[i] L[i]^T x[i] = rhs`` for a stack of lower triangular
+    factors with positive diagonals, shape (b, d, d), which it overwrites.
+
+    With ``L = U D``, U unit lower triangular and D the diagonal of L, it
+    solves ``U z = rhs`` forward, divides by D twice and solves ``U^T x = z /
+    D^2`` back.  Each step subtracts an entry of x, once final, from the rows
+    still open, so every operation is elementwise across the stack and no
+    slice depends on another.
+    """
+    d = L.shape[-1]
+    x = np.empty((len(L), *np.shape(rhs)))
+    x[:] = rhs
+    diag = np.diagonal(L, axis1=1, axis2=2).copy()
+    with np.errstate(all="ignore"):  # an overflowing solve reads inf or NaN
+        L *= (1.0 / diag)[:, None, :]
+        if x.ndim == 3:  # a matrix right-hand side: broadcast over its columns
+            L, diag = L[..., None], diag[..., None]
+        for k in range(d - 1):
+            rest = x[:, k + 1:]
+            rest -= L[:, k + 1:, k] * x[:, k, None]
+        x /= diag
+        x /= diag
+        for k in range(d - 1, 0, -1):
+            rest = x[:, :k]
+            rest -= L[:, k, :k] * x[:, k, None]
     return x
 
 

@@ -14,7 +14,8 @@ The ridge term makes the Hessian positive definite (eigenvalues >= lam),
 which every solver in the package relies on.  :func:`hessian_into` is the
 package's one Hessian formula and :func:`covariance_into` its one
 second-moment formula: the exact references pass them every row and n, a
-machine the rows of its mask and k.
+machine the rows of its mask and k.  The logistic loss computes its
+sigmoid with numpy alone, without overflow at any prediction.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from . import linalg
 
@@ -80,13 +80,23 @@ class LossKind(enum.Enum):
     def dvalue(self, z: np.ndarray, y: np.ndarray) -> np.ndarray:
         if self is LossKind.SQUARE:
             return 2.0 * (z - y)
-        return expit(z) - y
+        return _sigmoid(z) - y
 
     def d2value(self, z: np.ndarray, y: np.ndarray) -> np.ndarray:
         if self is LossKind.SQUARE:
             return np.full_like(z, 2.0)
-        s = expit(z)
+        s = _sigmoid(z)
         return s * (1.0 - s)
+
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic sigmoid 1 / (1 + e^-z), from e = exp(-|z|) so that nothing
+    overflows: 1 / (1 + e) for z >= 0, e / (1 + e) below.  No warning at any
+    z, infinite ones included.  Where ``scipy.special.expit`` is at least
+    1e-300 the two agree within 2 ulp for z >= 0 and 4 ulp below, where
+    expit's own 1 / (1 + e^-z) is up to 2.3 ulp off the sigmoid."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def hessian_into(out: np.ndarray, loss: LossKind, X: np.ndarray, y: np.ndarray,

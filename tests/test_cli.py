@@ -4,15 +4,20 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import detavg
 from detavg.cli import main, write_csv
 from detavg.dataio import serialize_libsvm, synth_regression
 from detavg.errors import NonFiniteResult
@@ -29,6 +34,9 @@ def assert_one_line(err, prefix):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(prefix), err
 
+
+# a --trials or --iters count whose output table would be far past the cap
+HUGE_COUNT = 10**12
 
 # a vanishing ridge: an empty mask's step grad/lam overflows to inf
 NON_FINITE_STEP_ARGV = [
@@ -381,16 +389,34 @@ class TestFleetBoundary:
         assert elapsed < 0.5
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("command, flag", [
+        ("newton-sweep", "--trials"),
+        ("uq-sweep", "--trials"),
+        ("newton-converge", "--iters"),
+    ])
+    def test_oversized_table_refused_before_the_first_trial(self, tmp_path, capsys, command,
+                                                             flag):
+        out = tmp_path / "o.csv"
+        argv = [command, "--synth", "20,2,1.0", "--k", "1", "--m", "2", flag, str(HUGE_COUNT),
+                "--out", str(out)]
+        t0 = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - t0
+        assert code == 1
+        assert_one_line(capsys.readouterr().err, f"error: {flag} {HUGE_COUNT} would make a table")
+        assert elapsed < 0.5
+        assert not out.exists()
+
 
 SCALARS = ["0", "1", "-1", "inf", "-inf", "nan", "1e300", "-1e300", "1e-300", "1e-320"]
 SCHEMES = ["uniform", "determinantal", "both"]
 
 
-def flag_int(lo, hi):
+def flag_int(lo, hi, huge=()):
     """An integer flag value in lo..hi, or about one time in ten the edge
-    value 0 or -1."""
+    value 0 or -1, or about one time in twenty a value of ``huge``."""
     values = list(range(lo, hi + 1))
-    return st.sampled_from([0, -1] + values * (1 + 18 // len(values)))
+    return st.sampled_from([0, -1, *huge] + values * (1 + 18 // len(values)))
 
 
 # sorted distinct machine counts; the sweeps' own tests cover an unsorted list
@@ -440,13 +466,13 @@ def cli_argv(draw, dataset=False):
                      scheme=draw(st.sampled_from(SCHEMES)),
                      **{"lambda": draw(st.sampled_from(["auto", *SCALARS]))})
     if command == "newton-sweep":
-        flags.update(m=draw(M_LISTS), trials=draw(flag_int(1, 2)))
+        flags.update(m=draw(M_LISTS), trials=draw(flag_int(1, 2, [HUGE_COUNT])))
     elif command == "uq-sweep":
-        flags.update(m=draw(M_LISTS), trials=draw(flag_int(1, 2)),
+        flags.update(m=draw(M_LISTS), trials=draw(flag_int(1, 2, [HUGE_COUNT])),
                      eta=draw(st.sampled_from(SCALARS)),
                      statistic=draw(st.sampled_from(["trace", "diagonal"])))
     elif command == "newton-converge":
-        flags.update(m=draw(flag_int(1, 8)), iters=draw(flag_int(1, 2)))
+        flags.update(m=draw(flag_int(1, 8)), iters=draw(flag_int(1, 2, [HUGE_COUNT])))
     else:
         flags.update(models=draw(flag_int(1, 3)), **{"max-n": draw(flag_int(2, 4)),
                                                     "max-d": draw(flag_int(1, 3))})
@@ -506,3 +532,42 @@ def test_write_csv_refuses_non_finite_cells(tmp_path, bad):
     assert not out.exists()
     write_csv(out, ("m", "err"), iter([(1, 0.5), (2, 0.25)]))
     assert out.read_text() == "m,err\n1,0.5\n2,0.25\n"
+
+
+# every subcommand once, at tiny sizes, in a fresh interpreter
+NUMPY_ONLY_SCRIPT = """
+import sys
+from detavg.cli import main
+
+data, out = sys.argv[1], sys.argv[2]
+runs = [
+    ["newton-sweep", "--synth", "40,3,0.5", "--k", "10", "--m", "2,4", "--trials", "2"],
+    ["uq-sweep", "--synth", "40,3,0.5", "--k", "10", "--m", "2,4", "--trials", "2",
+     "--statistic", "diagonal"],
+    ["newton-converge", "--dataset", data, "--loss", "logistic", "--k", "10", "--m", "4",
+     "--iters", "2"],
+    ["verify-identities", "--models", "2", "--max-n", "3", "--max-d", "2"],
+]
+for argv in runs:
+    if argv[0] != "verify-identities":
+        argv += ["--out", out]
+    assert main(argv) == 0, argv
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_every_subcommand_runs_on_numpy_alone(tmp_path):
+    rng = np.random.default_rng(3)
+    data = Dataset(X=rng.standard_normal((40, 3)), y=(rng.random(40) < 0.5).astype(float))
+    path = tmp_path / "clf.txt"
+    path.write_text(serialize_libsvm(data))
+    src = str(Path(detavg.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", NUMPY_ONLY_SCRIPT, str(path),
+         str(tmp_path / "o.csv")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]", proc.stdout  # no scipy module imported

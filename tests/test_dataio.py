@@ -1,11 +1,15 @@
 """Dataset parsing, feature expansion, standardization, synthesis."""
 
+import io
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from detavg.dataio import (
+    MAX_ENTRIES,
     expand_degree2,
     load_libsvm,
     parse_libsvm,
@@ -104,6 +108,181 @@ def test_round_trip_with_all_zero_row():
     again = parse_libsvm(serialize_libsvm(data))
     assert np.array_equal(again.X, data.X)
     assert np.array_equal(again.y, data.y)
+
+
+def reference_parse_libsvm(text):
+    """The token-by-token parser that the bulk parse_libsvm replaced, kept
+    as the reference for its bytes and its errors."""
+    labels = []
+    rows = []
+    width = width_line = 0
+    for lineno, raw in enumerate(io.StringIO(text), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        try:
+            label = float(tokens[0])
+        except ValueError:
+            raise ParseError(lineno, f"bad label {tokens[0]!r}") from None
+        if not math.isfinite(label):
+            raise ParseError(lineno, f"label {tokens[0]!r} is not finite")
+        pairs = []
+        prev = 0
+        for token in tokens[1:]:
+            idx_str, sep, val_str = token.partition(":")
+            if not sep:
+                raise ParseError(lineno, f"expected index:value, got {token!r}")
+            try:
+                idx = int(idx_str)
+                val = float(val_str)
+            except ValueError:
+                raise ParseError(lineno, f"bad pair {token!r}") from None
+            if not math.isfinite(val):
+                raise ParseError(lineno, f"value in {token!r} is not finite")
+            if idx < 1:
+                raise ParseError(lineno, f"index {idx} is not positive")
+            if idx <= prev:
+                raise ParseError(lineno, f"index {idx} not increasing after {prev}")
+            prev = idx
+            pairs.append((idx, val))
+        if prev > width:
+            width, width_line = prev, lineno
+        labels.append(label)
+        rows.append(pairs)
+    if not rows:
+        raise EmptyDataset("no data lines in input")
+    if len(rows) * width > MAX_ENTRIES:
+        raise ParseError(
+            width_line, f"index {width} makes a {len(rows)} x {width} matrix, over the cap "
+            f"of {MAX_ENTRIES} entries"
+        )
+    X = np.zeros((len(rows), max(width, 1)))
+    for i, pairs in enumerate(rows):
+        for idx, val in pairs:
+            X[i, idx - 1] = val
+    return Dataset(X=X, y=np.array(labels))
+
+
+def outcome(parse, text):
+    """What a parser makes of ``text``: the dataset's bytes, or its error."""
+    try:
+        data = parse(text)
+    except ParseError as err:
+        return "ParseError", err.lineno, str(err)
+    except EmptyDataset as err:
+        return "EmptyDataset", str(err)
+    return data.X.shape, data.X.tobytes(), data.y.tobytes()
+
+
+# decimal digits int() and float() accept besides ASCII
+DIGITS = ["\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669",  # Arabic-Indic
+          "\u0966\u0967\u0968\u0969\u096a\u096b\u096c\u096d\u096e\u096f",  # Devanagari
+          "\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17\uff18\uff19"]  # fullwidth
+SEPARATORS = [" ", "  ", "\t", " \t "]
+COMMENTS = ["", " # note", "\t#x:y 1:2", "#"]
+
+
+@st.composite
+def spelled(draw, number):
+    """``number`` as a token: its repr, with an underscore between two of its
+    digits (``1_0``) or with non-ASCII digits."""
+    text = repr(number)
+    style = draw(st.sampled_from(["plain", "underscore", "digits"]))
+    if style == "underscore":
+        at = next((i for i in range(1, len(text)) if text[i - 1:i + 1].isdigit()), None)
+        if at is not None:
+            text = text[:at] + "_" + text[at:]
+    elif style == "digits":
+        text = text.translate(str.maketrans("0123456789", draw(st.sampled_from(DIGITS))))
+    return text
+
+
+values = st.one_of(finite, st.integers(-1000, 1000).map(float))
+
+
+@st.composite
+def data_line(draw):
+    """The tokens of a valid data line, possibly label only."""
+    label = draw(values.flatmap(spelled))
+    indices = sorted(draw(st.sets(st.integers(1, 12), max_size=6)))
+    pairs = [f"{draw(spelled(i))}:{draw(values.flatmap(spelled))}" for i in indices]
+    return [label, *pairs]
+
+
+@st.composite
+def libsvm_lines(draw):
+    """Lines of a file: data lines (as token lists), comments and blanks."""
+    kinds = st.one_of(data_line(), st.sampled_from(["# comment 1:2", "", "   ", "\t"]))
+    return draw(st.lists(kinds, max_size=8))
+
+
+def render(draw, lines):
+    """File text: tokens joined by spaces or tabs, a comment after some lines,
+    LF or CRLF endings."""
+    out = []
+    for line in lines:
+        if isinstance(line, list):
+            sep = draw(st.sampled_from(SEPARATORS))
+            line = draw(st.sampled_from(["", " ", "\t"])) + sep.join(line)
+            line += draw(st.sampled_from(COMMENTS))
+        out.append(line + draw(st.sampled_from(["\n", "\r\n"])))
+    return "".join(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_bulk_parse_equals_token_parse(data):
+    text = render(data.draw, data.draw(libsvm_lines()))
+    assert outcome(parse_libsvm, text) == outcome(reference_parse_libsvm, text)
+
+
+CORRUPT_PAIRS = [
+    "5",  # no colon
+    "1:2:3", ":5", "5:",
+    "0:1", "-2:1",  # non-positive index
+    "3:nan", "3:inf", "3:-inf", "3:1e400",
+    "1180591620717411303424:1",  # past int64
+    "1099511627776:1",  # fits int64, over the width cap
+]
+CORRUPT_LINES = [
+    ["1", "1", "2:3:4"],  # misaligned: today "expected index:value, got '1'"
+    ["1", "3:1", "3:2"], ["1", "4:1", "2:1"],  # not increasing
+    ["0", "1:1", "1180591620717411303424:1", "5:nan"],
+]
+
+
+@st.composite
+def corrupted_line(draw):
+    """A data line with one fault: a bad pair among good ones, a bad label,
+    or a whole bad line."""
+    kind = draw(st.sampled_from(["pair", "label", "line"]))
+    if kind == "line":
+        return draw(st.sampled_from(CORRUPT_LINES))
+    tokens = draw(data_line())
+    if kind == "label":
+        return [draw(st.sampled_from(["nan", "inf", "-inf", "1e400", "x", "1:1"])), *tokens[1:]]
+    at = draw(st.integers(1, len(tokens)))
+    return [*tokens[:at], draw(st.sampled_from(CORRUPT_PAIRS)), *tokens[at:]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+@example(data=None)
+def test_bulk_parse_reports_what_token_parse_reports(data):
+    # one or two corrupted lines among valid ones: the same ParseError, line
+    # and message, or, for an index past the width cap, the same refusal
+    if data is None:
+        text = "0 1:1\n1 1180591620717411303424:1"
+    else:
+        lines = data.draw(libsvm_lines())
+        for _ in range(data.draw(st.integers(1, 2))):
+            at = data.draw(st.integers(0, len(lines)))
+            lines.insert(at, data.draw(corrupted_line()))
+        text = render(data.draw, lines)
+    got = outcome(parse_libsvm, text)
+    assert got == outcome(reference_parse_libsvm, text)
+    assert got[0] == "ParseError"
 
 
 def test_expand_degree2_generic_width():
