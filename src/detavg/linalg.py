@@ -274,9 +274,11 @@ def mahalanobis_norm(v: np.ndarray, M: np.ndarray) -> float:
 
     A norm that fits in a float reads finite although its quadratic form
     overflows (see :func:`_scaled_back`).  Tiny negative quadratic forms
-    from rounding are clamped to zero; a value below ``-1e-12`` signals an
-    indefinite ``M`` and raises :class:`~detavg.errors.NegativeQuadraticForm`.
-    A norm that is NaN or past float max raises
+    from rounding are clamped to zero; a finite value below ``-1e-12``
+    signals an indefinite ``M`` and raises
+    :class:`~detavg.errors.NegativeQuadraticForm`.  A form that is not
+    finite, -inf included, is an overflow and is rescaled; a norm that is
+    still NaN or past float max raises
     :class:`~detavg.errors.NonFiniteResult`.
     """
     v = np.asarray(v, dtype=float)
@@ -284,9 +286,11 @@ def mahalanobis_norm(v: np.ndarray, M: np.ndarray) -> float:
 
     def root(u: np.ndarray) -> float:
         q = float(u @ M @ u)
+        if not math.isfinite(q):
+            return abs(q)  # inf or NaN: _scaled_back rescales
         if q < -1e-12:
             raise NegativeQuadraticForm(f"v^T M v = {q} < -1e-12")
-        return math.sqrt(max(q, 0.0))  # max keeps a NaN q
+        return math.sqrt(max(q, 0.0))
 
     result = _scaled_back(root, v)
     if not math.isfinite(result):

@@ -119,10 +119,10 @@ def _local_steps(
     decomposition; each row is bit-identical to
     :func:`local_newton_estimate` for that machine.
     """
-    X, y, ridge = obj.data.X, obj.data.y, obj.lam * np.eye(obj.d)
+    X, ridge = obj.data.X, obj.lam * np.eye(obj.d)
 
     def build(include: np.ndarray, out: np.ndarray) -> None:
-        hessian_into(out, obj.loss, X.compress(include, axis=0), y.compress(include), w, k, ridge)
+        hessian_into(out, obj.loss, X.compress(include, axis=0), w, k, ridge)
 
     return local_fleet(build, lambda stack: linalg.factor_solve(stack, grad),
                        obj.data.n, obj.d, k, m, seed, trial)
@@ -277,7 +277,7 @@ def coherence(obj: Objective, w: np.ndarray) -> float:
     """
     w = np.asarray(w, dtype=float)
     X = obj.data.X
-    curv = obj.loss.d2value(X @ w, obj.data.y)
+    curv = obj.loss.d2value(X @ w)
     H = obj.hessian(w)
     Y = linalg.solve_psd(H, X.T)
     quad = np.einsum("ij,ji->i", X, Y)

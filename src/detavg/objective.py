@@ -82,7 +82,8 @@ class LossKind(enum.Enum):
             return 2.0 * (z - y)
         return _sigmoid(z) - y
 
-    def d2value(self, z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def d2value(self, z: np.ndarray) -> np.ndarray:
+        """Curvature l''(z) at the predictions z; for both losses it is free of the labels."""
         if self is LossKind.SQUARE:
             return np.full_like(z, 2.0)
         s = _sigmoid(z)
@@ -99,11 +100,13 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def hessian_into(out: np.ndarray, loss: LossKind, X: np.ndarray, y: np.ndarray,
-                 w: np.ndarray, scale: float, ridge: np.ndarray) -> None:
+def hessian_into(out: np.ndarray, loss: LossKind, X: np.ndarray, w: np.ndarray,
+                 scale: float, ridge: np.ndarray) -> None:
     """Write (1/scale) sum_i l_i''(w @ x_i) x_i x_i^T + ridge over the rows of
-    X into ``out``, symmetrized as (H + H^T)/2; no rows give ``ridge``."""
-    curv = loss.d2value(X @ w, y)
+    X into ``out``, symmetrized as (H + H^T)/2; no rows give ``ridge``.  The
+    square loss's constant curvature 2 scales X as a scalar, with the same
+    bytes as the array of 2s and without computing X @ w."""
+    curv = 2.0 if loss is LossKind.SQUARE else loss.d2value(X @ w)
     H = (X.T * curv) @ X / scale
     np.add((H + H.T) * 0.5, ridge, out=out)
 
@@ -169,8 +172,7 @@ class Objective:
         w = np.asarray(w, dtype=float)
         H = np.empty((self.d, self.d))
         with np.errstate(over="ignore", invalid="ignore"):
-            hessian_into(H, self.loss, self.data.X, self.data.y, w, self.data.n,
-                         self.lam * np.eye(self.d))
+            hessian_into(H, self.loss, self.data.X, w, self.data.n, self.lam * np.eye(self.d))
         return linalg.require_finite(H, "the full-data Hessian")
 
     def exact_newton_step(self, w: np.ndarray) -> np.ndarray:

@@ -347,7 +347,7 @@ def hessian_sketch_model(obj: Objective, w: np.ndarray, k: int) -> RandomRankOne
     """
     data = obj.data
     w = np.asarray(w, dtype=float)
-    curv = obj.loss.d2value(data.X @ w, data.y)
+    curv = obj.loss.d2value(data.X @ w)
     mats = [curv[i] * np.outer(data.X[i], data.X[i]) for i in range(data.n)]
     return RandomRankOneSum.bernoulli(
         mats, gamma=k / data.n, base=obj.lam * np.eye(data.d), scale=1.0 / k

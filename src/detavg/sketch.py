@@ -4,22 +4,31 @@ Each simulated machine draws its inclusion mask from a Philox stream keyed
 by the triple (master_seed, trial, machine).  The stream is a pure function
 of that triple: no global state, no dependence on execution order, so a
 sweep gives bit-identical masks whatever order its machines and trials
-run in.
+run in.  The Philox key is numpy's
+``SeedSequence(entropy=seed, spawn_key=(trial, machine)).generate_state(2,
+np.uint64)``.
 
 The module holds the sampling, the one loop over a fleet's machines and
-the sweep check.  :func:`local_fleet` draws, builds and decomposes every
-machine of a Newton or precision fleet, in stacks of about 1 MiB, and
-names the (seed, trial, machine) triple of a machine that fails.  It draws
-with :func:`draw_mask`'s mask kernel and builds with the Gram kernels of
-:mod:`detavg.objective` on each mask's rows, as :func:`local_hessian` and
-:func:`local_covariance` do, so a fleet's machine is bit-identical to the
-public route, with no ``SeedSpec`` or ``SketchMask`` built per machine.
+the sweep check.  :func:`draw_mask` keys a fresh Philox through numpy's own
+``SeedSequence``, the public route that replays one machine.
+:func:`local_fleet` draws, builds and decomposes every machine of a Newton
+or precision fleet, in stacks of about 1 MiB, and names the (seed, trial,
+machine) triple of a machine that fails.  It draws the same masks without a
+generator per machine: the machine index is the last word ``SeedSequence``
+mixes, so the pool that (seed, trial) leave is computed once per fleet, the
+keys of a whole stack follow from it in a few vectorized uint32 operations,
+and one Philox is re-keyed for each machine.  It builds with the Gram
+kernels of :mod:`detavg.objective` on each mask's rows, as
+:func:`local_hessian` and :func:`local_covariance` do, so a fleet's machine
+is bit-identical to the public route, with no ``SeedSpec`` or
+``SketchMask`` built per machine.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -29,6 +38,15 @@ from .objective import Dataset, Objective, covariance_into, hessian_into
 
 # Bytes of matrices stacked per decomposition call by the fleets.
 _STACK_BYTES = 1 << 20
+
+# numpy's SeedSequence: pool size in 32-bit words and the constants of its
+# entropy hash (INIT_A, MULT_A), its pool mix (MIX_MULT_L, MIX_MULT_R) and
+# its output hash (INIT_B, MULT_B).
+_POOL = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 
 
 @dataclass(frozen=True)
@@ -42,10 +60,115 @@ class SeedSpec:
 
 def _include(n: int, rate: float, seed: int, trial: int, machine: int) -> np.ndarray:
     """Inclusion mask over n rows, each kept with probability ``rate``, from
-    the Philox stream of (seed, trial, machine): the kernel of
-    :func:`draw_mask` and :func:`local_fleet`."""
+    the Philox stream of (seed, trial, machine), keyed through numpy's own
+    ``SeedSequence``: the kernel of :func:`draw_mask`, and the reference that
+    :func:`_fleet_masks` equals bit for bit."""
     seq = np.random.SeedSequence(entropy=seed, spawn_key=(trial, machine))
     return np.random.Generator(np.random.Philox(seed=seq)).random(n) < rate
+
+
+def _words(x: int) -> list[int]:
+    """``x`` as 32-bit words, least significant first, as ``SeedSequence``
+    splits an int; ValueError for a negative one, as it raises."""
+    x = operator.index(x)
+    if x < 0:
+        raise ValueError("expected non-negative integer")
+    words = [x & _MASK32]
+    while x > _MASK32:
+        x >>= 32
+        words.append(x & _MASK32)
+    return words
+
+
+def _hashmix(value, hash_const: int, mult: int = _MULT_A):
+    """``SeedSequence``'s word hash: the hashed word and the next constant.
+    Its entropy hash with ``_MULT_A``, its output hash with ``_MULT_B``.
+    ``value`` is a 32-bit int or a uint32 array, which wraps alike."""
+    next_const = hash_const * mult & _MASK32
+    value = (value ^ hash_const) * next_const & _MASK32
+    return value ^ value >> 16, next_const
+
+
+def _mix(x: int, y):
+    """``SeedSequence``'s mix of a hashed word ``y`` (int or uint32 array)
+    into pool word ``x``."""
+    result = ((_MIX_L * x & _MASK32) - _MIX_R * y) & _MASK32
+    return result ^ result >> 16
+
+
+def _stream_prefix(seed: int, trial: int) -> tuple[list[int], int]:
+    """Pool and hash constant of ``SeedSequence(entropy=seed, spawn_key=(trial,
+    t))`` just before it mixes in its last entropy word, the machine index t.
+
+    The entropy is seed's words padded with zeros to the pool size, then
+    trial's words, then t's one word, so everything up to t is the same for
+    every machine of a fleet.  ValueError for a negative seed or trial, as
+    ``SeedSequence`` raises.
+    """
+    seed_words = _words(seed)
+    entropy = seed_words + [0] * (_POOL - len(seed_words)) + _words(trial)
+    hash_const = _INIT_A
+    pool = []
+    for word in entropy[:_POOL]:
+        value, hash_const = _hashmix(word, hash_const)
+        pool.append(value)
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                value, hash_const = _hashmix(pool[src], hash_const)
+                pool[dst] = _mix(pool[dst], value)
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            value, hash_const = _hashmix(word, hash_const)
+            pool[dst] = _mix(pool[dst], value)
+    return pool, hash_const
+
+
+def _stream_keys(prefix: tuple[list[int], int], start: int, stop: int) -> np.ndarray:
+    """Philox keys (stop - start, 2) of machines start..stop-1, row t - start
+    equal to ``SeedSequence(entropy=seed, spawn_key=(trial, t))
+    .generate_state(2, np.uint64)`` for the ``prefix`` of (seed, trial).
+
+    Each pool word mixes in the hashed machine index and goes through the
+    output hash, by the scalar formulas run on a uint32 array of machine
+    indices.  A machine index is one 32-bit word, since a fleet holds at
+    most ``MAX_ENTRIES`` < 2^32 machines.
+    """
+    pool, hash_const = prefix
+    machines = np.arange(start, stop, dtype=np.uint32)
+    keys = np.zeros((stop - start, 2), dtype=np.uint64)
+    out_const = _INIT_B
+    for i, word in enumerate(pool):
+        value, hash_const = _hashmix(machines, hash_const)
+        value, out_const = _hashmix(_mix(word, value), out_const, _MULT_B)
+        # generate_state pairs the four words into two little-endian uint64
+        keys[:, i // 2] |= value.astype(np.uint64) << np.uint64(32 * (i % 2))
+    return keys
+
+
+def _fleet_masks(n: int, rate: float, seed: int, trial: int, m: int,
+                 block: int) -> Iterator[np.ndarray]:
+    """Masks of machines 0..m-1 of one fleet, in order, each bit-identical to
+    ``_include(n, rate, seed, trial, t)`` and each in the same buffer, valid
+    until the next is drawn.
+
+    The keys come from :func:`_stream_keys` a ``block`` of machines at a
+    time.  One Philox is reset through its ``state`` setter to each key,
+    counter 0 and an empty buffer, as a new one starts, and fills one buffer
+    of uniforms; no ``SeedSequence``, ``Philox`` or ``Generator`` is built
+    per machine.
+    """
+    prefix = _stream_prefix(seed, trial)
+    philox = np.random.Philox(seed=0)  # no OS entropy read; every key is replaced
+    generator = np.random.Generator(philox)
+    state = philox.state
+    uniforms, include = np.empty(n), np.empty(n, dtype=bool)
+    for start in range(0, m, block):
+        for key in _stream_keys(prefix, start, min(start + block, m)):
+            state["state"]["key"] = key
+            philox.state = state
+            generator.random(out=uniforms)
+            yield np.less(uniforms, rate, out=include)
 
 
 @dataclass(frozen=True)
@@ -108,11 +231,9 @@ def local_hessian(obj: Objective, w: np.ndarray, mask: SketchMask) -> np.ndarray
     """
     if mask.n != obj.data.n:
         raise ValueError(f"mask over {mask.n} rows, dataset has {obj.data.n}")
-    include = mask.include
     out = np.empty((obj.d, obj.d))
-    hessian_into(out, obj.loss, obj.data.X.compress(include, axis=0),
-                 obj.data.y.compress(include), np.asarray(w, dtype=float), mask.k,
-                 obj.lam * np.eye(obj.d))
+    hessian_into(out, obj.loss, obj.data.X.compress(mask.include, axis=0),
+                 np.asarray(w, dtype=float), mask.k, obj.lam * np.eye(obj.d))
     return out
 
 
@@ -143,11 +264,16 @@ def local_fleet(
     """Decomposed local matrices of machines 0..m-1 of one fleet.
 
     Machine t draws its inclusion mask over n rows from the stream keyed by
-    (seed, trial, t), as :func:`draw_mask` does, and ``build(include, out)``
-    writes its (d, d) matrix into ``out``.  ``decompose(stack)`` maps a
-    stack of :func:`block_size` such matrices to a tuple of arrays with one
-    row per matrix.  Returns those arrays for the whole fleet, row t for
-    machine t, so the first m machines are the same whatever m is.
+    (seed, trial, t), bit-identical to :func:`draw_mask`'s, and
+    ``build(include, out)`` writes its (d, d) matrix into ``out``.  The masks
+    come from :func:`_fleet_masks`: the keys of each stack's machines are
+    derived at once from the state (seed, trial) leave in numpy's
+    ``SeedSequence``, and one Philox, re-keyed per machine, draws every mask
+    into one buffer, so ``include`` is valid only during its ``build``.
+    ``decompose(stack)`` maps a stack of :func:`block_size` such matrices to
+    a tuple of arrays with one row per matrix.  Returns those arrays for the
+    whole fleet, row t for machine t, so the first m machines are the same
+    whatever m is.
 
     Raises InvalidSampleSize unless 1 <= k <= n, and ValueError naming m,
     before the arrays are allocated, if they would hold more than
@@ -155,6 +281,8 @@ def local_fleet(
     ``NotPositiveDefinite`` from ``decompose``, or an output row that is not
     finite (``NonFiniteResult``), names the (seed, trial, machine) triple
     that replays the machine; an overflow on the way there raises no warning.
+    A negative seed or trial raises ValueError before any build, as
+    ``SeedSequence`` does.
     """
     def where(t: int) -> str:
         return f"local matrix of (seed, trial, machine) = ({seed}, {trial}, {t})"
@@ -168,12 +296,13 @@ def local_fleet(
     rate = _rate(n, k)
     block = block_size(d * d)
     stack = np.empty((min(block, m), d, d))
+    masks = _fleet_masks(n, rate, seed, trial, m, block)
     fleet = ()
     with np.errstate(all="ignore"):  # every output row is checked below
         for start in range(0, m, block):
             stop = min(start + block, m)
             for t in range(start, stop):
-                build(_include(n, rate, seed, trial, t), stack[t - start])
+                build(next(masks), stack[t - start])
             try:
                 outputs = decompose(stack[:stop - start])
             except NotPositiveDefinite as exc:

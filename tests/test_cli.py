@@ -173,6 +173,18 @@ class TestSeedResolution:
         code, _ = run(tmp_path, "o.csv", *sweep_args(seed=None))
         assert code == 1
 
+    def test_negative_seed_on_a_dataset_exits_1_at_once(self, tmp_path, capsys):
+        # with --dataset no data is synthesized, so the fleet's stream keys
+        # are the first to read the seed
+        path = tmp_path / "data.txt"
+        path.write_text("1 1:1 2:0.5\n0 1:-1 2:2\n1 1:0.3 2:-1\n0 1:2 2:1\n")
+        t0 = time.perf_counter()
+        code, out = run(tmp_path, "o.csv", *sweep_args(synth=None, dataset=str(path), k="2",
+                                                       seed="-1"))
+        assert code == 1 and time.perf_counter() - t0 < 0.5
+        assert_one_line(capsys.readouterr().err, "error: expected non-negative integer")
+        assert not out.exists()
+
 
 class TestUqSweep:
     def test_csv_header_and_rows(self, tmp_path):

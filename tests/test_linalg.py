@@ -1,5 +1,7 @@
 """Unit tests for the dense symmetric linear algebra kernel."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -203,6 +205,9 @@ def test_mahalanobis_clamps_rounding_and_rejects_indefinite():
     assert linalg.mahalanobis_norm(z, M) == 0.0
     with pytest.raises(NegativeQuadraticForm):
         linalg.mahalanobis_norm(np.array([0.0, 1.0]), np.diag([1.0, -1.0]))
+    # a form of -inf is rescaled first; finite and negative then, it still raises
+    with pytest.raises(NegativeQuadraticForm, match="= -1.0 <"):
+        linalg.mahalanobis_norm(np.array([0.0, 1e200]), np.diag([1.0, -1.0]))
 
 
 @pytest.mark.parametrize("v", [np.array([1e200, 0.0]), np.array([np.nan, 0.0])])
@@ -211,6 +216,20 @@ def test_mahalanobis_rejects_non_finite_form(v):
     # and returning inf or nan
     with pytest.raises(NonFiniteResult):
         linalg.mahalanobis_norm(v, 1e300 * np.eye(2))
+
+
+def test_mahalanobis_overflowed_form_is_rescaled_not_indefinite():
+    # a diverging Newton iterate's H-norm: v @ M is [-7.9e163, -5.2e164], so
+    # the two products overflow to -inf and +inf, and a fused multiply-add
+    # accumulation reads the form as -inf (NaN without one).  Either is an
+    # overflow of a positive form, not an indefinite M.
+    M = np.array([[1.7, 0.38], [0.38, 1.28]])
+    v = np.array([4.67e163, -4.17e164])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not math.isfinite(float(v @ M @ v))
+    u = v / 4.17e164
+    assert linalg.mahalanobis_norm(v, M) == pytest.approx(4.17e164 * math.sqrt(u @ M @ u),
+                                                          rel=1e-15)
 
 
 def test_norms_past_sqrt_float_max_read_finite():

@@ -12,6 +12,10 @@ from detavg.objective import Dataset, LossKind, Objective, covariance_into, hess
 from detavg.sketch import (
     SeedSpec,
     SketchMask,
+    _fleet_masks,
+    _include,
+    _stream_keys,
+    _stream_prefix,
     block_size,
     draw_mask,
     local_covariance,
@@ -189,7 +193,7 @@ def seed_hessian(obj, w, include, k):
     if include.sum() == 0:
         return ridge
     X = obj.data.X[include]
-    curv = obj.loss.d2value(X @ w, obj.data.y[include])
+    curv = obj.loss.d2value(X @ w)
     H = (X.T * curv) @ X / k
     return 0.5 * (H + H.T) + ridge
 
@@ -205,13 +209,16 @@ def seed_covariance(data, include, k):
 
 @settings(max_examples=30, deadline=None)
 @given(d=st.sampled_from([1, 2, 10, 65]), loss=st.sampled_from(list(LossKind)),
-       k=st.sampled_from([1, 3, 20]), seed=st.integers(0, 2**32 - 1))
-@example(d=65, loss=LossKind.LOGISTIC, k=1, seed=0)
-@example(d=10, loss=LossKind.LOGISTIC, k=1, seed=1)
-def test_fleet_kernels_equal_the_seed_formulas(d, loss, k, seed):
+       k=st.sampled_from([1, 3, 20]), seed=st.integers(0, 2**160),
+       trial=st.sampled_from([1, 2**32, 2**70 - 1]))
+@example(d=65, loss=LossKind.LOGISTIC, k=1, seed=0, trial=1)
+@example(d=10, loss=LossKind.LOGISTIC, k=1, seed=1, trial=1)
+@example(d=65, loss=LossKind.SQUARE, k=3, seed=2**160, trial=2**32)
+def test_fleet_kernels_equal_the_seed_formulas(d, loss, k, seed, trial):
     # byte for byte, per machine: the fleet's masks and Gram matrices, and the
     # public routines that share their kernels.  At k=1 about a third of the
-    # 60-row masks are empty; at d=65 the fleet spans two stacks.
+    # 60-row masks are empty; at d=65 the fleet spans two stacks.  Seeds run
+    # to six 32-bit words and trials to three.
     rng = np.random.default_rng(seed)
     n = 60
     data = Dataset(X=rng.standard_normal((n, d)), y=(rng.random(n) < 0.5).astype(float))
@@ -221,17 +228,83 @@ def test_fleet_kernels_equal_the_seed_formulas(d, loss, k, seed):
     ridge = obj.lam * np.eye(d)
     stack = lambda matrices: (matrices.copy(),)  # noqa: E731
     hessians, = local_fleet(
-        lambda include, out: hessian_into(out, loss, data.X.compress(include, axis=0),
-                                          data.y.compress(include), w, k, ridge),
-        stack, n, d, k, m, seed, 1)
+        lambda include, out: hessian_into(out, loss, data.X.compress(include, axis=0), w, k,
+                                          ridge),
+        stack, n, d, k, m, seed, trial)
     covariances, = local_fleet(
         lambda include, out: covariance_into(out, data.X.compress(include, axis=0), k),
-        stack, n, d, k, m, seed, 1)
+        stack, n, d, k, m, seed, trial)
     for t in range(m):
-        include = seed_mask(n, k, seed, 1, t)
-        mask = draw_mask(n, k, SeedSpec(seed, 1, t))
+        include = seed_mask(n, k, seed, trial, t)
+        mask = draw_mask(n, k, SeedSpec(seed, trial, t))
         assert mask.include.tobytes() == include.tobytes() and mask.count == include.sum()
         want = seed_hessian(obj, w, include, k).tobytes()
         assert hessians[t].tobytes() == want and local_hessian(obj, w, mask).tobytes() == want
         want = seed_covariance(data, include, k).tobytes()
         assert covariances[t].tobytes() == want and local_covariance(data, mask).tobytes() == want
+
+
+# seeds of one to six 32-bit words, trials near the one-word edge and past it
+SEEDS = st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 2**160))
+TRIALS = st.one_of(st.integers(0, 3), st.integers(2**32 - 2, 2**32 + 2), st.integers(0, 2**70))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, trial=TRIALS, start=st.integers(0, MAX_ENTRIES - 40), count=st.integers(1, 40))
+@example(seed=0, trial=0, start=0, count=1)
+@example(seed=2**160, trial=2**70, start=MAX_ENTRIES - 40, count=40)
+def test_stream_keys_equal_seed_sequence(seed, trial, start, count):
+    keys = _stream_keys(_stream_prefix(seed, trial), start, start + count)
+    assert keys.dtype == np.uint64 and keys.shape == (count, 2)
+    for t, key in enumerate(keys, start):
+        want = np.random.SeedSequence(entropy=seed, spawn_key=(trial, t)).generate_state(
+            2, np.uint64)
+        assert key.tobytes() == want.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=SEEDS, trial=TRIALS, m=st.integers(1, 12), block=st.integers(1, 5),
+       n=st.integers(1, 9), k=st.integers(1, 9))
+def test_fleet_masks_cross_blocks_bit_for_bit(seed, trial, m, block, n, k):
+    # the reused generator and buffer give each machine _include's mask, in
+    # any block size; n not a multiple of 4 leaves part of Philox's last output
+    k = min(k, n)
+    masks = _fleet_masks(n, k / n, seed, trial, m, block)
+    for t in range(m):
+        assert next(masks).tobytes() == _include(n, k / n, seed, trial, t).tobytes()
+    assert next(masks, None) is None
+
+
+@pytest.mark.parametrize("seed, trial", [(-1, 0), (0, -1), (-(2**40), 3)])
+def test_negative_seed_or_trial_is_refused_like_seed_sequence(seed, trial):
+    with pytest.raises(ValueError) as want:
+        np.random.SeedSequence(entropy=seed, spawn_key=(trial, 0))
+    with pytest.raises(ValueError) as got:
+        _stream_prefix(seed, trial)
+    assert str(got.value) == str(want.value)
+    build, decompose, built = fleet_with_one_bad_machine(-1, 1.0)
+    with pytest.raises(ValueError, match=str(want.value)):
+        local_fleet(build, decompose, 10, D_FLEET, 1, 3, seed, trial)
+    assert built == []
+
+
+def test_local_fleet_builds_one_generator_per_fleet(monkeypatch):
+    # a structural guard, without timing: 1024 machines, at most one
+    # SeedSequence, Philox and Generator built for the whole fleet
+    built = {}
+    for name in ("SeedSequence", "Philox", "Generator"):
+        real = getattr(np.random, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            built[_name] = built.get(_name, 0) + 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, name, counting)
+    m, n, k = 1024, 50, 5
+
+    def build(include, out):
+        out[...] = include.sum()
+
+    counts, = local_fleet(build, lambda stack: (stack.copy(),), n, 1, k, m, 3, 2)
+    assert "Philox" in built and all(count <= 1 for count in built.values()), built
+    assert np.array_equal(counts.ravel(), [_include(n, k / n, 3, 2, t).sum() for t in range(m)])
