@@ -21,7 +21,7 @@ import numpy as np
 from . import linalg
 from .averaging import LocalEstimate, weighted_means
 from .errors import NoConvergence
-from .objective import Objective, hessian_into
+from .objective import Objective, hessian_gram, stack_tail
 from .sketch import SketchMask, check_sweep, local_fleet, local_hessian
 
 _NEWTON_TOL = 1e-12  # of exact_minimizer, relative to the first gradient norm
@@ -114,18 +114,24 @@ def _local_steps(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Steps (m, d) and log-determinants (m,) of machines 0..m-1 of one fleet.
 
-    One :func:`sketch.local_fleet` with :func:`objective.hessian_into` over
-    each machine's rows as the build and :func:`linalg.factor_solve` as the
-    decomposition; each row is bit-identical to
+    One :func:`sketch.local_fleet`: each machine's build writes
+    :func:`objective.hessian_gram` over its rows into its slot, and the
+    decomposition runs :func:`objective.gram_tail` over the stack, into one
+    buffer per fleet (:func:`objective.stack_tail`), before
+    :func:`linalg.factor_solve`.  Together they are
+    :func:`objective.hessian_into`, so each row is bit-identical to
     :func:`local_newton_estimate` for that machine.
     """
-    X, ridge = obj.data.X, obj.lam * np.eye(obj.d)
+    X = obj.data.X
+    tail = stack_tail(k, obj.lam * np.eye(obj.d))
 
     def build(include: np.ndarray, out: np.ndarray) -> None:
-        hessian_into(out, obj.loss, X.compress(include, axis=0), w, k, ridge)
+        hessian_gram(out, obj.loss, X.compress(include, axis=0), w)
 
-    return local_fleet(build, lambda stack: linalg.factor_solve(stack, grad),
-                       obj.data.n, obj.d, k, m, seed, trial)
+    def decompose(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return linalg.factor_solve(tail(stack), grad)
+
+    return local_fleet(build, decompose, obj.data.n, obj.d, k, m, seed, trial)
 
 
 def _step_errors(step: np.ndarray, exact: np.ndarray, H: np.ndarray) -> tuple[float, float]:

@@ -14,8 +14,15 @@ The ridge term makes the Hessian positive definite (eigenvalues >= lam),
 which every solver in the package relies on.  :func:`hessian_into` is the
 package's one Hessian formula and :func:`covariance_into` its one
 second-moment formula: the exact references pass them every row and n, a
-machine the rows of its mask and k.  The logistic loss computes its
-sigmoid with numpy alone, without overflow at any prediction.
+machine the rows of its mask and k.  Each is two parts composed on one
+matrix: a raw Gram product over the rows (:func:`hessian_gram`,
+:func:`covariance_gram`) and :func:`gram_tail`, which scales, symmetrizes and
+adds the ridge.  A fleet writes each machine's product straight into its
+slot of a stack and runs the tail once over the whole stack, with the same
+operations in the same order, so every machine's matrix is bit-identical
+to the single-matrix route.  The logistic loss computes its sigmoid and
+curvature with numpy alone, without overflow or cancellation at any
+prediction.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -86,8 +94,10 @@ class LossKind(enum.Enum):
         """Curvature l''(z) at the predictions z; for both losses it is free of the labels."""
         if self is LossKind.SQUARE:
             return np.full_like(z, 2.0)
-        s = _sigmoid(z)
-        return s * (1.0 - s)
+        # s (1 - s) without its cancellation where s nears 1: e / (1 + e)^2
+        # with e = exp(-|z|), accurate to a few ulp down to the last subnormal
+        e = np.exp(-np.abs(z))
+        return e / (1.0 + e) ** 2
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -100,22 +110,71 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
+def hessian_gram(out: np.ndarray, loss: LossKind, X: np.ndarray, w: np.ndarray) -> None:
+    """Write the raw product sum_i l_i''(w @ x_i) x_i x_i^T over the rows of X
+    into ``out``, unscaled and unsymmetrized; no rows give zero.  The square
+    loss's constant curvature 2 scales X as a scalar, with the same bytes as
+    the array of 2s and without computing X @ w."""
+    curv = 2.0 if loss is LossKind.SQUARE else loss.d2value(X @ w)
+    np.matmul(X.T * curv, X, out=out)
+
+
+def covariance_gram(out: np.ndarray, X: np.ndarray) -> None:
+    """Write the raw product sum_i x_i x_i^T over the rows of X into ``out``;
+    no rows give zero."""
+    np.matmul(X.T, X, out=out)
+
+
+def gram_tail(G: np.ndarray, scale: float, out: np.ndarray,
+              ridge: np.ndarray | None = None) -> np.ndarray:
+    """Write (G/scale + (G/scale)^T)/2 + ridge into ``out`` and return it, for
+    one raw product G of shape (d, d) or a stack of them, (b, d, d).
+
+    Divides G in place, then adds it to its transpose in ``out``, halves and
+    adds the ridge there: four elementwise calls whatever b is, and no
+    temporary.  ``ridge`` of shape (d, d) is shared by the stack; without one
+    nothing is added."""
+    np.divide(G, scale, out=G)
+    np.add(G, np.swapaxes(G, -1, -2), out=out)
+    np.multiply(out, 0.5, out=out)
+    if ridge is not None:
+        np.add(out, ridge, out=out)
+    return out
+
+
+def stack_tail(scale: float,
+               ridge: np.ndarray | None = None) -> Callable[[np.ndarray], np.ndarray]:
+    """:func:`gram_tail` over stacks of raw products, as a function of the
+    stack: its result goes into one buffer, allocated by the first (and
+    largest) stack and reused by the rest, so a fleet holds one extra stack
+    and allocates nothing before its first stack is built."""
+    buffer = []
+
+    def tail(G: np.ndarray) -> np.ndarray:
+        if not buffer:
+            buffer.append(np.empty_like(G))
+        return gram_tail(G, scale, buffer[0][:len(G)], ridge)
+
+    return tail
+
+
 def hessian_into(out: np.ndarray, loss: LossKind, X: np.ndarray, w: np.ndarray,
                  scale: float, ridge: np.ndarray) -> None:
     """Write (1/scale) sum_i l_i''(w @ x_i) x_i x_i^T + ridge over the rows of
-    X into ``out``, symmetrized as (H + H^T)/2; no rows give ``ridge``.  The
-    square loss's constant curvature 2 scales X as a scalar, with the same
-    bytes as the array of 2s and without computing X @ w."""
-    curv = 2.0 if loss is LossKind.SQUARE else loss.d2value(X @ w)
-    H = (X.T * curv) @ X / scale
-    np.add((H + H.T) * 0.5, ridge, out=out)
+    X into ``out``, symmetrized as (H + H^T)/2; no rows give ``ridge``:
+    :func:`hessian_gram` then :func:`gram_tail`."""
+    G = np.empty_like(out)
+    hessian_gram(G, loss, X, w)
+    gram_tail(G, scale, out, ridge)
 
 
 def covariance_into(out: np.ndarray, X: np.ndarray, scale: float) -> None:
     """Write (1/scale) sum_i x_i x_i^T over the rows of X into ``out``,
-    symmetrized as (C + C^T)/2; no rows give zero."""
-    C = X.T @ X / scale
-    np.multiply(C + C.T, 0.5, out=out)
+    symmetrized as (C + C^T)/2; no rows give zero: :func:`covariance_gram`
+    then :func:`gram_tail`."""
+    G = np.empty_like(out)
+    covariance_gram(G, X)
+    gram_tail(G, scale, out)
 
 
 def _check_labels(loss: LossKind, y: np.ndarray) -> None:

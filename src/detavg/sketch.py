@@ -17,18 +17,23 @@ machine) triple of a machine that fails.  It draws the same masks without a
 generator per machine: the machine index is the last word ``SeedSequence``
 mixes, so the pool that (seed, trial) leave is computed once per fleet, the
 keys of a whole stack follow from it in a few vectorized uint32 operations,
-and one Philox is re-keyed for each machine.  It builds with the Gram
-kernels of :mod:`detavg.objective` on each mask's rows, as
-:func:`local_hessian` and :func:`local_covariance` do, so a fleet's machine
-is bit-identical to the public route, with no ``SeedSpec`` or
-``SketchMask`` built per machine.
+and one Philox is re-keyed for each machine.  The mask is one compare of
+the Philox's raw words against :func:`_threshold`, which keeps exactly the
+rows whose ``Generator.random`` value falls below the rate.  The Newton and
+precision fleets write each machine's raw Gram product over its mask's rows
+straight into a stack and run the Gram tail of :mod:`detavg.objective`
+once per stack, the two parts of the kernels that :func:`local_hessian`
+and :func:`local_covariance` run on one matrix, so a fleet's machine is
+bit-identical to the public route, with no ``SeedSpec``, ``SketchMask`` or
+``Generator`` built per machine.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -62,7 +67,7 @@ def _include(n: int, rate: float, seed: int, trial: int, machine: int) -> np.nda
     """Inclusion mask over n rows, each kept with probability ``rate``, from
     the Philox stream of (seed, trial, machine), keyed through numpy's own
     ``SeedSequence``: the kernel of :func:`draw_mask`, and the reference that
-    :func:`_fleet_masks` equals bit for bit."""
+    every mask of :func:`local_fleet` equals bit for bit."""
     seq = np.random.SeedSequence(entropy=seed, spawn_key=(trial, machine))
     return np.random.Generator(np.random.Philox(seed=seq)).random(n) < rate
 
@@ -146,29 +151,15 @@ def _stream_keys(prefix: tuple[list[int], int], start: int, stop: int) -> np.nda
     return keys
 
 
-def _fleet_masks(n: int, rate: float, seed: int, trial: int, m: int,
-                 block: int) -> Iterator[np.ndarray]:
-    """Masks of machines 0..m-1 of one fleet, in order, each bit-identical to
-    ``_include(n, rate, seed, trial, t)`` and each in the same buffer, valid
-    until the next is drawn.
+def _threshold(rate: float) -> int:
+    """Largest raw Philox word r that ``Generator.random`` maps below ``rate``.
 
-    The keys come from :func:`_stream_keys` a ``block`` of machines at a
-    time.  One Philox is reset through its ``state`` setter to each key,
-    counter 0 and an empty buffer, as a new one starts, and fills one buffer
-    of uniforms; no ``SeedSequence``, ``Philox`` or ``Generator`` is built
-    per machine.
+    ``random`` maps r to (r >> 11) 2^-53, so ``random() < rate`` is exactly
+    ``(r >> 11) < C`` with C = ceil(rate 2^53), that is r <= C 2^11 - 1; for
+    a rate in (0, 1] this is below 2^64, so one uint64 compare decides.
+    Exact: the float rate 2^53 is exact and so is its ceiling.
     """
-    prefix = _stream_prefix(seed, trial)
-    philox = np.random.Philox(seed=0)  # no OS entropy read; every key is replaced
-    generator = np.random.Generator(philox)
-    state = philox.state
-    uniforms, include = np.empty(n), np.empty(n, dtype=bool)
-    for start in range(0, m, block):
-        for key in _stream_keys(prefix, start, min(start + block, m)):
-            state["state"]["key"] = key
-            philox.state = state
-            generator.random(out=uniforms)
-            yield np.less(uniforms, rate, out=include)
+    return math.ceil(math.ldexp(rate, 53)) * 2048 - 1
 
 
 @dataclass(frozen=True)
@@ -265,15 +256,17 @@ def local_fleet(
 
     Machine t draws its inclusion mask over n rows from the stream keyed by
     (seed, trial, t), bit-identical to :func:`draw_mask`'s, and
-    ``build(include, out)`` writes its (d, d) matrix into ``out``.  The masks
-    come from :func:`_fleet_masks`: the keys of each stack's machines are
-    derived at once from the state (seed, trial) leave in numpy's
-    ``SeedSequence``, and one Philox, re-keyed per machine, draws every mask
-    into one buffer, so ``include`` is valid only during its ``build``.
-    ``decompose(stack)`` maps a stack of :func:`block_size` such matrices to
-    a tuple of arrays with one row per matrix.  Returns those arrays for the
-    whole fleet, row t for machine t, so the first m machines are the same
-    whatever m is.
+    ``build(include, out)`` writes its (d, d) matrix, or the raw product of
+    it, into ``out``, a slot of a stack of :func:`block_size` matrices.  The
+    keys of each stack's machines are derived at once from the state (seed,
+    trial) leave in numpy's ``SeedSequence``; one Philox, re-keyed per
+    machine, draws n raw words, and one compare against :func:`_threshold`
+    writes the mask into one buffer, so ``include`` is valid only during its
+    ``build``.  ``decompose(stack)`` maps a full stack to a tuple of arrays
+    with one row per matrix; anything elementwise over the matrices, such as
+    :func:`objective.gram_tail`, runs there once per stack.  Returns those
+    arrays for the whole fleet, row t for machine t, so the first m machines
+    are the same whatever m is.
 
     Raises InvalidSampleSize unless 1 <= k <= n, and ValueError naming m,
     before the arrays are allocated, if they would hold more than
@@ -293,16 +286,25 @@ def local_fleet(
                              f"values, more than {MAX_ENTRIES}")
 
     refuse_above_cap(m)
-    rate = _rate(n, k)
+    threshold = _threshold(_rate(n, k))
+    prefix = _stream_prefix(seed, trial)
     block = block_size(d * d)
     stack = np.empty((min(block, m), d, d))
-    masks = _fleet_masks(n, rate, seed, trial, m, block)
+    include = np.empty(n, dtype=bool)
+    philox = np.random.Philox(seed=0)  # no OS entropy read; every key is replaced
+    # counter 0 and an empty buffer, as a new Philox starts, held in Python
+    # lists, which the state setter reads in half the time of numpy arrays
+    state = philox.state
+    state["state"]["counter"] = state["state"]["counter"].tolist()
+    state["buffer"] = state["buffer"].tolist()
     fleet = ()
     with np.errstate(all="ignore"):  # every output row is checked below
         for start in range(0, m, block):
             stop = min(start + block, m)
-            for t in range(start, stop):
-                build(next(masks), stack[t - start])
+            for key, out in zip(_stream_keys(prefix, start, stop).tolist(), stack):
+                state["state"]["key"] = key
+                philox.state = state
+                build(np.less_equal(philox.random_raw(n), threshold, out=include), out)
             try:
                 outputs = decompose(stack[:stop - start])
             except NotPositiveDefinite as exc:

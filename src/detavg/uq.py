@@ -30,7 +30,7 @@ import numpy as np
 from . import linalg
 from .averaging import LocalEstimate, weighted_means
 from .errors import NotPositiveDefinite, SingularCovariance
-from .objective import Dataset, covariance_into
+from .objective import Dataset, covariance_gram, covariance_into, stack_tail
 from .sketch import SketchMask, check_sweep, local_covariance, local_fleet
 
 
@@ -134,7 +134,11 @@ def _local_spectra(
     """Spectra of the subsampled covariances of machines 0..m-1, from one
     :func:`sketch.local_fleet`: the eigenvalues (m, d) from ``eigvalsh`` for
     the trace, plus the squared eigenvectors ``V * V`` (m, d, d) from
-    ``eigh`` for the diagonal.
+    ``eigh`` for the diagonal.  Each machine's build writes
+    :func:`objective.covariance_gram` over its rows into its slot, and the
+    decomposition runs :func:`objective.gram_tail` over the stack, into one
+    buffer per fleet (:func:`objective.stack_tail`), so each covariance is
+    bit-identical to :func:`sketch.local_covariance`'s.
 
     A machine whose smallest eigenvalue plus the fleet's smallest ridge
     ``eta/sqrt(m)`` is at most ``d / float max`` (the trace of its ridged
@@ -143,12 +147,14 @@ def _local_spectra(
     """
     ridge = eta / np.sqrt(m)
     floor = data.d / np.finfo(float).max
+    tail = stack_tail(k)
 
     def decompose(stack: np.ndarray) -> tuple[np.ndarray, ...]:
+        C = tail(stack)
         if statistic is Statistic.TRACE:
-            spectra = (np.linalg.eigvalsh(stack),)
+            spectra = (np.linalg.eigvalsh(C),)
         else:
-            eigenvalues, V = np.linalg.eigh(stack)
+            eigenvalues, V = np.linalg.eigh(C)
             spectra = (eigenvalues, V * V)
         # eigenvalues come in ascending order; a NaN fails the test too
         bad = np.flatnonzero(~(spectra[0][:, 0] + ridge > floor))
@@ -158,7 +164,7 @@ def _local_spectra(
         return spectra
 
     def build(include: np.ndarray, out: np.ndarray) -> None:
-        covariance_into(out, data.X.compress(include, axis=0), k)
+        covariance_gram(out, data.X.compress(include, axis=0))
 
     return local_fleet(build, decompose, data.n, data.d, k, m, seed, trial)
 

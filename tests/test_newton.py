@@ -5,7 +5,7 @@ import statistics
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from detavg import linalg, sketch
@@ -203,24 +203,49 @@ STEP_RTOL = 1e-10  # ||step - cho_solve|| / ||cho_solve||
 RESIDUAL_RTOL = 1e-13  # ||H step - grad|| / (||H|| ||step||)
 
 
-@settings(max_examples=6, deadline=None)
+# loss, d and k of a fleet, each at a nonzero w: the square loss at d=65; the
+# logistic loss there; k=1, where about a third of the 300-row masks are empty;
+# and d=10, whose stacks hold 1310 machines
+FLEET_CASES = {
+    "square": (LossKind.SQUARE, D_WIDE, 100),
+    "logistic": (LossKind.LOGISTIC, D_WIDE, 100),
+    "empty": (LossKind.SQUARE, D_WIDE, 1),
+    "d10": (LossKind.SQUARE, 10, 100),
+}
+
+
+@settings(max_examples=8, deadline=None)
 @given(
-    m=st.one_of(st.just(1), st.integers(BLOCK_WIDE + 1, 2 * BLOCK_WIDE + 1)),
+    case=st.sampled_from(sorted(FLEET_CASES)),
+    stacks=st.integers(0, 2),
+    extra=st.integers(1, 3),
     seed=st.integers(0, 2**16),
     trial=st.integers(0, 3),
 )
-def test_local_steps_equal_per_machine_factorizations(m, seed, trial):
-    # stacks of one and stacks spanning several blocks at d=65 give, bit for
-    # bit, each machine's local_newton_estimate, which solves its local
-    # Hessian as scipy's cho_solve does, to rounding
+@example(case="logistic", stacks=1, extra=2, seed=0, trial=0)
+@example(case="empty", stacks=2, extra=3, seed=1, trial=2)
+@example(case="d10", stacks=1, extra=1, seed=2, trial=1)
+def test_local_steps_equal_per_machine_factorizations(case, stacks, extra, seed, trial):
+    # a stack of one and fleets spanning up to three stacks give, bit for bit,
+    # each machine's local_newton_estimate, which solves its local Hessian as
+    # scipy's cho_solve does, to rounding.  An empty mask in a later stack
+    # must overwrite its slot's old product with zeros.
     assert BLOCK_WIDE > 1
-    obj = Objective(synth_regression(300, D_WIDE, 1.0, seed=seed), LossKind.SQUARE, lam=1e-2)
-    w = np.zeros(D_WIDE)
+    loss, d, k = FLEET_CASES[case]
+    block = sketch.block_size(d * d)
+    m = stacks * block + extra
+    data = synth_regression(300, d, 1.0, seed=seed)
+    if loss is LossKind.LOGISTIC:
+        data = Dataset(X=data.X, y=(data.y > 0).astype(float))
+    obj = Objective(data, loss, lam=1e-2)
+    w = 0.1 * np.random.default_rng(seed).standard_normal(d)
     grad = obj.gradient(w)
-    steps, log_dets = _local_steps(obj, w, grad, 100, m, seed, trial)
-    assert steps.shape == (m, D_WIDE) and log_dets.shape == (m,)
+    steps, log_dets = _local_steps(obj, w, grad, k, m, seed, trial)
+    assert steps.shape == (m, d) and log_dets.shape == (m,)
+    empty = 0
     for t in range(m):
-        mask = draw_mask(obj.data.n, 100, SeedSpec(seed, trial, t))
+        mask = draw_mask(obj.data.n, k, SeedSpec(seed, trial, t))
+        empty += mask.count == 0 and t >= block
         H = local_hessian(obj, w, mask)
         L = np.linalg.cholesky(H)
         est = local_newton_estimate(obj, w, mask, grad)
@@ -230,6 +255,8 @@ def test_local_steps_equal_per_machine_factorizations(m, seed, trial):
         assert np.linalg.norm(steps[t] - want) <= STEP_RTOL * np.linalg.norm(want)
         residual = np.linalg.norm(H @ steps[t] - grad)
         assert residual <= RESIDUAL_RTOL * np.linalg.norm(H, 2) * np.linalg.norm(steps[t])
+    if case == "empty" and stacks == 2:
+        assert empty > 0
 
 
 def test_local_factorization_failure_names_the_machine():

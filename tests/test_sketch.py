@@ -8,14 +8,22 @@ from hypothesis import strategies as st
 from detavg import linalg
 from detavg.dataio import MAX_ENTRIES
 from detavg.errors import InvalidSampleSize, NonFiniteResult, NotPositiveDefinite
-from detavg.objective import Dataset, LossKind, Objective, covariance_into, hessian_into
+from detavg import newton, objective, uq
+from detavg.objective import (
+    Dataset,
+    LossKind,
+    Objective,
+    covariance_gram,
+    hessian_gram,
+    stack_tail,
+)
 from detavg.sketch import (
     SeedSpec,
     SketchMask,
-    _fleet_masks,
     _include,
     _stream_keys,
     _stream_prefix,
+    _threshold,
     block_size,
     draw_mask,
     local_covariance,
@@ -215,10 +223,12 @@ def seed_covariance(data, include, k):
 @example(d=10, loss=LossKind.LOGISTIC, k=1, seed=1, trial=1)
 @example(d=65, loss=LossKind.SQUARE, k=3, seed=2**160, trial=2**32)
 def test_fleet_kernels_equal_the_seed_formulas(d, loss, k, seed, trial):
-    # byte for byte, per machine: the fleet's masks and Gram matrices, and the
-    # public routines that share their kernels.  At k=1 about a third of the
-    # 60-row masks are empty; at d=65 the fleet spans two stacks.  Seeds run
-    # to six 32-bit words and trials to three.
+    # byte for byte, per machine: the fleet's masks and Gram matrices, built
+    # as the production fleets build them (the raw product per machine, the
+    # tail once per stack), and the public routines that share their
+    # kernels.  At k=1 about a third of the 60-row masks are empty; at d=65
+    # the fleet spans two stacks.  Seeds run to six 32-bit words and trials
+    # to three.
     rng = np.random.default_rng(seed)
     n = 60
     data = Dataset(X=rng.standard_normal((n, d)), y=(rng.random(n) < 0.5).astype(float))
@@ -226,14 +236,13 @@ def test_fleet_kernels_equal_the_seed_formulas(d, loss, k, seed, trial):
     w = rng.standard_normal(d)
     m = block_size(d * d) + 3 if d == 65 else 12
     ridge = obj.lam * np.eye(d)
-    stack = lambda matrices: (matrices.copy(),)  # noqa: E731
+    hessian_tail, covariance_tail = stack_tail(k, ridge), stack_tail(k)
     hessians, = local_fleet(
-        lambda include, out: hessian_into(out, loss, data.X.compress(include, axis=0), w, k,
-                                          ridge),
-        stack, n, d, k, m, seed, trial)
+        lambda include, out: hessian_gram(out, loss, data.X.compress(include, axis=0), w),
+        lambda stack: (hessian_tail(stack),), n, d, k, m, seed, trial)
     covariances, = local_fleet(
-        lambda include, out: covariance_into(out, data.X.compress(include, axis=0), k),
-        stack, n, d, k, m, seed, trial)
+        lambda include, out: covariance_gram(out, data.X.compress(include, axis=0)),
+        lambda stack: (covariance_tail(stack),), n, d, k, m, seed, trial)
     for t in range(m):
         include = seed_mask(n, k, seed, trial, t)
         mask = draw_mask(n, k, SeedSpec(seed, trial, t))
@@ -262,17 +271,52 @@ def test_stream_keys_equal_seed_sequence(seed, trial, start, count):
         assert key.tobytes() == want.tobytes()
 
 
+# the rates k/n of the mask draw: every row (threshold 2^64 - 1), one
+# expected row, exact binary fractions (rate 2^53 an integer, the threshold's
+# edge) and any other
+RATES = st.one_of(
+    st.integers(1, 9).map(lambda n: (n, n)),
+    st.integers(1, 9).map(lambda n: (n, 1)),
+    st.tuples(st.integers(0, 3), st.integers(1, 8)).map(lambda e: (8 << e[0], e[1] << e[0])),
+    st.tuples(st.integers(1, 9), st.integers(1, 9)).map(lambda nk: (nk[0], min(nk))),
+)
+
+
 @settings(max_examples=30, deadline=None)
-@given(seed=SEEDS, trial=TRIALS, m=st.integers(1, 12), block=st.integers(1, 5),
-       n=st.integers(1, 9), k=st.integers(1, 9))
-def test_fleet_masks_cross_blocks_bit_for_bit(seed, trial, m, block, n, k):
-    # the reused generator and buffer give each machine _include's mask, in
-    # any block size; n not a multiple of 4 leaves part of Philox's last output
-    k = min(k, n)
-    masks = _fleet_masks(n, k / n, seed, trial, m, block)
-    for t in range(m):
-        assert next(masks).tobytes() == _include(n, k / n, seed, trial, t).tobytes()
-    assert next(masks, None) is None
+@given(seed=SEEDS, trial=TRIALS, m=st.integers(1, 7), d=st.sampled_from([362, 256, 182]),
+       rate=RATES)
+@example(seed=0, trial=0, m=7, d=182, rate=(7, 7))
+@example(seed=2**160, trial=2**70, m=5, d=256, rate=(9, 1))
+@example(seed=1, trial=2**32, m=4, d=362, rate=(8, 3))
+def test_fleet_masks_cross_blocks_bit_for_bit(seed, trial, m, d, rate):
+    # through local_fleet, whose d picks stacks of 1 (d=362), 2 (256) or 3
+    # (182) machines: the re-keyed Philox and the one mask buffer give each
+    # machine _include's mask; n not a multiple of 4 leaves part of Philox's
+    # last output unread
+    n, k = rate
+    assert block_size(d * d) == {362: 1, 256: 2, 182: 3}[d]
+    masks = []
+
+    def build(include, out):
+        masks.append(include.copy())
+        out[0, 0] = include.sum()
+
+    counts, = local_fleet(build, lambda stack: (stack[:, 0, 0].copy(),), n, d, k, m, seed, trial)
+    assert len(masks) == m
+    for t, mask in enumerate(masks):
+        assert mask.tobytes() == _include(n, k / n, seed, trial, t).tobytes()
+        assert counts[t] == mask.sum()
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (7, 7), (7, 1), (8, 3), (1024, 1), (2000, 200), (3, 2)])
+def test_threshold_splits_raw_words_as_random_does(n, k):
+    # Generator.random maps a raw word r to (r >> 11) 2^-53; the words on
+    # either side of the threshold, and the extremes, fall on the same side
+    # of k/n under both maps
+    rate, threshold = k / n, _threshold(k / n)
+    assert 0 < threshold < 2**64
+    for r in {0, threshold - 1, threshold, min(threshold + 1, 2**64 - 1), 2**64 - 1}:
+        assert (r <= threshold) == ((r >> 11) * 2.0**-53 < rate), r
 
 
 @pytest.mark.parametrize("seed, trial", [(-1, 0), (0, -1), (-(2**40), 3)])
@@ -290,16 +334,21 @@ def test_negative_seed_or_trial_is_refused_like_seed_sequence(seed, trial):
 
 def test_local_fleet_builds_one_generator_per_fleet(monkeypatch):
     # a structural guard, without timing: 1024 machines, at most one
-    # SeedSequence, Philox and Generator built for the whole fleet
+    # SeedSequence, Philox and Generator built for the whole fleet; in the
+    # production fleets the Gram tail runs once per stack, not once per machine
     built = {}
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def count(*args, **kwargs):
+            built[name] = built.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, count)
+
     for name in ("SeedSequence", "Philox", "Generator"):
-        real = getattr(np.random, name)
-
-        def counting(*args, _real=real, _name=name, **kwargs):
-            built[_name] = built.get(_name, 0) + 1
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(np.random, name, counting)
+        counting(np.random, name)
     m, n, k = 1024, 50, 5
 
     def build(include, out):
@@ -308,3 +357,16 @@ def test_local_fleet_builds_one_generator_per_fleet(monkeypatch):
     counts, = local_fleet(build, lambda stack: (stack.copy(),), n, 1, k, m, 3, 2)
     assert "Philox" in built and all(count <= 1 for count in built.values()), built
     assert np.array_equal(counts.ravel(), [_include(n, k / n, 3, 2, t).sum() for t in range(m)])
+
+    d = 65
+    m = 2 * block_size(d * d) + 5  # three stacks
+    for module, name in ((objective, "gram_tail"), (newton, "hessian_gram"),
+                         (uq, "covariance_gram")):
+        counting(module, name)
+    obj = small_objective(n=300, d=d)
+    built.clear()
+    newton._local_steps(obj, np.zeros(d), np.ones(d), 100, m, 0, 0)
+    assert built == {"Philox": 1, "hessian_gram": m, "gram_tail": 3}, built
+    built.clear()
+    uq._local_spectra(obj.data, 100, 1.0, m, 0, 0, uq.Statistic.TRACE)
+    assert built == {"Philox": 1, "covariance_gram": m, "gram_tail": 3}, built
