@@ -262,8 +262,9 @@ def local_fleet(
     trial) leave in numpy's ``SeedSequence``; one Philox, re-keyed per
     machine, draws n raw words, and one compare against :func:`_threshold`
     writes the mask into one buffer, so ``include`` is valid only during its
-    ``build``.  ``decompose(stack)`` maps a full stack to a tuple of arrays
-    with one row per matrix; anything elementwise over the matrices, such as
+    ``build``.  ``decompose(stack)`` maps a stack of at most
+    :func:`block_size` such matrices to a tuple of arrays with one row per
+    matrix; anything elementwise over the matrices, such as
     :func:`objective.gram_tail`, runs there once per stack.  Returns those
     arrays for the whole fleet, row t for machine t, so the first m machines
     are the same whatever m is.
