@@ -154,7 +154,8 @@ def cmd_newton_sweep(args) -> int:
                      len(schemes) * len(m_list) * args.trials * len(NEWTON_SWEEP_HEADER))
     w0 = np.zeros(obj.d)
     rows = error_sweep(obj, w0, args.k, m_list, args.trials, schemes, seed)
-    step = obj.exact_newton_step(w0)
+    H = obj.hessian(w0)
+    step = linalg.solve_psd(H, obj.gradient(w0))
     step_norm = linalg.norm(step)
     if not math.isfinite(step_norm):
         raise NonFiniteResult(f"the exact step's norm is {step_norm}")
@@ -171,7 +172,7 @@ def cmd_newton_sweep(args) -> int:
         "seed": seed,
         "coherence": coherence(obj, w0),
         "step_norm_euclidean": step_norm,
-        "step_norm_hessian": linalg.mahalanobis_norm(step, obj.hessian(w0)),
+        "step_norm_hessian": linalg.mahalanobis_norm(step, H),
     }
     out = Path(args.out)
     write_csv(out, NEWTON_SWEEP_HEADER, map(astuple, rows))

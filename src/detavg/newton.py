@@ -21,7 +21,7 @@ import numpy as np
 from . import linalg
 from .averaging import LocalEstimate, weighted_means
 from .errors import NoConvergence
-from .objective import Objective, hessian_gram, stack_tail
+from .objective import Objective, gram_tail, hessian_gram
 from .sketch import SketchMask, check_sweep, local_fleet, local_hessian
 
 _NEWTON_TOL = 1e-12  # of exact_minimizer, relative to the first gradient norm
@@ -59,10 +59,8 @@ class StepReport:
     """Merged step at one iterate, with its error against the exact step."""
 
     step: np.ndarray
-    exact: np.ndarray
     err_euclidean: float
     err_hnorm: float
-    log_weights: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -116,22 +114,32 @@ def _local_steps(
 
     One :func:`sketch.local_fleet`: each machine's build writes
     :func:`objective.hessian_gram` over its rows into its slot, and the
-    decomposition runs :func:`objective.gram_tail` over the stack, into one
-    buffer per fleet (:func:`objective.stack_tail`), before
-    :func:`linalg.factor_solve`.  Together they are
+    decomposition runs :func:`objective.gram_tail` over the stack, in place,
+    before :func:`linalg.factor_solve`.  Together they are
     :func:`objective.hessian_into`, so each row is bit-identical to
     :func:`local_newton_estimate` for that machine.
     """
     X = obj.data.X
-    tail = stack_tail(k, obj.lam * np.eye(obj.d))
+    ridge = obj.lam * np.eye(obj.d)
 
     def build(include: np.ndarray, out: np.ndarray) -> None:
         hessian_gram(out, obj.loss, X.compress(include, axis=0), w)
 
     def decompose(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return linalg.factor_solve(tail(stack), grad)
+        return linalg.factor_solve(gram_tail(stack, k, stack, ridge), grad)
 
     return local_fleet(build, decompose, obj.data.n, obj.d, k, m, seed, trial)
+
+
+def _merged_steps(
+    obj: Objective, w: np.ndarray, grad: np.ndarray, k: int, m_list: list[int],
+    schemes: list[Scheme], seed: int, trial: int,
+) -> dict[Scheme, np.ndarray]:
+    """Merged steps (len(m_list), d) per scheme, from one fleet of
+    max(m_list) machines: the merge at m is over its first m machines, and
+    every scheme merges the same steps (common random numbers)."""
+    steps, log_dets = _local_steps(obj, w, grad, k, max(m_list), seed, trial)
+    return {s: weighted_means(steps, s.log_weights(log_dets), m_list) for s in schemes}
 
 
 def _step_errors(step: np.ndarray, exact: np.ndarray, H: np.ndarray) -> tuple[float, float]:
@@ -150,18 +158,10 @@ def merged_step(
     """
     w = np.asarray(w, dtype=float)
     grad = obj.gradient(w)
-    steps, log_dets = _local_steps(obj, w, grad, cfg.k, cfg.m, seed, trial)
-    step = weighted_means(steps, cfg.scheme.log_weights(log_dets), [cfg.m])[0]
+    step = _merged_steps(obj, w, grad, cfg.k, [cfg.m], [cfg.scheme], seed, trial)[cfg.scheme][0]
     H = obj.hessian(w)
-    exact = linalg.solve_psd(H, grad)
-    err_euclidean, err_hnorm = _step_errors(step, exact, H)
-    return StepReport(
-        step=step,
-        exact=exact,
-        err_euclidean=err_euclidean,
-        err_hnorm=err_hnorm,
-        log_weights=log_dets,
-    )
+    err_euclidean, err_hnorm = _step_errors(step, linalg.solve_psd(H, grad), H)
+    return StepReport(step=step, err_euclidean=err_euclidean, err_hnorm=err_hnorm)
 
 
 def error_sweep(
@@ -198,14 +198,8 @@ def error_sweep(
     grad = obj.gradient(w)
     H = obj.hessian(w)
     exact = linalg.solve_psd(H, grad)
-
-    def run(trial: int) -> dict[Scheme, np.ndarray]:
-        # one fleet of max(m_list) machines per trial; the snapshot at each m
-        # is its first m machines, shared by both schemes (common random numbers)
-        steps, log_dets = _local_steps(obj, w, grad, k, m_list[-1], seed, trial)
-        return {s: weighted_means(steps, s.log_weights(log_dets), m_list) for s in schemes}
-
-    per_trial = [run(trial) for trial in range(trials)]
+    per_trial = [_merged_steps(obj, w, grad, k, m_list, schemes, seed, trial)
+                 for trial in range(trials)]
     rows = []
     for scheme_obj in schemes:
         for i, m in enumerate(m_list):
@@ -246,9 +240,11 @@ def run_distributed_newton(
     cfg: MachineConfig,
     seed: int,
 ) -> Trajectory:
-    """Iterate w <- w - merged_step for ``iters`` rounds.
+    """Iterate w <- w - (merged step of cfg.m machines) for ``iters`` rounds.
 
-    Iteration i draws fresh masks from streams keyed by (seed, i, machine).
+    Iteration i draws fresh masks from streams keyed by (seed, i, machine),
+    so its step is :func:`merged_step`'s at trial i, without the exact step
+    and the errors that :func:`merged_step` computes against it.
     Distances are measured to the minimizer found by exact Newton iteration
     driven to gradient norm 1e-12 relative to the first (see
     :func:`exact_minimizer`).
@@ -259,8 +255,8 @@ def run_distributed_newton(
     w = np.asarray(w0, dtype=float).copy()
     iterates = [w.copy()]
     for i in range(iters):
-        report = merged_step(obj, w, cfg, seed, trial=i)
-        w = w - report.step
+        merged = _merged_steps(obj, w, obj.gradient(w), cfg.k, [cfg.m], [cfg.scheme], seed, i)
+        w = w - merged[cfg.scheme][0]
         iterates.append(w.copy())
     iterates = np.array(iterates)
     dists = linalg.norm(iterates - w_star)

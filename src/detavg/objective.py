@@ -18,11 +18,11 @@ machine the rows of its mask and k.  Each is two parts composed on one
 matrix: a raw Gram product over the rows (:func:`hessian_gram`,
 :func:`covariance_gram`) and :func:`gram_tail`, which scales, symmetrizes and
 adds the ridge.  A fleet writes each machine's product straight into its
-slot of a stack and runs the tail once over the whole stack, with the same
-operations in the same order, so every machine's matrix is bit-identical
-to the single-matrix route.  The logistic loss computes its sigmoid and
-curvature with numpy alone, without overflow or cancellation at any
-prediction.
+slot of a stack and runs the tail once over the whole stack, in place,
+with the same operations in the same order, so every machine's matrix is
+bit-identical to the single-matrix route.  The logistic loss computes its
+sigmoid and curvature with numpy alone, without overflow or cancellation at
+any prediction.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -131,8 +130,10 @@ def gram_tail(G: np.ndarray, scale: float, out: np.ndarray,
     one raw product G of shape (d, d) or a stack of them, (b, d, d).
 
     Divides G in place, then adds it to its transpose in ``out``, halves and
-    adds the ridge there: four elementwise calls whatever b is, and no
-    temporary.  ``ridge`` of shape (d, d) is shared by the stack; without one
+    adds the ridge there: four elementwise calls whatever b is.  ``out`` may
+    be G itself, as every caller in the package passes it: a numpy ufunc
+    whose output overlaps an input gives the bytes it would give without the
+    overlap.  ``ridge`` of shape (d, d) is shared by the stack; without one
     nothing is added."""
     np.divide(G, scale, out=G)
     np.add(G, np.swapaxes(G, -1, -2), out=out)
@@ -142,39 +143,21 @@ def gram_tail(G: np.ndarray, scale: float, out: np.ndarray,
     return out
 
 
-def stack_tail(scale: float,
-               ridge: np.ndarray | None = None) -> Callable[[np.ndarray], np.ndarray]:
-    """:func:`gram_tail` over stacks of raw products, as a function of the
-    stack: its result goes into one buffer, allocated by the first (and
-    largest) stack and reused by the rest, so a fleet holds one extra stack
-    and allocates nothing before its first stack is built."""
-    buffer = []
-
-    def tail(G: np.ndarray) -> np.ndarray:
-        if not buffer:
-            buffer.append(np.empty_like(G))
-        return gram_tail(G, scale, buffer[0][:len(G)], ridge)
-
-    return tail
-
-
 def hessian_into(out: np.ndarray, loss: LossKind, X: np.ndarray, w: np.ndarray,
                  scale: float, ridge: np.ndarray) -> None:
     """Write (1/scale) sum_i l_i''(w @ x_i) x_i x_i^T + ridge over the rows of
     X into ``out``, symmetrized as (H + H^T)/2; no rows give ``ridge``:
-    :func:`hessian_gram` then :func:`gram_tail`."""
-    G = np.empty_like(out)
-    hessian_gram(G, loss, X, w)
-    gram_tail(G, scale, out, ridge)
+    :func:`hessian_gram` then :func:`gram_tail`, both in ``out``."""
+    hessian_gram(out, loss, X, w)
+    gram_tail(out, scale, out, ridge)
 
 
 def covariance_into(out: np.ndarray, X: np.ndarray, scale: float) -> None:
     """Write (1/scale) sum_i x_i x_i^T over the rows of X into ``out``,
     symmetrized as (C + C^T)/2; no rows give zero: :func:`covariance_gram`
-    then :func:`gram_tail`."""
-    G = np.empty_like(out)
-    covariance_gram(G, X)
-    gram_tail(G, scale, out)
+    then :func:`gram_tail`, both in ``out``."""
+    covariance_gram(out, X)
+    gram_tail(out, scale, out)
 
 
 def _check_labels(loss: LossKind, y: np.ndarray) -> None:

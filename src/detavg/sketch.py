@@ -22,10 +22,10 @@ the Philox's raw words against :func:`_threshold`, which keeps exactly the
 rows whose ``Generator.random`` value falls below the rate.  The Newton and
 precision fleets write each machine's raw Gram product over its mask's rows
 straight into a stack and run the Gram tail of :mod:`detavg.objective`
-once per stack, the two parts of the kernels that :func:`local_hessian`
-and :func:`local_covariance` run on one matrix, so a fleet's machine is
-bit-identical to the public route, with no ``SeedSpec``, ``SketchMask`` or
-``Generator`` built per machine.
+in place, once per stack, the two parts of the kernels that
+:func:`local_hessian` and :func:`local_covariance` run on one matrix, so a
+fleet's machine is bit-identical to the public route, with no
+``SeedSpec``, ``SketchMask`` or ``Generator`` built per machine.
 """
 
 from __future__ import annotations
@@ -265,9 +265,10 @@ def local_fleet(
     ``build``.  ``decompose(stack)`` maps a stack of at most
     :func:`block_size` such matrices to a tuple of arrays with one row per
     matrix; anything elementwise over the matrices, such as
-    :func:`objective.gram_tail`, runs there once per stack.  Returns those
-    arrays for the whole fleet, row t for machine t, so the first m machines
-    are the same whatever m is.
+    :func:`objective.gram_tail`, runs there once per stack and may overwrite
+    the stack, since each stack's outputs are copied out before the next is
+    built.  Returns those arrays for the whole fleet, row t for machine t, so
+    the first m machines are the same whatever m is.
 
     Raises InvalidSampleSize unless 1 <= k <= n, and ValueError naming m,
     before the arrays are allocated, if they would hold more than

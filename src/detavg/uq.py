@@ -30,7 +30,7 @@ import numpy as np
 from . import linalg
 from .averaging import LocalEstimate, weighted_means
 from .errors import NotPositiveDefinite, SingularCovariance
-from .objective import Dataset, covariance_gram, covariance_into, stack_tail
+from .objective import Dataset, covariance_gram, covariance_into, gram_tail
 from .sketch import SketchMask, check_sweep, local_covariance, local_fleet
 
 
@@ -136,9 +136,8 @@ def _local_spectra(
     the trace, plus the squared eigenvectors ``V * V`` (m, d, d) from
     ``eigh`` for the diagonal.  Each machine's build writes
     :func:`objective.covariance_gram` over its rows into its slot, and the
-    decomposition runs :func:`objective.gram_tail` over the stack, into one
-    buffer per fleet (:func:`objective.stack_tail`), so each covariance is
-    bit-identical to :func:`sketch.local_covariance`'s.
+    decomposition runs :func:`objective.gram_tail` over the stack, in place,
+    so each covariance is bit-identical to :func:`sketch.local_covariance`'s.
 
     A machine whose smallest eigenvalue plus the fleet's smallest ridge
     ``eta/sqrt(m)`` is at most ``d / float max`` (the trace of its ridged
@@ -147,10 +146,9 @@ def _local_spectra(
     """
     ridge = eta / np.sqrt(m)
     floor = data.d / np.finfo(float).max
-    tail = stack_tail(k)
 
     def decompose(stack: np.ndarray) -> tuple[np.ndarray, ...]:
-        C = tail(stack)
+        C = gram_tail(stack, k, stack)
         if statistic is Statistic.TRACE:
             spectra = (np.linalg.eigvalsh(C),)
         else:

@@ -8,7 +8,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from detavg import linalg, sketch
+from detavg import linalg, newton, sketch
 from detavg.dataio import synth_regression
 from detavg.errors import NotPositiveDefinite
 from detavg.newton import (
@@ -62,7 +62,7 @@ def test_full_mask_gives_zero_error():
         report = merged_step(obj, w, cfg, seed=0)
         assert report.err_euclidean <= 1e-12
         assert report.err_hnorm <= 1e-12
-        assert report.log_weights.shape == (3,)
+        assert report.step.shape == (4,)
 
 
 def test_schemes_coincide_at_single_machine():
@@ -159,6 +159,26 @@ def test_exact_newton_solves_quadratic_in_one_step():
     assert traj.iterates.shape == (3, 4)
     assert len(traj.losses) == 3
     assert traj.losses[1] <= traj.losses[0]
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_trajectory_steps_are_merged_steps(monkeypatch, scheme):
+    # iterate i+1 is iterate i minus merged_step's step at trial i, bit for
+    # bit, and the trajectory computes none of the step errors merged_step
+    # reports against the exact step
+    obj = make_objective(11, n=300, d=5, lam=0.05, loss=LossKind.LOGISTIC)
+    cfg = MachineConfig(m=16, k=40, scheme=scheme)
+    traj = run_distributed_newton(obj, np.zeros(5), 2, cfg, seed=3)
+    for i in range(2):
+        step = merged_step(obj, traj.iterates[i], cfg, seed=3, trial=i).step
+        assert traj.iterates[i + 1].tobytes() == (traj.iterates[i] - step).tobytes()
+
+    def refuse(*args):
+        raise AssertionError("the trajectory computed step errors")
+
+    monkeypatch.setattr(newton, "_step_errors", refuse)
+    again = run_distributed_newton(obj, np.zeros(5), 2, cfg, seed=3)
+    assert again.iterates.tobytes() == traj.iterates.tobytes()
 
 
 def test_exact_minimizer_reaches_tiny_gradient():

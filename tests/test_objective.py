@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from detavg.objective import Dataset, LossKind, Objective
+from detavg.objective import Dataset, LossKind, Objective, gram_tail
 
 
 def fd_gradient(obj, w):
@@ -184,6 +184,29 @@ def test_logistic_sigmoid_is_quiet_at_extremes():
     assert np.array_equal(s, [1.0, 5e-324, 1.0, 0.0, 1.0, 0.0])
     # e^-745 is the smallest subnormal on either side of 0
     assert np.array_equal(curv, [5e-324, 5e-324, 0.0, 0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (4, 4), (65, 65), (3, 10, 10), (1024, 10, 10),
+                                   (31, 65, 65)])
+@pytest.mark.parametrize("with_ridge", [False, True])
+def test_gram_tail_in_place_equals_a_separate_buffer(shape, with_ridge):
+    # hessian_into, covariance_into and the fleets tail their raw products in
+    # place, so the add of G to its own transpose overlaps its output; numpy
+    # must give the bytes of a tail into a separate buffer, for one matrix
+    # and for stacks past numpy's ufunc buffer (8192 elements)
+    rng = np.random.default_rng(sum(shape))
+    raw = rng.standard_normal(shape) * 1e3  # not symmetric
+    d = shape[-1]
+    ridge = None
+    if with_ridge:
+        A = rng.standard_normal((d, d))
+        ridge = A + A.T
+    separate = gram_tail(raw.copy(), 7, np.empty(shape), ridge)
+    G = raw.copy()
+    assert gram_tail(G, 7, G, ridge) is G
+    assert G.tobytes() == separate.tobytes()
+    want = (raw / 7 + np.swapaxes(raw / 7, -1, -2)) * 0.5
+    assert np.array_equal(G, want if ridge is None else want + ridge)
 
 
 def test_logistic_rejects_bad_labels():

@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 from detavg import linalg
 from detavg.dataio import MAX_ENTRIES
 from detavg.errors import InvalidSampleSize, NonFiniteResult, NotPositiveDefinite
-from detavg import newton, objective, uq
+from detavg import newton, uq
 from detavg.objective import (
     Dataset,
     LossKind,
     Objective,
     covariance_gram,
+    gram_tail,
     hessian_gram,
-    stack_tail,
 )
 from detavg.sketch import (
     SeedSpec,
@@ -236,13 +236,12 @@ def test_fleet_kernels_equal_the_seed_formulas(d, loss, k, seed, trial):
     w = rng.standard_normal(d)
     m = block_size(d * d) + 3 if d == 65 else 12
     ridge = obj.lam * np.eye(d)
-    hessian_tail, covariance_tail = stack_tail(k, ridge), stack_tail(k)
     hessians, = local_fleet(
         lambda include, out: hessian_gram(out, loss, data.X.compress(include, axis=0), w),
-        lambda stack: (hessian_tail(stack),), n, d, k, m, seed, trial)
+        lambda stack: (gram_tail(stack, k, stack, ridge),), n, d, k, m, seed, trial)
     covariances, = local_fleet(
         lambda include, out: covariance_gram(out, data.X.compress(include, axis=0)),
-        lambda stack: (covariance_tail(stack),), n, d, k, m, seed, trial)
+        lambda stack: (gram_tail(stack, k, stack),), n, d, k, m, seed, trial)
     for t in range(m):
         include = seed_mask(n, k, seed, trial, t)
         mask = draw_mask(n, k, SeedSpec(seed, trial, t))
@@ -360,8 +359,8 @@ def test_local_fleet_builds_one_generator_per_fleet(monkeypatch):
 
     d = 65
     m = 2 * block_size(d * d) + 5  # three stacks
-    for module, name in ((objective, "gram_tail"), (newton, "hessian_gram"),
-                         (uq, "covariance_gram")):
+    for module, name in ((newton, "gram_tail"), (newton, "hessian_gram"),
+                         (uq, "gram_tail"), (uq, "covariance_gram")):
         counting(module, name)
     obj = small_objective(n=300, d=d)
     built.clear()
