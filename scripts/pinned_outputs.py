@@ -60,6 +60,12 @@ RUNS = {
     "d65_converge.csv": ["newton-converge", "--dataset", D65, "--loss", "logistic",
                          "--lambda", "auto", "--k", "400", "--m", "256", "--iters", "3",
                          "--scheme", "determinantal", "--seed", "0"],
+    # seeds past one 32-bit word: 2^32 (two words) and 2^128 (five, past the
+    # four-word pool of numpy's SeedSequence)
+    "wide_seed_step_sweep.csv": ["newton-sweep", "--synth", "60,3,1.0", "--k", "2",
+                                 "--m", "2,4,8", "--trials", "20", "--seed", str(2**32)],
+    "wide_seed_uq_trace.csv": ["uq-sweep", "--synth", "60,3,1.0", "--k", "6",
+                               "--m", "2,4,8", "--trials", "20", "--seed", str(2**128)],
 }
 
 

@@ -65,8 +65,8 @@ def factor_solve(M: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray
     that overflows reads inf or NaN, without a warning, for the caller to
     refuse.
 
-    The matrices must be exactly symmetric, as every Gram matrix of
-    ``objective.hessian_into`` or ``objective.covariance_into`` is.  The
+    The matrices must be exactly symmetric, as every Gram matrix that
+    ``objective.gram_tail`` leaves is.  The
     symmetry check is left to the public routines: the fleets build their
     matrices symmetric, and one ``allclose`` per matrix would cost more
     than its factorization at small d.

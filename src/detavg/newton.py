@@ -115,8 +115,8 @@ def _local_steps(
     One :func:`sketch.local_fleet`: each machine's build writes
     :func:`objective.hessian_gram` over its rows into its slot, and the
     decomposition runs :func:`objective.gram_tail` over the stack, in place,
-    before :func:`linalg.factor_solve`.  Together they are
-    :func:`objective.hessian_into`, so each row is bit-identical to
+    before :func:`linalg.factor_solve`: the two parts of
+    :func:`sketch.local_hessian`, so each row is bit-identical to
     :func:`local_newton_estimate` for that machine.
     """
     X = obj.data.X
@@ -126,7 +126,7 @@ def _local_steps(
         hessian_gram(out, obj.loss, X.compress(include, axis=0), w)
 
     def decompose(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return linalg.factor_solve(gram_tail(stack, k, stack, ridge), grad)
+        return linalg.factor_solve(gram_tail(stack, k, ridge), grad)
 
     return local_fleet(build, decompose, obj.data.n, obj.d, k, m, seed, trial)
 

@@ -11,18 +11,17 @@ so the Hessian is a scaled Gram matrix plus a ridge:
     hess L(w) = (1/n) sum_i l_i''(w @ x_i) x_i x_i^T + lam * I
 
 The ridge term makes the Hessian positive definite (eigenvalues >= lam),
-which every solver in the package relies on.  :func:`hessian_into` is the
-package's one Hessian formula and :func:`covariance_into` its one
-second-moment formula: the exact references pass them every row and n, a
-machine the rows of its mask and k.  Each is two parts composed on one
-matrix: a raw Gram product over the rows (:func:`hessian_gram`,
-:func:`covariance_gram`) and :func:`gram_tail`, which scales, symmetrizes and
-adds the ridge.  A fleet writes each machine's product straight into its
-slot of a stack and runs the tail once over the whole stack, in place,
-with the same operations in the same order, so every machine's matrix is
-bit-identical to the single-matrix route.  The logistic loss computes its
-sigmoid and curvature with numpy alone, without overflow or cancellation at
-any prediction.
+which every solver in the package relies on.  The package's one Hessian
+formula is ``gram_tail(hessian_gram(out, ...), scale, ridge)`` and its one
+second-moment formula ``gram_tail(covariance_gram(out, X), scale)``: a raw
+Gram product over the rows, then :func:`gram_tail`, which scales,
+symmetrizes and adds the ridge in place.  The exact references pass every
+row and n, a machine the rows of its mask and k.  A fleet writes each
+machine's product straight into its slot of a stack and runs the tail once
+over the whole stack, with the same operations in the same order, so every
+machine's matrix is bit-identical to the single-matrix route.  The logistic
+loss computes its sigmoid and curvature with numpy alone, without overflow
+or cancellation at any prediction.
 """
 
 from __future__ import annotations
@@ -109,55 +108,35 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def hessian_gram(out: np.ndarray, loss: LossKind, X: np.ndarray, w: np.ndarray) -> None:
+def hessian_gram(out: np.ndarray, loss: LossKind, X: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Write the raw product sum_i l_i''(w @ x_i) x_i x_i^T over the rows of X
-    into ``out``, unscaled and unsymmetrized; no rows give zero.  The square
-    loss's constant curvature 2 scales X as a scalar, with the same bytes as
-    the array of 2s and without computing X @ w."""
+    into ``out`` and return it, unscaled and unsymmetrized; no rows give
+    zero.  The square loss's constant curvature 2 scales X as a scalar, with
+    the same bytes as the array of 2s and without computing X @ w."""
     curv = 2.0 if loss is LossKind.SQUARE else loss.d2value(X @ w)
-    np.matmul(X.T * curv, X, out=out)
+    return np.matmul(X.T * curv, X, out=out)
 
 
-def covariance_gram(out: np.ndarray, X: np.ndarray) -> None:
-    """Write the raw product sum_i x_i x_i^T over the rows of X into ``out``;
-    no rows give zero."""
-    np.matmul(X.T, X, out=out)
+def covariance_gram(out: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Write the raw product sum_i x_i x_i^T over the rows of X into ``out``
+    and return it; no rows give zero."""
+    return np.matmul(X.T, X, out=out)
 
 
-def gram_tail(G: np.ndarray, scale: float, out: np.ndarray,
-              ridge: np.ndarray | None = None) -> np.ndarray:
-    """Write (G/scale + (G/scale)^T)/2 + ridge into ``out`` and return it, for
+def gram_tail(G: np.ndarray, scale: float, ridge: np.ndarray | None = None) -> np.ndarray:
+    """Overwrite G with (G/scale + (G/scale)^T)/2 + ridge and return it, for
     one raw product G of shape (d, d) or a stack of them, (b, d, d).
 
-    Divides G in place, then adds it to its transpose in ``out``, halves and
-    adds the ridge there: four elementwise calls whatever b is.  ``out`` may
-    be G itself, as every caller in the package passes it: a numpy ufunc
-    whose output overlaps an input gives the bytes it would give without the
-    overlap.  ``ridge`` of shape (d, d) is shared by the stack; without one
-    nothing is added."""
+    Four elementwise calls in place, whatever b is.  The add of G to its own
+    transpose is safe: a numpy ufunc whose output overlaps an input gives
+    the bytes it would give without the overlap.  ``ridge`` of shape (d, d)
+    is shared by the stack; without one nothing is added."""
     np.divide(G, scale, out=G)
-    np.add(G, np.swapaxes(G, -1, -2), out=out)
-    np.multiply(out, 0.5, out=out)
+    np.add(G, np.swapaxes(G, -1, -2), out=G)
+    np.multiply(G, 0.5, out=G)
     if ridge is not None:
-        np.add(out, ridge, out=out)
-    return out
-
-
-def hessian_into(out: np.ndarray, loss: LossKind, X: np.ndarray, w: np.ndarray,
-                 scale: float, ridge: np.ndarray) -> None:
-    """Write (1/scale) sum_i l_i''(w @ x_i) x_i x_i^T + ridge over the rows of
-    X into ``out``, symmetrized as (H + H^T)/2; no rows give ``ridge``:
-    :func:`hessian_gram` then :func:`gram_tail`, both in ``out``."""
-    hessian_gram(out, loss, X, w)
-    gram_tail(out, scale, out, ridge)
-
-
-def covariance_into(out: np.ndarray, X: np.ndarray, scale: float) -> None:
-    """Write (1/scale) sum_i x_i x_i^T over the rows of X into ``out``,
-    symmetrized as (C + C^T)/2; no rows give zero: :func:`covariance_gram`
-    then :func:`gram_tail`, both in ``out``."""
-    covariance_gram(out, X)
-    gram_tail(out, scale, out)
+        np.add(G, ridge, out=G)
+    return G
 
 
 def _check_labels(loss: LossKind, y: np.ndarray) -> None:
@@ -212,9 +191,9 @@ class Objective:
 
     def hessian(self, w: np.ndarray) -> np.ndarray:
         w = np.asarray(w, dtype=float)
-        H = np.empty((self.d, self.d))
         with np.errstate(over="ignore", invalid="ignore"):
-            hessian_into(H, self.loss, self.data.X, w, self.data.n, self.lam * np.eye(self.d))
+            H = gram_tail(hessian_gram(np.empty((self.d, self.d)), self.loss, self.data.X, w),
+                          self.data.n, self.lam * np.eye(self.d))
         return linalg.require_finite(H, "the full-data Hessian")
 
     def exact_newton_step(self, w: np.ndarray) -> np.ndarray:

@@ -15,17 +15,18 @@ the sweep check.  :func:`draw_mask` keys a fresh Philox through numpy's own
 or precision fleet, in stacks of about 1 MiB, and names the (seed, trial,
 machine) triple of a machine that fails.  It draws the same masks without a
 generator per machine: the machine index is the last word ``SeedSequence``
-mixes, so the pool that (seed, trial) leave is computed once per fleet, the
-keys of a whole stack follow from it in a few vectorized uint32 operations,
-and one Philox is re-keyed for each machine.  The mask is one compare of
-the Philox's raw words against :func:`_threshold`, which keeps exactly the
-rows whose ``Generator.random`` value falls below the rate.  The Newton and
+mixes, so the pool that (seed, trial) leave is numpy's own, read once per
+fleet from ``SeedSequence(entropy=seed, spawn_key=(trial,))``, the keys of
+a whole stack follow from it in a few vectorized uint32 operations, and one
+Philox is re-keyed for each machine.  The mask is one compare of the
+Philox's raw words against :func:`_threshold`, which keeps exactly the rows
+whose ``Generator.random`` value falls below the rate.  The Newton and
 precision fleets write each machine's raw Gram product over its mask's rows
-straight into a stack and run the Gram tail of :mod:`detavg.objective`
-in place, once per stack, the two parts of the kernels that
-:func:`local_hessian` and :func:`local_covariance` run on one matrix, so a
-fleet's machine is bit-identical to the public route, with no
-``SeedSpec``, ``SketchMask`` or ``Generator`` built per machine.
+straight into a stack and run :func:`detavg.objective.gram_tail` on it in
+place, once per stack: the two calls that :func:`local_hessian` and
+:func:`local_covariance` make on one matrix, so a fleet's machine is
+bit-identical to the public route, with no ``SeedSpec``, ``SketchMask`` or
+``Generator`` built per machine.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 
 from .dataio import MAX_ENTRIES
 from .errors import InvalidSampleSize, NonFiniteResult, NotPositiveDefinite
-from .objective import Dataset, Objective, covariance_into, hessian_into
+from .objective import Dataset, Objective, covariance_gram, gram_tail, hessian_gram
 
 # Bytes of matrices stacked per decomposition call by the fleets.
 _STACK_BYTES = 1 << 20
@@ -72,19 +73,6 @@ def _include(n: int, rate: float, seed: int, trial: int, machine: int) -> np.nda
     return np.random.Generator(np.random.Philox(seed=seq)).random(n) < rate
 
 
-def _words(x: int) -> list[int]:
-    """``x`` as 32-bit words, least significant first, as ``SeedSequence``
-    splits an int; ValueError for a negative one, as it raises."""
-    x = operator.index(x)
-    if x < 0:
-        raise ValueError("expected non-negative integer")
-    words = [x & _MASK32]
-    while x > _MASK32:
-        x >>= 32
-        words.append(x & _MASK32)
-    return words
-
-
 def _hashmix(value, hash_const: int, mult: int = _MULT_A):
     """``SeedSequence``'s word hash: the hashed word and the next constant.
     Its entropy hash with ``_MULT_A``, its output hash with ``_MULT_B``.
@@ -107,26 +95,17 @@ def _stream_prefix(seed: int, trial: int) -> tuple[list[int], int]:
 
     The entropy is seed's words padded with zeros to the pool size, then
     trial's words, then t's one word, so everything up to t is the same for
-    every machine of a fleet.  ValueError for a negative seed or trial, as
+    every machine of a fleet, and the pool is numpy's own for spawn key
+    (trial,).  Mixing L >= 4 words runs the entropy hash 4 L times, each
+    multiplying its constant by ``_MULT_A``.  TypeError for a seed or trial
+    that is not an integer; ValueError for a negative one, as
     ``SeedSequence`` raises.
     """
-    seed_words = _words(seed)
-    entropy = seed_words + [0] * (_POOL - len(seed_words)) + _words(trial)
-    hash_const = _INIT_A
-    pool = []
-    for word in entropy[:_POOL]:
-        value, hash_const = _hashmix(word, hash_const)
-        pool.append(value)
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                value, hash_const = _hashmix(pool[src], hash_const)
-                pool[dst] = _mix(pool[dst], value)
-    for word in entropy[_POOL:]:
-        for dst in range(_POOL):
-            value, hash_const = _hashmix(word, hash_const)
-            pool[dst] = _mix(pool[dst], value)
-    return pool, hash_const
+    # before SeedSequence, which reads OS entropy for a seed of None
+    seed, trial = operator.index(seed), operator.index(trial)
+    pool = np.random.SeedSequence(entropy=seed, spawn_key=(trial,)).pool.tolist()
+    words = max(_POOL, -(-seed.bit_length() // 32)) + max(1, -(-trial.bit_length() // 32))
+    return pool, _INIT_A * pow(_MULT_A, 4 * words, 1 << 32) & _MASK32
 
 
 def _stream_keys(prefix: tuple[list[int], int], start: int, stop: int) -> np.ndarray:
@@ -141,14 +120,13 @@ def _stream_keys(prefix: tuple[list[int], int], start: int, stop: int) -> np.nda
     """
     pool, hash_const = prefix
     machines = np.arange(start, stop, dtype=np.uint32)
-    keys = np.zeros((stop - start, 2), dtype=np.uint64)
+    words = np.empty((stop - start, _POOL), dtype=np.uint32)
     out_const = _INIT_B
     for i, word in enumerate(pool):
         value, hash_const = _hashmix(machines, hash_const)
-        value, out_const = _hashmix(_mix(word, value), out_const, _MULT_B)
-        # generate_state pairs the four words into two little-endian uint64
-        keys[:, i // 2] |= value.astype(np.uint64) << np.uint64(32 * (i % 2))
-    return keys
+        words[:, i], out_const = _hashmix(_mix(word, value), out_const, _MULT_B)
+    # generate_state views its four words as two little-endian uint64
+    return words.view(np.uint64)
 
 
 def _threshold(rate: float) -> int:
@@ -222,19 +200,17 @@ def local_hessian(obj: Objective, w: np.ndarray, mask: SketchMask) -> np.ndarray
     """
     if mask.n != obj.data.n:
         raise ValueError(f"mask over {mask.n} rows, dataset has {obj.data.n}")
-    out = np.empty((obj.d, obj.d))
-    hessian_into(out, obj.loss, obj.data.X.compress(mask.include, axis=0),
-                 np.asarray(w, dtype=float), mask.k, obj.lam * np.eye(obj.d))
-    return out
+    H = hessian_gram(np.empty((obj.d, obj.d)), obj.loss,
+                     obj.data.X.compress(mask.include, axis=0), np.asarray(w, dtype=float))
+    return gram_tail(H, mask.k, obj.lam * np.eye(obj.d))
 
 
 def local_covariance(data: Dataset, mask: SketchMask) -> np.ndarray:
     """Subsampled second-moment matrix (1/k) sum_{included} x_i x_i^T."""
     if mask.n != data.n:
         raise ValueError(f"mask over {mask.n} rows, dataset has {data.n}")
-    out = np.empty((data.d, data.d))
-    covariance_into(out, data.X.compress(mask.include, axis=0), mask.k)
-    return out
+    C = covariance_gram(np.empty((data.d, data.d)), data.X.compress(mask.include, axis=0))
+    return gram_tail(C, mask.k)
 
 
 def block_size(width: int) -> int:
@@ -258,17 +234,17 @@ def local_fleet(
     (seed, trial, t), bit-identical to :func:`draw_mask`'s, and
     ``build(include, out)`` writes its (d, d) matrix, or the raw product of
     it, into ``out``, a slot of a stack of :func:`block_size` matrices.  The
-    keys of each stack's machines are derived at once from the state (seed,
-    trial) leave in numpy's ``SeedSequence``; one Philox, re-keyed per
-    machine, draws n raw words, and one compare against :func:`_threshold`
-    writes the mask into one buffer, so ``include`` is valid only during its
-    ``build``.  ``decompose(stack)`` maps a stack of at most
-    :func:`block_size` such matrices to a tuple of arrays with one row per
-    matrix; anything elementwise over the matrices, such as
-    :func:`objective.gram_tail`, runs there once per stack and may overwrite
-    the stack, since each stack's outputs are copied out before the next is
-    built.  Returns those arrays for the whole fleet, row t for machine t, so
-    the first m machines are the same whatever m is.
+    keys of each stack's machines are derived at once from the pool of
+    numpy's ``SeedSequence(entropy=seed, spawn_key=(trial,))``, built once
+    per fleet; one Philox, re-keyed per machine, draws n raw words, and one
+    compare against :func:`_threshold` writes the mask into one buffer, so
+    ``include`` is valid only during its ``build``.  ``decompose(stack)``
+    maps a stack of at most :func:`block_size` such matrices to a tuple of
+    arrays with one row per matrix; anything elementwise over the matrices,
+    such as ``objective.gram_tail(stack, k, ridge)``, runs there once per
+    stack and may overwrite the stack, since each stack's outputs are copied
+    out before the next is built.  Returns those arrays for the whole fleet,
+    row t for machine t, so the first m machines are the same whatever m is.
 
     Raises InvalidSampleSize unless 1 <= k <= n, and ValueError naming m,
     before the arrays are allocated, if they would hold more than

@@ -30,7 +30,7 @@ import numpy as np
 from . import linalg
 from .averaging import LocalEstimate, weighted_means
 from .errors import NotPositiveDefinite, SingularCovariance
-from .objective import Dataset, covariance_gram, covariance_into, gram_tail
+from .objective import Dataset, covariance_gram, gram_tail
 from .sketch import SketchMask, check_sweep, local_covariance, local_fleet
 
 
@@ -109,9 +109,8 @@ def exact_statistic(data: Dataset, statistic: Statistic) -> float | np.ndarray:
     SingularCovariance
         If the covariance is not invertible, e.g. when n < d.
     """
-    sigma = np.empty((data.d, data.d))
     with np.errstate(over="ignore", invalid="ignore"):
-        covariance_into(sigma, data.X, data.n)
+        sigma = gram_tail(covariance_gram(np.empty((data.d, data.d)), data.X), data.n)
     linalg.require_finite(sigma, "the full-data covariance")
     # roundoff can hand a rank-deficient matrix a tiny positive pivot, so a
     # successful factorization alone does not certify invertibility
@@ -148,7 +147,7 @@ def _local_spectra(
     floor = data.d / np.finfo(float).max
 
     def decompose(stack: np.ndarray) -> tuple[np.ndarray, ...]:
-        C = gram_tail(stack, k, stack)
+        C = gram_tail(stack, k)
         if statistic is Statistic.TRACE:
             spectra = (np.linalg.eigvalsh(C),)
         else:

@@ -190,10 +190,10 @@ def test_logistic_sigmoid_is_quiet_at_extremes():
                                    (31, 65, 65)])
 @pytest.mark.parametrize("with_ridge", [False, True])
 def test_gram_tail_in_place_equals_a_separate_buffer(shape, with_ridge):
-    # hessian_into, covariance_into and the fleets tail their raw products in
-    # place, so the add of G to its own transpose overlaps its output; numpy
-    # must give the bytes of a tail into a separate buffer, for one matrix
-    # and for stacks past numpy's ufunc buffer (8192 elements)
+    # gram_tail works in place, so the add of G to its own transpose
+    # overlaps its output; numpy must give the bytes of the formula on
+    # separate arrays, for one matrix and for stacks past numpy's ufunc
+    # buffer (8192 elements)
     rng = np.random.default_rng(sum(shape))
     raw = rng.standard_normal(shape) * 1e3  # not symmetric
     d = shape[-1]
@@ -201,12 +201,10 @@ def test_gram_tail_in_place_equals_a_separate_buffer(shape, with_ridge):
     if with_ridge:
         A = rng.standard_normal((d, d))
         ridge = A + A.T
-    separate = gram_tail(raw.copy(), 7, np.empty(shape), ridge)
     G = raw.copy()
-    assert gram_tail(G, 7, G, ridge) is G
-    assert G.tobytes() == separate.tobytes()
+    assert gram_tail(G, 7, ridge) is G
     want = (raw / 7 + np.swapaxes(raw / 7, -1, -2)) * 0.5
-    assert np.array_equal(G, want if ridge is None else want + ridge)
+    assert G.tobytes() == (want if ridge is None else want + ridge).tobytes()
 
 
 def test_logistic_rejects_bad_labels():

@@ -238,10 +238,10 @@ def test_fleet_kernels_equal_the_seed_formulas(d, loss, k, seed, trial):
     ridge = obj.lam * np.eye(d)
     hessians, = local_fleet(
         lambda include, out: hessian_gram(out, loss, data.X.compress(include, axis=0), w),
-        lambda stack: (gram_tail(stack, k, stack, ridge),), n, d, k, m, seed, trial)
+        lambda stack: (gram_tail(stack, k, ridge),), n, d, k, m, seed, trial)
     covariances, = local_fleet(
         lambda include, out: covariance_gram(out, data.X.compress(include, axis=0)),
-        lambda stack: (gram_tail(stack, k, stack),), n, d, k, m, seed, trial)
+        lambda stack: (gram_tail(stack, k),), n, d, k, m, seed, trial)
     for t in range(m):
         include = seed_mask(n, k, seed, trial, t)
         mask = draw_mask(n, k, SeedSpec(seed, trial, t))
@@ -261,6 +261,11 @@ TRIALS = st.one_of(st.integers(0, 3), st.integers(2**32 - 2, 2**32 + 2), st.inte
 @given(seed=SEEDS, trial=TRIALS, start=st.integers(0, MAX_ENTRIES - 40), count=st.integers(1, 40))
 @example(seed=0, trial=0, start=0, count=1)
 @example(seed=2**160, trial=2**70, start=MAX_ENTRIES - 40, count=40)
+@example(seed=np.int64(3), trial=np.uint32(2), start=0, count=3)  # numpy integers
+@example(seed=2**128 - 1, trial=0, start=0, count=3)  # the last seed that fits the pool
+@example(seed=2**128, trial=0, start=0, count=3)  # the first that goes past it
+@example(seed=5, trial=2**32 - 1, start=0, count=3)
+@example(seed=5, trial=2**32, start=0, count=3)
 def test_stream_keys_equal_seed_sequence(seed, trial, start, count):
     keys = _stream_keys(_stream_prefix(seed, trial), start, start + count)
     assert keys.dtype == np.uint64 and keys.shape == (count, 2)
@@ -268,6 +273,12 @@ def test_stream_keys_equal_seed_sequence(seed, trial, start, count):
         want = np.random.SeedSequence(entropy=seed, spawn_key=(trial, t)).generate_state(
             2, np.uint64)
         assert key.tobytes() == want.tobytes()
+
+
+def test_stream_prefix_refuses_a_seed_of_none():
+    # SeedSequence(entropy=None) would read OS entropy instead of failing
+    with pytest.raises(TypeError):
+        _stream_prefix(None, 0)
 
 
 # the rates k/n of the mask draw: every row (threshold 2^64 - 1), one
@@ -365,7 +376,7 @@ def test_local_fleet_builds_one_generator_per_fleet(monkeypatch):
     obj = small_objective(n=300, d=d)
     built.clear()
     newton._local_steps(obj, np.zeros(d), np.ones(d), 100, m, 0, 0)
-    assert built == {"Philox": 1, "hessian_gram": m, "gram_tail": 3}, built
+    assert built == {"SeedSequence": 1, "Philox": 1, "hessian_gram": m, "gram_tail": 3}, built
     built.clear()
     uq._local_spectra(obj.data, 100, 1.0, m, 0, 0, uq.Statistic.TRACE)
-    assert built == {"Philox": 1, "covariance_gram": m, "gram_tail": 3}, built
+    assert built == {"SeedSequence": 1, "Philox": 1, "covariance_gram": m, "gram_tail": 3}, built
