@@ -3,17 +3,24 @@
 Usage::
 
     PYTHONPATH=src python scripts/pinned_outputs.py OUTDIR
+    PYTHONPATH=src python scripts/pinned_outputs.py --compare OLD NEW
 
 Runs a fixed list of argv through ``detavg.cli.main`` from inside OUTDIR,
 so every CSV, every ``newton-sweep`` sidecar and the d=65 data file they
-read land there, and the sidecars record relative paths only.  Run it at
-two commits into two directories and compare them file by file with
-``cmp`` (see the README).  It takes a few seconds on one core.
+read land there, and the sidecars record relative paths only.  It takes a
+few seconds on one core.  Run it at two commits into two directories, then
+``--compare`` them: for each file it prints ``identical`` (the same bytes)
+or how many cells moved and the largest relative move |new - old| / |old|
+among them, a cell being a value between commas, colons, brackets, quotes
+or whitespace, so CSV rows, JSON sidecars and libsvm lines all split into
+their values.  It exits 0 when every file is identical and 1 otherwise.
 """
 
 from __future__ import annotations
 
+import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -75,8 +82,49 @@ def write_d65(path: Path) -> None:
     path.write_text(dataio.serialize_libsvm(Dataset(X=X, y=base.y)), encoding="utf-8")
 
 
+def cells(path: Path) -> list[str]:
+    return [cell for cell in re.split(r'[\s,:\[\]{}"]+', path.read_text(encoding="utf-8"))
+            if cell]
+
+
+def relative_move(old: str, new: str) -> float:
+    """|new - old| / |old| of two numeric cells; inf for a word that changed
+    or a move away from zero."""
+    try:
+        a, b = float(old), float(new)
+    except ValueError:
+        return math.inf
+    return abs(b - a) / abs(a) if a else (0.0 if b == 0 else math.inf)
+
+
+def describe(old: Path, new: Path) -> str:
+    if not new.exists():
+        return "missing from NEW"
+    if not old.exists():
+        return "missing from OLD"
+    if old.read_bytes() == new.read_bytes():
+        return "identical"
+    a, b = cells(old), cells(new)
+    if len(a) != len(b):
+        return f"{len(a)} cells against {len(b)}"
+    moves = [relative_move(x, y) for x, y in zip(a, b) if x != y]
+    return (f"{len(moves)} of {len(a)} cells moved, "
+            f"largest relative move {max(moves, default=0.0):.2g}")
+
+
+def compare(old_dir: Path, new_dir: Path) -> int:
+    names = sorted({p.name for p in old_dir.iterdir()} | {p.name for p in new_dir.iterdir()})
+    lines = [(name, describe(old_dir / name, new_dir / name)) for name in names]
+    width = max(len(name) for name in names)
+    for name, line in lines:
+        print(f"{name:<{width}}  {line}")
+    return int(any(line != "identical" for _, line in lines))
+
+
 def run(argv: list[str]) -> int:
-    if len(argv) != 1:
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(Path(argv[1]), Path(argv[2]))
+    if len(argv) != 1 or argv[0].startswith("-"):
         print(__doc__.strip(), file=sys.stderr)
         return 2
     outdir = Path(argv[0])

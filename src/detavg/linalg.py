@@ -8,7 +8,8 @@ forward and back substitution on the stacked factors and returns the
 log-determinants, so positive definiteness failures surface as
 :class:`~detavg.errors.NotPositiveDefinite` instead of silently wrong
 results.  It skips the symmetry check, which :func:`solve_psd` and
-:func:`adjugate` make before calling it.
+:func:`adjugate` make before calling it.  :func:`inverse_forms` shares its
+forward substitution and stops there, reading ``v^T M^-1 v = ||L^-1 v||^2``.
 
 Determinants and adjugates come in two deliberately independent flavors:
 a cofactor-expansion path that is exact (up to rounding) for arbitrary
@@ -55,8 +56,8 @@ def require_finite(values: np.ndarray, what: str) -> np.ndarray:
 def factor_solve(M: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve ``M[i] x[i] = rhs`` for a stack of matrices with one Cholesky call.
 
-    The package's only Cholesky: ``np.linalg.cholesky`` factors the whole
-    stack ``M = L L^T`` in one call, each log-determinant is read off its
+    ``np.linalg.cholesky`` factors the whole stack ``M = L L^T`` in one call
+    (:func:`_cholesky`), each log-determinant is read off its
     factor's diagonal, and one forward substitution ``L y = rhs`` and one
     back substitution ``L^T x = y`` run over every factor of the stack at
     once (:func:`_substitute`).  Every slice of ``x`` and of the
@@ -90,8 +91,37 @@ def factor_solve(M: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray
         If a matrix fails the factorization; for a stack, ``index`` is the
         first such matrix.
     """
+    L = _cholesky(M)
+    log_dets = 2.0 * np.sum(np.log(np.diagonal(L, axis1=-2, axis2=-1)), axis=-1)
+    if M.ndim == 2:
+        return _substitute(L[None], rhs)[0], log_dets
+    return _substitute(L, rhs), log_dets
+
+
+def inverse_forms(M: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Quadratic forms ``v^T M^-1 v`` of the columns of V, shape (d, r), for
+    a symmetric positive definite M, shape (d, d): the squared norms of
+    ``L^-1 V``, for the Cholesky factor L.  One forward substitution against
+    the d columns of I gives ``L^-1``, without the back substitution a solve
+    would add, and one product applies it to all r columns, so the
+    substitution's cost does not grow with r.
+
+    Raises
+    ------
+    NotPositiveDefinite
+        If ``M`` fails the Cholesky factorization.
+    """
+    M = require_symmetric(M)
+    Y = _forward(_cholesky(M)[None], np.eye(len(M)))[0][0] @ V
+    return np.einsum("ij,ij->j", Y, Y)
+
+
+def _cholesky(M: np.ndarray) -> np.ndarray:
+    """Cholesky factor of one matrix, or of each matrix of a stack, in one
+    ``np.linalg.cholesky`` call; NotPositiveDefinite names the first matrix
+    of a stack that fails."""
     try:
-        L = np.linalg.cholesky(M)
+        return np.linalg.cholesky(M)
     except np.linalg.LinAlgError as exc:
         if M.ndim == 2:
             raise NotPositiveDefinite(f"matrix is not positive definite: {exc}") from exc
@@ -100,36 +130,47 @@ def factor_solve(M: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray
         raise NotPositiveDefinite(
             f"matrix {index} of the stack is not positive definite: {exc}", index=index
         ) from exc
-    log_dets = 2.0 * np.sum(np.log(np.diagonal(L, axis1=-2, axis2=-1)), axis=-1)
-    if M.ndim == 2:
-        return _substitute(L[None], rhs)[0], log_dets
-    return _substitute(L, rhs), log_dets
+
+
+def _forward(L: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(y, D)`` with ``y[i] = L[i]^-1 rhs`` for a stack of lower triangular
+    factors with positive diagonals D, shape (b, d, d), which it overwrites
+    with their unit lower triangular parts ``U = L D^-1``.
+
+    It solves ``U z = rhs`` forward and divides by D.  Each step subtracts an
+    entry of z, once final, from the rows still open, so every operation is
+    elementwise across the stack and no slice depends on another.  A matrix
+    right-hand side (d, r) gets D of shape (b, d, 1), to broadcast over its
+    columns.
+    """
+    d = L.shape[-1]
+    y = np.empty((len(L), *np.shape(rhs)))
+    y[:] = rhs
+    diag = np.diagonal(L, axis1=1, axis2=2).copy()
+    with np.errstate(all="ignore"):  # an overflowing solve reads inf or NaN
+        L *= (1.0 / diag)[:, None, :]
+        if y.ndim == 3:
+            L, diag = L[..., None], diag[..., None]
+        for k in range(d - 1):
+            rest = y[:, k + 1:]
+            rest -= L[:, k + 1:, k] * y[:, k, None]
+        y /= diag
+    return y, diag
 
 
 def _substitute(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """``x[i]`` with ``L[i] L[i]^T x[i] = rhs`` for a stack of lower triangular
     factors with positive diagonals, shape (b, d, d), which it overwrites.
 
-    With ``L = U D``, U unit lower triangular and D the diagonal of L, it
-    solves ``U z = rhs`` forward, divides by D twice and solves ``U^T x = z /
-    D^2`` back.  Each step subtracts an entry of x, once final, from the rows
-    still open, so every operation is elementwise across the stack and no
-    slice depends on another.
+    :func:`_forward` gives ``y = L^-1 rhs`` and ``U = L D^-1``; it divides y
+    by D once more and solves ``U^T x = y / D`` back, one entry at a time.
     """
-    d = L.shape[-1]
-    x = np.empty((len(L), *np.shape(rhs)))
-    x[:] = rhs
-    diag = np.diagonal(L, axis1=1, axis2=2).copy()
-    with np.errstate(all="ignore"):  # an overflowing solve reads inf or NaN
-        L *= (1.0 / diag)[:, None, :]
-        if x.ndim == 3:  # a matrix right-hand side: broadcast over its columns
-            L, diag = L[..., None], diag[..., None]
-        for k in range(d - 1):
-            rest = x[:, k + 1:]
-            rest -= L[:, k + 1:, k] * x[:, k, None]
+    x, diag = _forward(L, rhs)
+    if x.ndim == 3:
+        L = L[..., None]
+    with np.errstate(all="ignore"):
         x /= diag
-        x /= diag
-        for k in range(d - 1, 0, -1):
+        for k in range(L.shape[1] - 1, 0, -1):
             rest = x[:, :k]
             rest -= L[:, k, :k] * x[:, k, None]
     return x

@@ -21,7 +21,7 @@ import numpy as np
 from . import linalg
 from .averaging import LocalEstimate, weighted_means
 from .errors import NoConvergence
-from .objective import Objective, gram_tail, hessian_gram
+from .objective import Objective, gram, gram_tail, hessian_rows
 from .sketch import SketchMask, check_sweep, local_fleet, local_hessian
 
 _NEWTON_TOL = 1e-12  # of exact_minimizer, relative to the first gradient norm
@@ -112,21 +112,21 @@ def _local_steps(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Steps (m, d) and log-determinants (m,) of machines 0..m-1 of one fleet.
 
-    One :func:`sketch.local_fleet`: each machine's build writes
-    :func:`objective.hessian_gram` over its rows into its slot, and the
-    decomposition runs :func:`objective.gram_tail` over the stack, in place,
-    before :func:`linalg.factor_solve`: the two parts of
-    :func:`sketch.local_hessian`, so each row is bit-identical to
+    :func:`objective.hessian_rows` weights all n rows once per fleet; one
+    :func:`sketch.local_fleet` writes :func:`objective.gram` over each
+    machine's rows into its slot and runs :func:`objective.gram_tail` (scale
+    k / f) over the stack, in place, before :func:`linalg.factor_solve`: the
+    calls of :func:`sketch.local_hessian`, so each row is bit-identical to
     :func:`local_newton_estimate` for that machine.
     """
-    X = obj.data.X
+    Z, f = hessian_rows(obj.loss, obj.data.X, w)
     ridge = obj.lam * np.eye(obj.d)
 
     def build(include: np.ndarray, out: np.ndarray) -> None:
-        hessian_gram(out, obj.loss, X.compress(include, axis=0), w)
+        gram(out, Z.compress(include, axis=0))
 
     def decompose(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return linalg.factor_solve(gram_tail(stack, k, ridge), grad)
+        return linalg.factor_solve(gram_tail(stack, k / f, ridge), grad)
 
     return local_fleet(build, decompose, obj.data.n, obj.d, k, m, seed, trial)
 
@@ -272,15 +272,12 @@ def run_distributed_newton(
 
 def coherence(obj: Objective, w: np.ndarray) -> float:
     """Largest curvature-weighted leverage of any row, (1/d) max_i l_i''
-    ||x_i||^2 measured in the inverse-Hessian norm.
+    x_i^T H^-1 x_i, read as f z_i^T H^-1 z_i off the rows of
+    :func:`hessian_rows` by :func:`linalg.inverse_forms`.
 
     Rows of zeros contribute nothing; the value is 0 exactly when no row
     carries curvature.
     """
-    w = np.asarray(w, dtype=float)
-    X = obj.data.X
-    curv = obj.loss.d2value(X @ w)
-    H = obj.hessian(w)
-    Y = linalg.solve_psd(H, X.T)
-    quad = np.einsum("ij,ji->i", X, Y)
-    return float(np.max(curv * quad, initial=0.0) / obj.data.d)
+    Z, f = hessian_rows(obj.loss, obj.data.X, w)
+    quad = linalg.inverse_forms(obj.hessian(w), Z.T)
+    return float(np.max(f * quad, initial=0.0) / obj.data.d)

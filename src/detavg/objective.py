@@ -11,17 +11,17 @@ so the Hessian is a scaled Gram matrix plus a ridge:
     hess L(w) = (1/n) sum_i l_i''(w @ x_i) x_i x_i^T + lam * I
 
 The ridge term makes the Hessian positive definite (eigenvalues >= lam),
-which every solver in the package relies on.  The package's one Hessian
-formula is ``gram_tail(hessian_gram(out, ...), scale, ridge)`` and its one
-second-moment formula ``gram_tail(covariance_gram(out, X), scale)``: a raw
-Gram product over the rows, then :func:`gram_tail`, which scales,
-symmetrizes and adds the ridge in place.  The exact references pass every
-row and n, a machine the rows of its mask and k.  A fleet writes each
-machine's product straight into its slot of a stack and runs the tail once
-over the whole stack, with the same operations in the same order, so every
-machine's matrix is bit-identical to the single-matrix route.  The logistic
-loss computes its sigmoid and curvature with numpy alone, without overflow
-or cancellation at any prediction.
+which every solver in the package relies on.  Every Gram matrix is
+``gram_tail(gram(out, Z), scale, ridge)``: :func:`gram` writes Z^T Z as a
+symmetric rank-k update, then :func:`gram_tail` scales, symmetrizes and
+adds the ridge in place.  A covariance takes Z = X, a Hessian the rows of
+:func:`hessian_rows` (f Z^T Z = sum_i l_i'' x_i x_i^T) and scale / f.  The
+exact references pass every row and n, a machine the rows of its mask and
+k.  A fleet weights the rows once, writes each machine's product into its
+slot of a stack and runs the tail once per stack, with the same operations
+in the same order, so every machine's matrix is bit-identical to the
+single-matrix route.  The logistic loss computes its sigmoid and curvature
+with numpy alone, without overflow or cancellation at any prediction.
 """
 
 from __future__ import annotations
@@ -108,19 +108,21 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def hessian_gram(out: np.ndarray, loss: LossKind, X: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Write the raw product sum_i l_i''(w @ x_i) x_i x_i^T over the rows of X
-    into ``out`` and return it, unscaled and unsymmetrized; no rows give
-    zero.  The square loss's constant curvature 2 scales X as a scalar, with
-    the same bytes as the array of 2s and without computing X @ w."""
-    curv = 2.0 if loss is LossKind.SQUARE else loss.d2value(X @ w)
-    return np.matmul(X.T * curv, X, out=out)
+def hessian_rows(loss: LossKind, X: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float]:
+    """Rows Z and factor f with f Z^T Z = sum_i l_i''(w @ x_i) x_i x_i^T over
+    the rows of X: X itself, uncopied, and 2 for the square loss, so G / (n /
+    2) rounds as (2 G) / n; X scaled by sqrt(l_i'') and 1 for the logistic."""
+    if loss is LossKind.SQUARE:
+        return X, 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        return X * np.sqrt(loss.d2value(X @ w))[:, None], 1.0
 
 
-def covariance_gram(out: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Write the raw product sum_i x_i x_i^T over the rows of X into ``out``
-    and return it; no rows give zero."""
-    return np.matmul(X.T, X, out=out)
+def gram(out: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """Write Z^T Z into ``out`` and return it; no rows give zero.  Z^T and Z
+    share a buffer, so numpy runs BLAS's syrk, half the flops of a general
+    product; on strided columns it may not, hence gram_tail's symmetrize."""
+    return np.matmul(Z.T, Z, out=out)
 
 
 def gram_tail(G: np.ndarray, scale: float, ridge: np.ndarray | None = None) -> np.ndarray:
@@ -192,8 +194,9 @@ class Objective:
     def hessian(self, w: np.ndarray) -> np.ndarray:
         w = np.asarray(w, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
-            H = gram_tail(hessian_gram(np.empty((self.d, self.d)), self.loss, self.data.X, w),
-                          self.data.n, self.lam * np.eye(self.d))
+            Z, f = hessian_rows(self.loss, self.data.X, w)
+            H = gram_tail(gram(np.empty((self.d, self.d)), Z), self.data.n / f,
+                          self.lam * np.eye(self.d))
         return linalg.require_finite(H, "the full-data Hessian")
 
     def exact_newton_step(self, w: np.ndarray) -> np.ndarray:

@@ -21,12 +21,12 @@ a whole stack follow from it in a few vectorized uint32 operations, and one
 Philox is re-keyed for each machine.  The mask is one compare of the
 Philox's raw words against :func:`_threshold`, which keeps exactly the rows
 whose ``Generator.random`` value falls below the rate.  The Newton and
-precision fleets write each machine's raw Gram product over its mask's rows
-straight into a stack and run :func:`detavg.objective.gram_tail` on it in
-place, once per stack: the two calls that :func:`local_hessian` and
-:func:`local_covariance` make on one matrix, so a fleet's machine is
-bit-identical to the public route, with no ``SeedSpec``, ``SketchMask`` or
-``Generator`` built per machine.
+precision fleets write :func:`detavg.objective.gram` over each machine's
+rows (the Newton fleet's weighted once per fleet) straight into a stack
+and run :func:`detavg.objective.gram_tail` on it in place, once per stack:
+the calls that :func:`local_hessian` and :func:`local_covariance` make on
+one matrix, so a fleet's machine is bit-identical to the public route,
+with no ``SeedSpec``, ``SketchMask`` or ``Generator`` built per machine.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import numpy as np
 
 from .dataio import MAX_ENTRIES
 from .errors import InvalidSampleSize, NonFiniteResult, NotPositiveDefinite
-from .objective import Dataset, Objective, covariance_gram, gram_tail, hessian_gram
+from .objective import Dataset, Objective, gram, gram_tail, hessian_rows
 
 # Bytes of matrices stacked per decomposition call by the fleets.
 _STACK_BYTES = 1 << 20
@@ -196,21 +196,21 @@ def local_hessian(obj: Objective, w: np.ndarray, mask: SketchMask) -> np.ndarray
 
     The 1/k scaling uses the expected sample size, which makes the estimate
     unbiased for the full Hessian; an empty mask therefore yields the bare
-    ridge ``lam * I``.
+    ridge ``lam * I``.  It weights every row, as a fleet does, then gathers.
     """
     if mask.n != obj.data.n:
         raise ValueError(f"mask over {mask.n} rows, dataset has {obj.data.n}")
-    H = hessian_gram(np.empty((obj.d, obj.d)), obj.loss,
-                     obj.data.X.compress(mask.include, axis=0), np.asarray(w, dtype=float))
-    return gram_tail(H, mask.k, obj.lam * np.eye(obj.d))
+    Z, f = hessian_rows(obj.loss, obj.data.X, np.asarray(w, dtype=float))
+    H = gram(np.empty((obj.d, obj.d)), Z.compress(mask.include, axis=0))
+    return gram_tail(H, mask.k / f, obj.lam * np.eye(obj.d))
 
 
 def local_covariance(data: Dataset, mask: SketchMask) -> np.ndarray:
     """Subsampled second-moment matrix (1/k) sum_{included} x_i x_i^T."""
     if mask.n != data.n:
         raise ValueError(f"mask over {mask.n} rows, dataset has {data.n}")
-    C = covariance_gram(np.empty((data.d, data.d)), data.X.compress(mask.include, axis=0))
-    return gram_tail(C, mask.k)
+    return gram_tail(gram(np.empty((data.d, data.d)), data.X.compress(mask.include, axis=0)),
+                     mask.k)
 
 
 def block_size(width: int) -> int:

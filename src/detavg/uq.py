@@ -30,7 +30,7 @@ import numpy as np
 from . import linalg
 from .averaging import LocalEstimate, weighted_means
 from .errors import NotPositiveDefinite, SingularCovariance
-from .objective import Dataset, covariance_gram, gram_tail
+from .objective import Dataset, gram, gram_tail
 from .sketch import SketchMask, check_sweep, local_covariance, local_fleet
 
 
@@ -110,7 +110,7 @@ def exact_statistic(data: Dataset, statistic: Statistic) -> float | np.ndarray:
         If the covariance is not invertible, e.g. when n < d.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        sigma = gram_tail(covariance_gram(np.empty((data.d, data.d)), data.X), data.n)
+        sigma = gram_tail(gram(np.empty((data.d, data.d)), data.X), data.n)
     linalg.require_finite(sigma, "the full-data covariance")
     # roundoff can hand a rank-deficient matrix a tiny positive pivot, so a
     # successful factorization alone does not certify invertibility
@@ -134,7 +134,7 @@ def _local_spectra(
     :func:`sketch.local_fleet`: the eigenvalues (m, d) from ``eigvalsh`` for
     the trace, plus the squared eigenvectors ``V * V`` (m, d, d) from
     ``eigh`` for the diagonal.  Each machine's build writes
-    :func:`objective.covariance_gram` over its rows into its slot, and the
+    :func:`objective.gram` over its rows into its slot, and the
     decomposition runs :func:`objective.gram_tail` over the stack, in place,
     so each covariance is bit-identical to :func:`sketch.local_covariance`'s.
 
@@ -161,7 +161,7 @@ def _local_spectra(
         return spectra
 
     def build(include: np.ndarray, out: np.ndarray) -> None:
-        covariance_gram(out, data.X.compress(include, axis=0))
+        gram(out, data.X.compress(include, axis=0))
 
     return local_fleet(build, decompose, data.n, data.d, k, m, seed, trial)
 

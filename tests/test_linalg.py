@@ -306,6 +306,26 @@ def test_factor_solve_stack_equals_per_matrix_loop(b, d, rhs_cols, seed):
         assert_solves(M[i], rhs, x[i])
 
 
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 12) | st.just(65), r=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+@example(d=1, r=1, seed=1)
+@example(d=65, r=40, seed=65)
+def test_inverse_forms_equal_solved_forms(d, r, seed):
+    # ||L^-1 v||^2, L^-1 from one forward substitution, against v^T x with x
+    # from scipy's cho_solve, which runs both halves; sums of positive terms,
+    # so the two agree to the rounding of the solve
+    rng = np.random.default_rng(seed)
+    S = random_pd(rng, d)
+    M = 0.5 * (S + S.T)
+    V = rng.standard_normal((d, r))
+    want = np.einsum("ij,ij->j", V, scipy.linalg.cho_solve((np.linalg.cholesky(M), True), V))
+    forms = linalg.inverse_forms(M, V)
+    assert forms.shape == (r,) and np.all(forms > 0)
+    assert np.allclose(forms, want, rtol=SOLVE_RTOL, atol=0.0)
+    with pytest.raises(NotPositiveDefinite):
+        linalg.inverse_forms(-M, V)
+
+
 def test_factor_solve_names_first_failing_matrix():
     rng = np.random.default_rng(31)
     M = np.array([random_pd(rng, 3) for _ in range(5)])

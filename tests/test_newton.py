@@ -204,6 +204,20 @@ def test_coherence_hand_value_and_zero_case():
     assert coherence(zero, np.zeros(2)) == 0.0
 
 
+@settings(max_examples=30, deadline=None)
+@given(loss=st.sampled_from(list(LossKind)), d=st.sampled_from([1, 3, 10, 65]),
+       seed=st.integers(0, 2**32 - 1))
+def test_coherence_equals_the_solved_leverages(loss, d, seed):
+    # inverse_forms over the weighted rows, against the first formula:
+    # l''_i x_i^T H^-1 x_i from a full solve for every row
+    obj = make_objective(seed, n=120, d=d, lam=0.05, loss=loss)
+    w = np.random.default_rng(seed).standard_normal(d) / np.sqrt(d)
+    X = obj.data.X
+    quad = np.einsum("ij,ji->i", X, linalg.solve_psd(obj.hessian(w), X.T))
+    want = np.max(obj.loss.d2value(X @ w) * quad) / d
+    assert coherence(obj, w) == pytest.approx(want, rel=1e-10)
+
+
 def test_coherence_scales_with_leverage():
     obj = make_objective(11, n=100, d=5, lam=0.1)
     base = coherence(obj, np.zeros(5))

@@ -13,9 +13,9 @@ from detavg.objective import (
     Dataset,
     LossKind,
     Objective,
-    covariance_gram,
+    gram,
     gram_tail,
-    hessian_gram,
+    hessian_rows,
 )
 from detavg.sketch import (
     SeedSpec,
@@ -195,15 +195,18 @@ def seed_mask(n, k, seed, trial, machine):
     return np.random.Generator(np.random.Philox(seed=seq)).random(n) < (k / n)
 
 
-def seed_hessian(obj, w, include, k):
-    """The local Hessian as first written."""
-    ridge = obj.lam * np.eye(obj.data.d)
-    if include.sum() == 0:
-        return ridge
-    X = obj.data.X[include]
-    curv = obj.loss.d2value(X @ w)
+def seed_hessian_gram(X, curv, k):
+    """The local Hessian's Gram term as first written, without the ridge, from
+    the rows X of a machine and their curvatures."""
     H = (X.T * curv) @ X / k
-    return 0.5 * (H + H.T) + ridge
+    return 0.5 * (H + H.T)
+
+
+def gamma(j):
+    """Higham's gamma_j = j u / (1 - j u), u = 2^-53: the a priori bound on the
+    relative error of j rounded operations."""
+    u = 2.0 ** -53
+    return j * u / (1 - j * u)
 
 
 def seed_covariance(data, include, k):
@@ -223,12 +226,19 @@ def seed_covariance(data, include, k):
 @example(d=10, loss=LossKind.LOGISTIC, k=1, seed=1, trial=1)
 @example(d=65, loss=LossKind.SQUARE, k=3, seed=2**160, trial=2**32)
 def test_fleet_kernels_equal_the_seed_formulas(d, loss, k, seed, trial):
-    # byte for byte, per machine: the fleet's masks and Gram matrices, built
-    # as the production fleets build them (the raw product per machine, the
-    # tail once per stack), and the public routines that share their
-    # kernels.  At k=1 about a third of the 60-row masks are empty; at d=65
-    # the fleet spans two stacks.  Seeds run to six 32-bit words and trials
-    # to three.
+    # per machine: the fleet's masks and Gram matrices, built as the
+    # production fleets build them (rows weighted once per fleet, one gram
+    # per machine, the tail once per stack), and the public routines that
+    # share their kernels.  Masks and covariances equal the seed formulas
+    # byte for byte.  The Hessians equal each other byte for byte, and the
+    # seed formula (X_s^T curv) X_s / k within the a priori bound of a dot
+    # product of r terms, 2 gamma_{r+4} (|X_s|^T diag(c) |X_s|) / k, for a
+    # machine of r rows: the symmetric product of the rows scaled by
+    # sqrt(c) sums in another order and sqrt(c)^2 is not c.  Both sides take
+    # the curvature c from X @ w over every row, as the fleet does; BLAS may
+    # round a row of X_s @ w differently.  At k=1 about a third of the
+    # 60-row masks are empty; at d=65 the fleet spans two stacks.  Seeds run
+    # to six 32-bit words and trials to three.
     rng = np.random.default_rng(seed)
     n = 60
     data = Dataset(X=rng.standard_normal((n, d)), y=(rng.random(n) < 0.5).astype(float))
@@ -236,18 +246,24 @@ def test_fleet_kernels_equal_the_seed_formulas(d, loss, k, seed, trial):
     w = rng.standard_normal(d)
     m = block_size(d * d) + 3 if d == 65 else 12
     ridge = obj.lam * np.eye(d)
+    Z, f = hessian_rows(loss, data.X, w)
+    curv = loss.d2value(data.X @ w)
     hessians, = local_fleet(
-        lambda include, out: hessian_gram(out, loss, data.X.compress(include, axis=0), w),
-        lambda stack: (gram_tail(stack, k, ridge),), n, d, k, m, seed, trial)
+        lambda include, out: gram(out, Z.compress(include, axis=0)),
+        lambda stack: (gram_tail(stack, k / f, ridge),), n, d, k, m, seed, trial)
     covariances, = local_fleet(
-        lambda include, out: covariance_gram(out, data.X.compress(include, axis=0)),
+        lambda include, out: gram(out, data.X.compress(include, axis=0)),
         lambda stack: (gram_tail(stack, k),), n, d, k, m, seed, trial)
     for t in range(m):
         include = seed_mask(n, k, seed, trial, t)
         mask = draw_mask(n, k, SeedSpec(seed, trial, t))
         assert mask.include.tobytes() == include.tobytes() and mask.count == include.sum()
-        want = seed_hessian(obj, w, include, k).tobytes()
+        G = gram(np.empty((d, d)), Z[include])
+        want = gram_tail(G.copy(), k / f, ridge).tobytes()
         assert hessians[t].tobytes() == want and local_hessian(obj, w, mask).tobytes() == want
+        X_s, c = data.X[include], curv[include]
+        bound = 2 * gamma(include.sum() + 4) * (np.abs(X_s).T * c) @ np.abs(X_s) / k
+        assert np.all(np.abs(gram_tail(G, k / f) - seed_hessian_gram(X_s, c, k)) <= bound)
         want = seed_covariance(data, include, k).tobytes()
         assert covariances[t].tobytes() == want and local_covariance(data, mask).tobytes() == want
 
@@ -345,7 +361,8 @@ def test_negative_seed_or_trial_is_refused_like_seed_sequence(seed, trial):
 def test_local_fleet_builds_one_generator_per_fleet(monkeypatch):
     # a structural guard, without timing: 1024 machines, at most one
     # SeedSequence, Philox and Generator built for the whole fleet; in the
-    # production fleets the Gram tail runs once per stack, not once per machine
+    # production fleets one gram runs per machine, the Gram tail once per
+    # stack, and the Newton fleet weights its rows by the curvature once
     built = {}
 
     def counting(module, name):
@@ -370,13 +387,17 @@ def test_local_fleet_builds_one_generator_per_fleet(monkeypatch):
 
     d = 65
     m = 2 * block_size(d * d) + 5  # three stacks
-    for module, name in ((newton, "gram_tail"), (newton, "hessian_gram"),
-                         (uq, "gram_tail"), (uq, "covariance_gram")):
+    for module, name in ((newton, "gram_tail"), (newton, "gram"), (newton, "hessian_rows"),
+                         (uq, "gram_tail"), (uq, "gram")):
         counting(module, name)
     obj = small_objective(n=300, d=d)
-    built.clear()
-    newton._local_steps(obj, np.zeros(d), np.ones(d), 100, m, 0, 0)
-    assert built == {"SeedSequence": 1, "Philox": 1, "hessian_gram": m, "gram_tail": 3}, built
+    labels = Dataset(X=obj.data.X, y=(obj.data.y > 0).astype(float))
+    for loss in LossKind:
+        built.clear()
+        newton._local_steps(Objective(labels, loss, obj.lam), np.zeros(d), np.ones(d),
+                            100, m, 0, 0)
+        assert built == {"SeedSequence": 1, "Philox": 1, "hessian_rows": 1, "gram": m,
+                         "gram_tail": 3}, (loss, built)
     built.clear()
     uq._local_spectra(obj.data, 100, 1.0, m, 0, 0, uq.Statistic.TRACE)
-    assert built == {"SeedSequence": 1, "Philox": 1, "covariance_gram": m, "gram_tail": 3}, built
+    assert built == {"SeedSequence": 1, "Philox": 1, "gram": m, "gram_tail": 3}, built
