@@ -35,6 +35,7 @@ from .errors import NonFiniteResult, NumericalError
 from .newton import MachineConfig, Scheme, SweepRow, coherence, error_sweep, run_distributed_newton
 from .objective import Dataset, LossKind, Objective
 from .oracle import identity_suite
+from .sketch import check_sweep
 from .uq import Statistic, UqRow, uq_sweep
 
 NEWTON_SWEEP_HEADER = tuple(f.name for f in fields(SweepRow))
@@ -153,9 +154,13 @@ def cmd_newton_sweep(args) -> int:
     check_table_size("--trials", args.trials,
                      len(schemes) * len(m_list) * args.trials * len(NEWTON_SWEEP_HEADER))
     w0 = np.zeros(obj.d)
-    rows = error_sweep(obj, w0, args.k, m_list, args.trials, schemes, seed)
+    # the full-data Hessian once, for the sweep and the sidecar, after the
+    # checks that error_sweep makes before building it
+    check_sweep(m_list, args.trials)
+    grad = obj.gradient(w0)
     H = obj.hessian(w0)
-    step = linalg.solve_psd(H, obj.gradient(w0))
+    rows = error_sweep(obj, w0, args.k, m_list, args.trials, schemes, seed, hessian=H)
+    step = linalg.solve_psd(H, grad)
     step_norm = linalg.norm(step)
     if not math.isfinite(step_norm):
         raise NonFiniteResult(f"the exact step's norm is {step_norm}")
@@ -170,7 +175,7 @@ def cmd_newton_sweep(args) -> int:
         "trials": args.trials,
         "scheme": args.scheme,
         "seed": seed,
-        "coherence": coherence(obj, w0),
+        "coherence": coherence(obj, w0, H),
         "step_norm_euclidean": step_norm,
         "step_norm_hessian": linalg.mahalanobis_norm(step, H),
     }

@@ -4,14 +4,17 @@ The on-disk format is the plain sparse text format used by the libsvm
 family of tools: one example per line, a real label followed by
 ``index:value`` pairs with strictly increasing 1-based indices, ``#``
 starting a comment.  Parsing is strict, and every complaint carries the
-offending line number.
+offending line number.  Lines are read in blocks of ``BLOCK_LINES``: a
+block of plain dense lines (ASCII, single spaces, LF endings, no comment
+or blank line, the same indices on every line) is converted at once, any
+other block line by line, with the same bytes and the same errors.
 """
 
 from __future__ import annotations
 
 import io
 import math
-from itertools import repeat
+from itertools import islice, repeat
 from typing import Iterable, Sequence, TextIO, Union
 
 import numpy as np
@@ -26,6 +29,15 @@ Source = Union[str, TextIO, Iterable[str]]
 # float64 entries are 1 GiB.
 MAX_ENTRIES = 1 << 27
 
+# Lines per block of parse_libsvm.  A block of plain dense lines is
+# converted at once, so its text and fields are held at once: parsing a
+# 2000-line d=65 file peaks at about 4 MB under tracemalloc, against 26 MB
+# for the whole file as one block.
+BLOCK_LINES = 256
+# Every printable ASCII character but the space and the two that structure a
+# line, ":" and "#"
+_TOKEN_BYTES = bytes(c for c in range(0x21, 0x7F) if chr(c) not in ":#")
+
 
 def _iter_lines(source: Source) -> Iterable[str]:
     if isinstance(source, str):
@@ -36,9 +48,14 @@ def _iter_lines(source: Source) -> Iterable[str]:
 def parse_libsvm(source: Source) -> Dataset:
     """Parse sparse ``label index:value ...`` lines into a dense Dataset.
 
-    Each line's fields are converted in bulk, by ``np.array(..., dtype)``
-    with the semantics of ``int()`` and ``float()``; only a line that fails
-    that test is checked token by token, which names its fault.
+    Lines are read in blocks of ``BLOCK_LINES``.  A block of plain dense
+    lines is converted at once: every line ASCII, LF-terminated (the last
+    line of the input may lack the LF), fields separated by single spaces,
+    no comment, no blank line, and the same index text as the block's first
+    line.  Any other block is converted line by line: each line's fields in
+    bulk, by ``np.array(..., dtype)`` with the semantics of ``int()`` and
+    ``float()``, and only a line that fails that test token by token, which
+    names its fault.  Both routes give the same bytes and the same errors.
 
     Parameters
     ----------
@@ -62,33 +79,96 @@ def parse_libsvm(source: Source) -> Dataset:
         If no data lines remain after stripping comments and blanks.
     """
     labels: list[float] = []
-    rows: list[tuple[Sequence[int], Sequence[float]]] = []
-    width = width_line = 0
+    # (first row, indices, values) of dense blocks, and (row, indices,
+    # values) of the lines converted one at a time
+    blocks: list[tuple[int, np.ndarray, np.ndarray]] = []
+    rows: list[tuple[int, Sequence[int], Sequence[float]]] = []
+    width = width_line = lineno = 0
     previous: dict[str, np.ndarray | None] = {}
-    for lineno, raw in enumerate(_iter_lines(source), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    lines = iter(_iter_lines(source))
+    for block in iter(lambda: list(islice(lines, BLOCK_LINES)), []):
+        dense = _dense_block(block, previous)
+        if dense is not None:
+            block_labels, indices, values = dense
+            if len(indices) and indices[-1] > width:
+                width, width_line = int(indices[-1]), lineno + 1
+            blocks.append((len(labels), indices, values))
+            labels.extend(block_labels.tolist())
+            lineno += len(block)
             continue
-        label, indices, values = _bulk_row(line, previous) or _checked_row(lineno, line)
-        top = int(indices[-1]) if len(indices) else 0
-        if top > width:
-            width, width_line = top, lineno
-        labels.append(label)
-        rows.append((indices, values))
-    if not rows:
+        for lineno, raw in enumerate(block, start=lineno + 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            label, indices, values = _bulk_row(line, previous) or _checked_row(lineno, line)
+            top = int(indices[-1]) if len(indices) else 0
+            if top > width:
+                width, width_line = top, lineno
+            rows.append((len(labels), indices, values))
+            labels.append(label)
+    if not labels:
         raise EmptyDataset("no data lines in input")
-    if len(rows) * width > MAX_ENTRIES:
+    if len(labels) * width > MAX_ENTRIES:
         raise ParseError(
-            width_line, f"index {width} makes a {len(rows)} x {width} matrix, over the cap "
+            width_line, f"index {width} makes a {len(labels)} x {width} matrix, over the cap "
             f"of {MAX_ENTRIES} entries"
         )
-    X = np.zeros((len(rows), max(width, 1)))
-    counts = [len(indices) for indices, _ in rows]
+    X = np.zeros((len(labels), max(width, 1)))
+    for start, indices, values in blocks:
+        X[start:start + len(values), indices - 1] = values
+    counts = [len(indices) for _, indices, _ in rows]
     if sum(counts):
-        columns = np.concatenate([indices for indices, _ in rows]) - 1
-        X[np.repeat(np.arange(len(rows)), counts), columns] = np.concatenate(
-            [values for _, values in rows])
+        columns = np.concatenate([indices for _, indices, _ in rows]) - 1
+        X[np.repeat([row for row, _, _ in rows], counts), columns] = np.concatenate(
+            [values for _, _, values in rows])
     return Dataset(X=X, y=np.array(labels))
+
+
+def _dense_block(lines: list[str], previous: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Labels, indices and values of a block of plain dense lines (see
+    :func:`parse_libsvm`), each converted at once, or None if the block is
+    not plain dense or any field fails a check of :func:`_checked_row`.
+
+    ``previous`` is :func:`_bulk_row`'s cache of the last index text.
+    """
+    # a cheap miss first: the first and last lines of a sparse block rarely
+    # share their indices
+    first, last = (line.replace(":", " ").split(" ")[1::2] for line in (lines[0], lines[-1]))
+    if first != last:
+        return None
+    text = "".join(lines)
+    # ASCII, so that encode cannot fail, and one line per item, so that the
+    # lines of the text are the block's
+    if not (text.isascii() and all(map(str.endswith, lines[:-1], repeat("\n")))):
+        return None
+    if not text.endswith("\n"):
+        text += "\n"
+    # with every token character deleted, a plain dense line of k pairs
+    # reads " :" k times, then its LF; a tab, a CR, a comment, a blank line
+    # or a leading, trailing or doubled space leaves something else
+    k = lines[0].count(":")
+    if text.encode().translate(None, _TOKEN_BYTES) != (b" :" * k + b"\n") * len(lines):
+        return None
+    # per line: label, then index and value k times, then "\n"; the indices
+    # and the "\n" are the odd fields, the label and the values the even ones
+    fields = text.replace(":", " ").replace("\n", " \n ").split(" ")
+    fields.pop()
+    head = fields[1:2 * k + 2:2]
+    if fields[1::2] != head * len(lines):
+        return None
+    index_text = " ".join(head[:-1])
+    try:
+        numbers = np.array(fields[0::2], dtype=float).reshape(len(lines), k + 1)
+        if index_text not in previous:
+            previous.clear()
+            previous[index_text] = _indices(index_text)
+    except (ValueError, OverflowError):
+        return None
+    indices = previous[index_text]
+    # one empty index (":5") joins to the text of no indices
+    if indices is None or len(indices) != k or not np.isfinite(numbers).all():
+        return None
+    return numbers[:, 0], indices, numbers[:, 1:]
 
 
 def _bulk_row(line: str, previous: dict) -> tuple[float, np.ndarray, np.ndarray] | None:

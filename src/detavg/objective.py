@@ -41,7 +41,7 @@ class Dataset:
 
     Attributes
     ----------
-    X : ndarray of shape (n, d)
+    X : ndarray of shape (n, d), stored C-contiguous
     y : ndarray of shape (n,)
     """
 
@@ -49,7 +49,9 @@ class Dataset:
     y: np.ndarray
 
     def __post_init__(self):
-        X = np.asarray(self.X, dtype=float)
+        # stored C-contiguous, so that gram on X (or on rows weighted from
+        # it) is always numpy's syrk route
+        X = np.ascontiguousarray(self.X, dtype=float)
         y = np.asarray(self.y, dtype=float)
         if X.ndim != 2:
             raise ValueError(f"X must be 2-d, got shape {X.shape}")

@@ -21,7 +21,7 @@ import detavg
 from detavg.cli import main, write_csv
 from detavg.dataio import serialize_libsvm, synth_regression
 from detavg.errors import NonFiniteResult
-from detavg.objective import Dataset
+from detavg.objective import Dataset, Objective
 
 
 def run(tmp_path, name, *argv):
@@ -83,6 +83,16 @@ class TestNewtonSweep:
         assert meta["step_norm_hessian"] > 0
         assert meta["lambda"] == pytest.approx(1.0 / 120)  # auto default
         assert "threads" not in meta
+
+    def test_builds_the_full_data_hessian_once(self, tmp_path, monkeypatch):
+        # shared by error_sweep, the sidecar's step norms and coherence
+        calls = []
+        hessian = Objective.hessian
+        monkeypatch.setattr(Objective, "hessian",
+                            lambda obj, w: calls.append(w) or hessian(obj, w))
+        code, _ = run(tmp_path, "h.csv", *sweep_args())
+        assert code == 0
+        assert len(calls) == 1
 
     def test_single_scheme_filter(self, tmp_path):
         code, out = run(tmp_path, "u.csv", *sweep_args(scheme="uniform"))

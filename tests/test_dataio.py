@@ -2,13 +2,17 @@
 
 import io
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from detavg import dataio
 from detavg.dataio import (
+    BLOCK_LINES,
     MAX_ENTRIES,
     expand_degree2,
     load_libsvm,
@@ -283,6 +287,171 @@ def test_bulk_parse_reports_what_token_parse_reports(data):
     got = outcome(parse_libsvm, text)
     assert got == outcome(reference_parse_libsvm, text)
     assert got[0] == "ParseError"
+
+
+def dense_tokens(seed, n, d):
+    """The tokens of n plain dense lines of d pairs: a label, then
+    ``j:value`` for j = 1..d, values of magnitudes 1e-8 to 1e8."""
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(-1, 2, n).astype(float).tolist()
+    values = (rng.standard_normal((n, d)) * 10.0 ** rng.integers(-8, 9, (n, d))).tolist()
+    return [[repr(y), *(f"{j}:{v!r}" for j, v in enumerate(row, start=1))]
+            for y, row in zip(labels, values)]
+
+
+def _set(tokens, at, token):
+    tokens = list(tokens)
+    tokens[at] = token
+    return " ".join(tokens)
+
+
+ARABIC = str.maketrans("0123456789", DIGITS[0])
+# faults of pair c, of the label or of the last pair; all but the label
+# "1:1" keep a plain dense line's shape, one space and one colon per pair,
+# so the block route's conversion and index checks must catch them
+FAULTS_KEEPING_SHAPE = {
+    "3:nan": lambda t, c: _set(t, c, f"{c}:nan"),
+    "3:1e400": lambda t, c: _set(t, c, f"{c}:1e400"),
+    "5:": lambda t, c: _set(t, c, f"{c}:"),
+    ":5": lambda t, c: _set(t, c, t[c][t[c].index(":"):]),
+    "1_0": lambda t, c: _set(t, c, f"{c}:1_0"),
+    "label 1:1": lambda t, c: _set(t, 0, "1:1"),
+    "index 01": lambda t, c: _set(t, c, "0" + t[c]),
+    "index past int64": lambda t, c: _set(t, -1, f"{1 << 70}:1"),
+    "width over the cap": lambda t, c: _set(t, -1, f"{1 << 40}:1"),
+}
+# valid lines that are not plain dense: each sends its block line by line
+FAULTS_BREAKING_SHAPE = {
+    "tab": lambda t, c: " ".join(t[:c]) + "\t" + " ".join(t[c:]),
+    "comment": lambda t, c: " ".join(t) + " # note",
+    "CRLF": lambda t, c: " ".join(t) + "\r",
+    "non-ASCII digit": lambda t, c: _set(t, c, t[c].translate(ARABIC)),
+}
+FAULTS = {**FAULTS_KEEPING_SHAPE, **FAULTS_BREAKING_SHAPE}
+
+
+def dense_case(seed, n, d, fault=None, at=(), column=1, final_newline=True):
+    """The text of a dense file with ``fault`` on the lines numbered ``at``
+    (from 0), and the text of the same file without it."""
+    tokens = dense_tokens(seed, n, d)
+    lines = [" ".join(t) for t in tokens]
+    clean = "\n".join(lines) + "\n" * final_newline
+    for i in at:
+        lines[i] = FAULTS[fault](tokens[i], column)
+    return "\n".join(lines) + "\n" * final_newline, clean, fault, at
+
+
+@st.composite
+def dense_files(draw):
+    n = draw(st.one_of(st.integers(1, 9), st.integers(BLOCK_LINES + 1, 3 * BLOCK_LINES)))
+    d = draw(st.integers(1, 6))
+    fault = draw(st.sampled_from([None, *FAULTS]))
+    at = () if fault is None else draw(st.sampled_from([
+        (draw(st.integers(0, n - 1)),), tuple(range(n))]))
+    return dense_case(draw(st.integers(0, 2**32 - 1)), n, d, fault, at,
+                      draw(st.integers(1, d)), draw(st.booleans()))
+
+
+def block_routes(text):
+    """What parse_libsvm makes of ``text``, and for each block it read,
+    whether it converted the block at once."""
+    routes = []
+    dense_block = dataio._dense_block
+
+    def spy(lines, previous):
+        result = dense_block(lines, previous)
+        routes.append(result is not None)
+        return result
+
+    with mock.patch.object(dataio, "_dense_block", spy):
+        return outcome(parse_libsvm, text), routes
+
+
+def check_dense_case(case):
+    """The same bytes, or the same ParseError line and message, as the
+    token-by-token parser; a file with no fault is converted a block at a
+    time, and a valid line that is not plain sends its block alone line by
+    line."""
+    text, clean, fault, at = case
+    got, routes = block_routes(text)
+    assert got == outcome(reference_parse_libsvm, text)
+    if fault is None:
+        assert all(routes)
+    elif fault in FAULTS_BREAKING_SHAPE:
+        assert got == outcome(reference_parse_libsvm, clean)
+        faulty = {i // BLOCK_LINES for i in at}
+        assert routes == [block not in faulty for block in range(len(routes))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_files())
+@example(dense_case(6, 1, 1, ":5", at=(0,)))  # one empty index: the text of no indices
+@example(dense_case(7, 300, 1, ":5", at=tuple(range(300))))
+def test_dense_blocks_parse_as_token_parse(case):
+    check_dense_case(case)
+
+
+N_FAULT = 2 * BLOCK_LINES + 5
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+@pytest.mark.parametrize("at", [(0,), (BLOCK_LINES,), (N_FAULT - 1,), tuple(range(N_FAULT))],
+                         ids=["first line", "first of block 2", "last line", "every line"])
+@pytest.mark.parametrize("final_newline", [True, False], ids=["LF", "no final LF"])
+def test_each_fault_in_a_dense_file(fault, at, final_newline):
+    check_dense_case(dense_case(11, N_FAULT, 3, fault, at, 2, final_newline))
+
+
+def test_label_only_lines_take_the_block_route():
+    text = "".join(f"{i}\n" for i in range(BLOCK_LINES + 3))
+    got, routes = block_routes(text)
+    assert routes == [True, True]
+    assert got == outcome(reference_parse_libsvm, text)
+    assert got[0] == (BLOCK_LINES + 3, 1)
+
+
+def test_blocks_of_varying_indices_go_line_by_line():
+    text = serialize_libsvm(Dataset(X=np.eye(BLOCK_LINES + 1), y=np.ones(BLOCK_LINES + 1)))
+    got, routes = block_routes(text)
+    assert routes == [False, True]  # the last block is one line
+    assert got == outcome(reference_parse_libsvm, text)
+
+
+@pytest.mark.parametrize("lines", [["1 1:2\n0 1:3\n", ""], ["1 1:2\n0", " 1:3\n"]])
+def test_iterable_items_are_parsed_as_lines(lines):
+    # an item holding more or less than one line is still one line, whose
+    # third token has no colon, even where the joined text reads dense
+    with pytest.raises(ParseError, match="line 1: expected index:value, got '0'"):
+        parse_libsvm(lines)
+
+
+def test_a_lone_surrogate_is_a_bad_label():
+    # a str item need not be encodable; it fails as a label, not in the
+    # block route's encode
+    with pytest.raises(ParseError) as err:
+        parse_libsvm(["1 1:2\n", "\ud800 1:3\n"])
+    assert str(err.value) == "line 2: bad label '\\ud800'"
+
+
+def test_dense_parse_memory_stays_under_twice_the_text(tmp_path):
+    # the tracemalloc peak of a 2000-line d=65 file, under a bound set from
+    # the text's size, not from a measured peak; converting the whole file
+    # at once breaks it
+    path = tmp_path / "d65.svm"
+    size = path.write_text("".join(" ".join(t) + "\n" for t in dense_tokens(7, 2000, 65)))
+    bound = 2 * size
+
+    def peak():
+        tracemalloc.start()
+        try:
+            load_libsvm(path)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak() < bound
+    with mock.patch.object(dataio, "BLOCK_LINES", 1 << 30):
+        assert peak() > bound
 
 
 def test_expand_degree2_generic_width():

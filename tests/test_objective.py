@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from detavg.objective import Dataset, LossKind, Objective, gram_tail
+from detavg.objective import Dataset, LossKind, Objective, gram, gram_tail
 
 
 def fd_gradient(obj, w):
@@ -205,6 +205,25 @@ def test_gram_tail_in_place_equals_a_separate_buffer(shape, with_ridge):
     assert gram_tail(G, 7, ridge) is G
     want = (raw / 7 + np.swapaxes(raw / 7, -1, -2)) * 0.5
     assert G.tobytes() == (want if ridge is None else want + ridge).tobytes()
+
+
+@pytest.mark.parametrize("loss", list(LossKind))
+def test_column_strided_features_give_the_contiguous_hessian(loss):
+    # a view of every other column is stored as a contiguous copy, so its
+    # Hessian is the copy's to the byte, and its Gram is syrk's, exactly
+    # symmetric before gram_tail symmetrizes
+    rng = np.random.default_rng(151)
+    strided = rng.standard_normal((400, 130))[:, ::2]
+    y = (rng.random(400) < 0.5).astype(float)
+    w = 0.1 * rng.standard_normal(65)
+    data = Dataset(X=strided, y=y)
+    assert data.X.flags.c_contiguous
+    H = Objective(data, loss, lam=1e-3).hessian(w)
+    H_copy = Objective(Dataset(X=strided.copy(), y=y), loss, lam=1e-3).hessian(w)
+    assert H.tobytes() == H_copy.tobytes()
+    G = gram(np.empty((65, 65)), data.X)
+    assert np.array_equal(G, G.T)
+    assert np.array_equal(H, H.T)
 
 
 def test_logistic_rejects_bad_labels():
