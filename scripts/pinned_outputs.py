@@ -6,8 +6,9 @@ Usage::
     PYTHONPATH=src python scripts/pinned_outputs.py --compare OLD NEW
 
 Runs a fixed list of argv through ``detavg.cli.main`` from inside OUTDIR,
-so every CSV, every ``newton-sweep`` sidecar and the d=65 data file they
-read land there, and the sidecars record relative paths only.  It takes a
+so every CSV, every ``newton-sweep`` sidecar and the two data files they
+read (a dense d=65 file and a sparse one with comments, a blank line and
+tabs) land there, and the sidecars record relative paths only.  It takes a
 few seconds on one core.  Run it at two commits into two directories, then
 ``--compare`` them: for each file it prints ``identical`` (the same bytes)
 or how many cells moved and the largest relative move |new - old| / |old|
@@ -24,12 +25,15 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from detavg import dataio
 from detavg.cli import main
 from detavg.objective import Dataset
 
 DESK = "2000,10,1.0"  # the acceptance instance: n=2000, d=10, unit noise
 D65 = "d65.svm"  # standardized degree-2 expansion of DESK at seed 0
+SPARSE = "sparse.svm"  # varying indices per line, some lines messy
 EMPTY_MASKS = ["--synth", "60,3,1.0", "--k", "2", "--m", "2,4,8", "--trials", "20",
                "--seed", "4"]  # about one mask in seven keeps no row
 
@@ -64,6 +68,9 @@ RUNS = {
                            "--seed", "2"],
     "d65_uq_trace.csv": ["uq-sweep", "--dataset", D65, "--k", "400", "--m", "8,32,128",
                          "--trials", "3", "--statistic", "trace", "--seed", "2"],
+    "sparse_step_sweep.csv": ["newton-sweep", "--dataset", SPARSE, "--k", "100",
+                              "--lambda", "auto", "--m", "8,32,128", "--trials", "3",
+                              "--scheme", "both", "--seed", "3"],
     "d65_converge.csv": ["newton-converge", "--dataset", D65, "--loss", "logistic",
                          "--lambda", "auto", "--k", "400", "--m", "256", "--iters", "3",
                          "--scheme", "determinantal", "--seed", "0"],
@@ -80,6 +87,23 @@ def write_d65(path: Path) -> None:
     base = dataio.synth_regression(2000, 10, 1.0, seed=0)
     X = dataio.standardize(dataio.expand_degree2(base)).X
     path.write_text(dataio.serialize_libsvm(Dataset(X=X, y=base.y)), encoding="utf-8")
+
+
+def write_sparse(path: Path) -> None:
+    """700 data lines of 3 to 12 pairs among 40 columns.  Lines 300-339 are
+    tab-separated, and comment lines, a blank line and a trailing comment
+    sit among them, so the middle block of 256 lines is not plain."""
+    rng = np.random.default_rng(7)
+    lines = []
+    for i in range(700):
+        columns = np.sort(rng.choice(40, rng.integers(3, 13), replace=False)) + 1
+        pairs = [f"{j}:{v!r}" for j, v in zip(columns, rng.standard_normal(len(columns)).tolist())]
+        line = " ".join([repr(float(rng.standard_normal())), *pairs])
+        lines.append(line.replace(" ", "\t") if 300 <= i < 340 else line)
+    lines[350] += "  # a trailing comment 1:2"
+    for at, extra in ((330, ""), (320, "# a comment line"), (310, "#")):
+        lines.insert(at, extra)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def cells(path: Path) -> list[str]:
@@ -131,6 +155,7 @@ def run(argv: list[str]) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     os.chdir(outdir)
     write_d65(Path(D65))
+    write_sparse(Path(SPARSE))
     for name, args in RUNS.items():
         code = main([*args, "--out", name])
         if code != 0:

@@ -4,16 +4,20 @@ The on-disk format is the plain sparse text format used by the libsvm
 family of tools: one example per line, a real label followed by
 ``index:value`` pairs with strictly increasing 1-based indices, ``#``
 starting a comment.  Parsing is strict, and every complaint carries the
-offending line number.  Lines are read in blocks of ``BLOCK_LINES``: a
-block of plain dense lines (ASCII, single spaces, LF endings, no comment
-or blank line, the same indices on every line) is converted at once, any
-other block line by line, with the same bytes and the same errors.
+offending line number.  Lines are read in blocks of ``BLOCK_LINES``, and
+one converter, :func:`_block`, converts a block of plain lines (ASCII,
+single spaces, LF endings, no comment or blank line, any indices) at once:
+one float conversion for its labels and values, one index check per
+distinct index text.  Any other block is normalized line by line and given
+to the same converter; only a block that still fails goes token by token,
+to name its fault.  Every route gives the same bytes and the same errors.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import re
 from itertools import islice, repeat
 from typing import Iterable, Sequence, TextIO, Union
 
@@ -29,14 +33,16 @@ Source = Union[str, TextIO, Iterable[str]]
 # float64 entries are 1 GiB.
 MAX_ENTRIES = 1 << 27
 
-# Lines per block of parse_libsvm.  A block of plain dense lines is
-# converted at once, so its text and fields are held at once: parsing a
+# Lines per block of parse_libsvm.  A block of plain lines is converted at
+# once, so its text and fields are held at once: parsing a
 # 2000-line d=65 file peaks at about 4 MB under tracemalloc, against 26 MB
 # for the whole file as one block.
 BLOCK_LINES = 256
 # Every printable ASCII character but the space and the two that structure a
 # line, ":" and "#"
 _TOKEN_BYTES = bytes(c for c in range(0x21, 0x7F) if chr(c) not in ":#")
+# What the "surrogateescape" error handler makes of a byte that is not UTF-8
+_ESCAPED = re.compile("[\udc80-\udcff]")
 
 
 def _iter_lines(source: Source) -> Iterable[str]:
@@ -48,14 +54,15 @@ def _iter_lines(source: Source) -> Iterable[str]:
 def parse_libsvm(source: Source) -> Dataset:
     """Parse sparse ``label index:value ...`` lines into a dense Dataset.
 
-    Lines are read in blocks of ``BLOCK_LINES``.  A block of plain dense
-    lines is converted at once: every line ASCII, LF-terminated (the last
-    line of the input may lack the LF), fields separated by single spaces,
-    no comment, no blank line, and the same index text as the block's first
-    line.  Any other block is converted line by line: each line's fields in
-    bulk, by ``np.array(..., dtype)`` with the semantics of ``int()`` and
-    ``float()``, and only a line that fails that test token by token, which
-    names its fault.  Both routes give the same bytes and the same errors.
+    Lines are read in blocks of ``BLOCK_LINES``, and a block of plain lines
+    is converted at once by :func:`_block`: every line ASCII, LF-terminated
+    (the last line of the input may lack the LF), fields separated by single
+    spaces, no comment, no blank line, any indices.  Any other block is
+    normalized line by line (comment cut, whitespace runs made one space,
+    blank lines dropped) and converted at once again; only a block that
+    still fails, say for a faulty line, is converted token by token by
+    :func:`_checked_row`, which names the fault.  Every route gives the same
+    bytes and the same errors.
 
     Parameters
     ----------
@@ -72,40 +79,33 @@ def parse_libsvm(source: Source) -> Dataset:
     ------
     ParseError
         On a malformed or non-finite label or pair, indices that are not
-        strictly increasing within a line, or an index so wide that the
-        dense matrix would exceed ``MAX_ENTRIES`` entries (checked before
-        allocating).  The error carries the line number.
+        strictly increasing within a line, a byte that is not UTF-8 (read by
+        :func:`load_libsvm` as a surrogate escape), or an index so wide that
+        the dense matrix would exceed ``MAX_ENTRIES`` entries (checked
+        before allocating).  The error carries the line number.
     EmptyDataset
         If no data lines remain after stripping comments and blanks.
     """
     labels: list[float] = []
-    # (first row, indices, values) of dense blocks, and (row, indices,
-    # values) of the lines converted one at a time
-    blocks: list[tuple[int, np.ndarray, np.ndarray]] = []
-    rows: list[tuple[int, Sequence[int], Sequence[float]]] = []
-    width = width_line = lineno = 0
-    previous: dict[str, np.ndarray | None] = {}
+    # (first row, pair counts, indices, values) of each block
+    blocks: list[tuple[int, Sequence[int], Sequence[int], Sequence[float]]] = []
+    width = width_line = 0
+    first = 1  # the line number of the block's first line
     lines = iter(_iter_lines(source))
     for block in iter(lambda: list(islice(lines, BLOCK_LINES)), []):
-        dense = _dense_block(block, previous)
-        if dense is not None:
-            block_labels, indices, values = dense
-            if len(indices) and indices[-1] > width:
-                width, width_line = int(indices[-1]), lineno + 1
-            blocks.append((len(labels), indices, values))
-            labels.extend(block_labels.tolist())
-            lineno += len(block)
-            continue
-        for lineno, raw in enumerate(block, start=lineno + 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            label, indices, values = _bulk_row(line, previous) or _checked_row(lineno, line)
-            top = int(indices[-1]) if len(indices) else 0
-            if top > width:
-                width, width_line = top, lineno
-            rows.append((len(labels), indices, values))
-            labels.append(label)
+        linenos: Sequence[int] = range(first, first + len(block))
+        converted = _block(block)
+        if converted is None:
+            linenos, converted = _normalized_block(block, first)
+        block_labels, counts, indices, values = converted
+        top = np.max(indices, initial=0)
+        if top > width:
+            # the first of the largest index is the last of its line's
+            at = np.searchsorted(np.cumsum(counts), np.argmax(indices), "right")
+            width, width_line = int(top), linenos[int(at)]
+        blocks.append((len(labels), counts, indices, values))
+        labels.extend(block_labels)
+        first += len(block)
     if not labels:
         raise EmptyDataset("no data lines in input")
     if len(labels) * width > MAX_ENTRIES:
@@ -114,94 +114,104 @@ def parse_libsvm(source: Source) -> Dataset:
             f"of {MAX_ENTRIES} entries"
         )
     X = np.zeros((len(labels), max(width, 1)))
-    for start, indices, values in blocks:
-        X[start:start + len(values), indices - 1] = values
-    counts = [len(indices) for _, indices, _ in rows]
-    if sum(counts):
-        columns = np.concatenate([indices for _, indices, _ in rows]) - 1
-        X[np.repeat([row for row, _, _ in rows], counts), columns] = np.concatenate(
-            [values for _, _, values in rows])
+    flat = X.reshape(-1)
+    for start, counts, indices, values in blocks:
+        # the flat position of entry (i, j) of X, with j = index - 1, in the
+        # shape of the indices, a dense block's (n, k) like its values
+        indices = np.asarray(indices, dtype=np.int64)
+        heads = np.arange(start, start + len(counts)) * X.shape[1] - 1
+        flat[np.repeat(heads, counts).reshape(indices.shape) + indices] = values
     return Dataset(X=X, y=np.array(labels))
 
 
-def _dense_block(lines: list[str], previous: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Labels, indices and values of a block of plain dense lines (see
-    :func:`parse_libsvm`), each converted at once, or None if the block is
-    not plain dense or any field fails a check of :func:`_checked_row`.
-
-    ``previous`` is :func:`_bulk_row`'s cache of the last index text.
-    """
-    # a cheap miss first: the first and last lines of a sparse block rarely
-    # share their indices
-    first, last = (line.replace(":", " ").split(" ")[1::2] for line in (lines[0], lines[-1]))
-    if first != last:
+def _block(lines: list[str]) -> tuple[list[float], np.ndarray, np.ndarray, np.ndarray] | None:
+    """Labels (floats, as :func:`_checked_row` gives them), pair counts,
+    indices and values of a block of plain lines (see :func:`parse_libsvm`),
+    each converted at once, or None if the block is not plain or any field
+    fails a check of :func:`_checked_row` (or an index does not fit in
+    int64)."""
+    split = _plain_fields(lines)
+    if split is None:
         return None
+    numbers, texts = split
+    try:
+        numbers = np.array(numbers, dtype=float)
+        table = {text: _indices(text[1:]) for text in set(texts)}
+    except (ValueError, OverflowError):
+        return None
+    # one empty index (":5") joins to the text of no indices
+    if not (all(ix is not None and len(ix) == text.count(" ") for text, ix in table.items())
+            and np.isfinite(numbers).all()):
+        return None
+    n = len(lines)
+    if len(texts) == 1:
+        ix = table[texts[0]]
+        numbers = numbers.reshape(n, len(ix) + 1)
+        return (numbers[:, 0].tolist(), np.full(n, len(ix)), np.broadcast_to(ix, (n, len(ix))),
+                numbers[:, 1:])
+    per_line = [table[text] for text in texts]
+    counts = np.fromiter(map(len, per_line), dtype=np.intp, count=n)
+    heads = np.cumsum(counts + 1) - (counts + 1)
+    return numbers[heads].tolist(), counts, np.concatenate(per_line), np.delete(numbers, heads)
+
+
+def _plain_fields(lines: list[str]) -> tuple[list[str], list[str]] | None:
+    """The label and value strings of a block of plain lines, and each
+    line's index text, a space before each index (" 1 2 3", or ""): one
+    text if every line has line 0's indices.  None if the block is not
+    plain.  The rest of the split is freed before the caller converts,
+    which keeps the parse's heap small."""
     text = "".join(lines)
     # ASCII, so that encode cannot fail, and one line per item, so that the
     # lines of the text are the block's
     if not (text.isascii() and all(map(str.endswith, lines[:-1], repeat("\n")))):
         return None
-    if not text.endswith("\n"):
+    if not lines[-1].endswith("\n"):
         text += "\n"
-    # with every token character deleted, a plain dense line of k pairs
-    # reads " :" k times, then its LF; a tab, a CR, a comment, a blank line
-    # or a leading, trailing or doubled space leaves something else
-    k = lines[0].count(":")
-    if text.encode().translate(None, _TOKEN_BYTES) != (b" :" * k + b"\n") * len(lines):
+    # with every token character deleted, a plain line of k pairs reads
+    # " :" k times, then its LF; a tab, a CR, a comment, a blank line or a
+    # leading, trailing or doubled space leaves something else.  The first
+    # compare is the quick one for a block whose lines all have line 0's k
+    n, k = len(lines), lines[0].count(":")
+    shape = text.encode().translate(None, _TOKEN_BYTES)
+    if shape != (b" :" * k + b"\n") * n and shape.replace(b" :", b"") != b"\n" * n:
         return None
-    # per line: label, then index and value k times, then "\n"; the indices
+    # freed before the split, which ran about 3% slower with it alive
+    del shape
+    # per line: label, then index and value per pair, then "\n"; the indices
     # and the "\n" are the odd fields, the label and the values the even ones
     fields = text.replace(":", " ").replace("\n", " \n ").split(" ")
     fields.pop()
-    head = fields[1:2 * k + 2:2]
-    if fields[1::2] != head * len(lines):
-        return None
-    index_text = " ".join(head[:-1])
-    try:
-        numbers = np.array(fields[0::2], dtype=float).reshape(len(lines), k + 1)
-        if index_text not in previous:
-            previous.clear()
-            previous[index_text] = _indices(index_text)
-    except (ValueError, OverflowError):
-        return None
-    indices = previous[index_text]
-    # one empty index (":5") joins to the text of no indices
-    if indices is None or len(indices) != k or not np.isfinite(numbers).all():
-        return None
-    return numbers[:, 0], indices, numbers[:, 1:]
+    odd = fields[1::2]
+    if odd == odd[:k + 1] * n:
+        return fields[0::2], [" ".join(["", *odd[:k]])]
+    return fields[0::2], (" " + " ".join(odd)).split(" \n")[:-1]
 
 
-def _bulk_row(line: str, previous: dict) -> tuple[float, np.ndarray, np.ndarray] | None:
-    """Label, indices and values of a well-formed data line, converted in
-    bulk, or None if any of them fails a check of :func:`_checked_row`
-    (or an index does not fit in int64).
-
-    ``previous`` maps the index text of the last line converted to its
-    indices, which the next line reuses when it has the same ones, as every
-    line of a dense file does.
-    """
-    tokens = line.split()
-    pairs = tokens[1:]
-    # a colon in every pair and as many colons as pairs: one in each pair,
-    # none in the label
-    if line.count(":") != len(pairs) or not all(map(str.__contains__, pairs, repeat(":"))):
-        return None
-    fields = ":".join(pairs).split(":")
-    text = " ".join(fields[0::2])
-    try:
-        label = float(tokens[0])
-        values = np.array(fields[1::2], dtype=float)
-        if text not in previous:
-            previous.clear()
-            previous[text] = _indices(text)
-    except (ValueError, OverflowError):
-        return None
-    indices = previous[text]
-    # one empty index (":5") joins to the text of no indices
-    if (indices is None or len(indices) != len(values)
-            or not (math.isfinite(label) and np.isfinite(values).all())):
-        return None
-    return label, indices, values
+def _normalized_block(block: list[str], first: int) -> tuple[Sequence[int], tuple]:
+    """The line numbers of a block's data lines and their labels, pair
+    counts, indices and values: the lines normalized and converted at once
+    by :func:`_block`, or, if that fails, token by token by
+    :func:`_checked_row`, which raises the first line's fault."""
+    normal = [" ".join(raw.split("#", 1)[0].split()) for raw in block]
+    linenos = [lineno for lineno, line in enumerate(normal, start=first) if line]
+    text = "".join(block)
+    if linenos and (text.isascii() or _ESCAPED.search(text) is None):
+        converted = _block([line + "\n" for line in normal if line])
+        if converted is not None:
+            return linenos, converted
+    labels, counts, indices, values = [], [], [], []
+    for lineno, raw, line in zip(range(first, first + len(block)), block, normal):
+        escaped = _ESCAPED.search(raw)
+        if escaped:
+            raise ParseError(lineno, f"byte {ord(escaped[0]) - 0xDC00:#04x} is not UTF-8")
+        if line:
+            label, row_indices, row_values = _checked_row(lineno, line)
+            labels.append(label)
+            counts.append(len(row_indices))
+            indices += row_indices
+            values += row_values
+    return linenos, (labels, counts, indices, values)
 
 
 def _indices(text: str) -> np.ndarray | None:
@@ -249,7 +259,9 @@ def _checked_row(lineno: int, line: str) -> tuple[float, list[int], list[float]]
 
 
 def load_libsvm(path) -> Dataset:
-    with open(path, "r", encoding="utf-8") as f:
+    """:func:`parse_libsvm` of a UTF-8 file; a byte that is not UTF-8 is a
+    ParseError naming its line."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
         return parse_libsvm(f)
 
 

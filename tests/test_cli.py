@@ -196,6 +196,16 @@ class TestSeedResolution:
         assert not out.exists()
 
 
+    def test_a_byte_that_is_not_utf8_exits_1_naming_its_line(self, tmp_path, capsys):
+        path = tmp_path / "data.txt"
+        lines = [f"{i % 2} 1:{i} 2:0.5".encode() for i in range(1, 601)]
+        lines[499] += b" # \xff"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        code, out = run(tmp_path, "o.csv", *sweep_args(synth=None, dataset=str(path), k="2"))
+        assert code == 1
+        assert_one_line(capsys.readouterr().err, "error: line 500: byte 0xff is not UTF-8")
+        assert not out.exists()
+
 class TestUqSweep:
     def test_csv_header_and_rows(self, tmp_path):
         out = tmp_path / "uq.csv"

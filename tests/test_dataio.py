@@ -352,35 +352,34 @@ def dense_files(draw):
                       draw(st.integers(1, d)), draw(st.booleans()))
 
 
-def block_routes(text):
-    """What parse_libsvm makes of ``text``, and for each block it read,
-    whether it converted the block at once."""
-    routes = []
-    dense_block = dataio._dense_block
+def token_routes(text):
+    """What parse_libsvm makes of ``text``, and the line numbers it converted
+    token by token."""
+    checked = []
+    checked_row = dataio._checked_row
 
-    def spy(lines, previous):
-        result = dense_block(lines, previous)
-        routes.append(result is not None)
-        return result
+    def spy(lineno, line):
+        checked.append(lineno)
+        return checked_row(lineno, line)
 
-    with mock.patch.object(dataio, "_dense_block", spy):
-        return outcome(parse_libsvm, text), routes
+    with mock.patch.object(dataio, "_checked_row", spy):
+        return outcome(parse_libsvm, text), checked
 
 
 def check_dense_case(case):
     """The same bytes, or the same ParseError line and message, as the
-    token-by-token parser; a file with no fault is converted a block at a
-    time, and a valid line that is not plain sends its block alone line by
-    line."""
+    token-by-token parser; only a block holding a faulty or non-ASCII line
+    is converted token by token, and a non-ASCII one is, every line of it."""
     text, clean, fault, at = case
-    got, routes = block_routes(text)
+    got, checked = token_routes(text)
     assert got == outcome(reference_parse_libsvm, text)
-    if fault is None:
-        assert all(routes)
-    elif fault in FAULTS_BREAKING_SHAPE:
+    faulty = {i // BLOCK_LINES for i in at}
+    assert {(lineno - 1) // BLOCK_LINES for lineno in checked} <= faulty
+    if fault in FAULTS_BREAKING_SHAPE:
         assert got == outcome(reference_parse_libsvm, clean)
-        faulty = {i // BLOCK_LINES for i in at}
-        assert routes == [block not in faulty for block in range(len(routes))]
+        n = len(text.splitlines())
+        assert checked == ([lineno for lineno in range(1, n + 1) if (lineno - 1) // BLOCK_LINES in faulty]
+                           if fault == "non-ASCII digit" else [])
 
 
 @settings(max_examples=150, deadline=None)
@@ -402,19 +401,101 @@ def test_each_fault_in_a_dense_file(fault, at, final_newline):
     check_dense_case(dense_case(11, N_FAULT, 3, fault, at, 2, final_newline))
 
 
+def block_results(text):
+    """What parse_libsvm makes of ``text``, and for each block conversion
+    it tried, whether it converted the block at once."""
+    results = []
+    block = dataio._block
+
+    def spy(lines):
+        result = block(lines)
+        results.append(result is not None)
+        return result
+
+    with mock.patch.object(dataio, "_block", spy):
+        return outcome(parse_libsvm, text), results
+
+
 def test_label_only_lines_take_the_block_route():
     text = "".join(f"{i}\n" for i in range(BLOCK_LINES + 3))
-    got, routes = block_routes(text)
-    assert routes == [True, True]
+    got, results = block_results(text)
+    assert results == [True, True]
     assert got == outcome(reference_parse_libsvm, text)
     assert got[0] == (BLOCK_LINES + 3, 1)
 
 
-def test_blocks_of_varying_indices_go_line_by_line():
+def test_blocks_of_varying_indices_convert_at_once():
     text = serialize_libsvm(Dataset(X=np.eye(BLOCK_LINES + 1), y=np.ones(BLOCK_LINES + 1)))
-    got, routes = block_routes(text)
-    assert routes == [False, True]  # the last block is one line
+    got, results = block_results(text)
+    assert results == [True, True]  # the last block is one line
     assert got == outcome(reference_parse_libsvm, text)
+
+
+def sparse_text(seed, n, width=40):
+    """n lines of up to 8 pairs at varying indices, some label only."""
+    rng = np.random.default_rng(seed)
+    lines = []
+    for _ in range(n):
+        indices = np.sort(rng.choice(width, rng.integers(0, 9), replace=False)) + 1
+        values = (rng.standard_normal(len(indices)) * 10.0 ** rng.integers(-8, 9, len(indices)))
+        lines.append(" ".join([repr(float(rng.integers(-1, 2)))]
+                              + [f"{j}:{v!r}" for j, v in zip(indices, values.tolist())]))
+    return "\n".join(lines) + "\n"
+
+
+def messy(text, seed):
+    """``text`` with its spaces made tabs or runs, comments, blank lines and
+    CRLF endings here and there: the same data, no plain block."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for line in text.splitlines():
+        line = line.replace(" ", str(rng.choice([" ", "\t", "  ", " \t"])))
+        kind = rng.integers(0, 4)
+        if kind == 0:
+            out.append("# a comment 1:2")
+        elif kind == 1:
+            out.append("")
+        out.append(line + (" # note" if kind == 2 else "") + ("\r" if kind == 3 else ""))
+    return "\n".join(out) + "\n"
+
+
+N_CLEAN = 2 * BLOCK_LINES + 7
+CLEAN_FILES = {
+    "dense": lambda: dense_case(3, N_CLEAN, 4)[0],
+    "sparse": lambda: sparse_text(3, N_CLEAN),
+    "tab-separated": lambda: sparse_text(4, N_CLEAN).replace(" ", "\t"),
+    "commented": lambda: messy(sparse_text(5, N_CLEAN), 5),
+}
+
+
+@pytest.mark.parametrize("kind", CLEAN_FILES)
+def test_a_file_with_no_faulty_line_is_never_converted_token_by_token(kind):
+    text = CLEAN_FILES[kind]()
+    got, checked = token_routes(text)
+    assert checked == []
+    assert got == outcome(reference_parse_libsvm, text)
+    assert got[0][0] == N_CLEAN
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3 * BLOCK_LINES),
+       tidy=st.booleans(), fault=st.sampled_from([None, *CORRUPT_PAIRS]), data=st.data())
+def test_sparse_files_parse_as_token_parse(seed, n, tidy, fault, data):
+    # varying indices, plain or messy, with at most one faulty pair: the
+    # same outcome, and only the faulty line's block token by token
+    lines = sparse_text(seed, n).splitlines()
+    if fault is not None:
+        lines[data.draw(st.integers(0, n - 1))] += " " + fault
+    text = "\n".join(lines) + "\n"
+    if not tidy:
+        text = messy(text, seed)
+    got, checked = token_routes(text)
+    assert got == outcome(reference_parse_libsvm, text)
+    if fault is None:
+        assert checked == []
+    else:
+        assert got[0] == "ParseError"
+        assert {(lineno - 1) // BLOCK_LINES for lineno in checked} <= {(got[1] - 1) // BLOCK_LINES}
 
 
 @pytest.mark.parametrize("lines", [["1 1:2\n0 1:3\n", ""], ["1 1:2\n0", " 1:3\n"]])
@@ -431,6 +512,41 @@ def test_a_lone_surrogate_is_a_bad_label():
     with pytest.raises(ParseError) as err:
         parse_libsvm(["1 1:2\n", "\ud800 1:3\n"])
     assert str(err.value) == "line 2: bad label '\\ud800'"
+
+
+def bad_byte_file(path, at, fault=b"\xff", comment=False):
+    """A dense file of three blocks with ``fault`` put into line ``at``
+    (from 1), inside a value or inside a comment after it."""
+    lines = [" ".join(t).encode() for t in dense_tokens(2, 3 * BLOCK_LINES, 3)]
+    line = lines[at - 1]
+    lines[at - 1] = line + b" # caf" + fault if comment else line[:-2] + fault + line[-2:]
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    return path
+
+
+@pytest.mark.parametrize("at", [3, 2 * BLOCK_LINES + 5], ids=["block 1", "block 3"])
+@pytest.mark.parametrize("comment", [False, True], ids=["in a value", "in a comment"])
+def test_a_byte_that_is_not_utf8_names_its_line(tmp_path, at, comment):
+    path = bad_byte_file(tmp_path / "bad.svm", at, comment=comment)
+    with pytest.raises(ParseError) as err:
+        load_libsvm(path)
+    assert err.value.lineno == at
+    assert str(err.value) == f"line {at}: byte 0xff is not UTF-8"
+
+
+def test_a_byte_that_is_not_utf8_is_named_in_file_order(tmp_path):
+    # the first of two bad bytes is named, and a faulty line before it
+    # in the same block first of all
+    path = bad_byte_file(tmp_path / "bad.svm", BLOCK_LINES + 9, b"\xe9(")
+    with path.open("ab") as f:
+        f.write(b"1 1:\xfe\n")
+    with pytest.raises(ParseError, match=f"^line {BLOCK_LINES + 9}: byte 0xe9 is not UTF-8$"):
+        load_libsvm(path)
+    lines = path.read_bytes().split(b"\n")
+    lines[BLOCK_LINES + 1] += b" 0:1"
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(ParseError, match=f"^line {BLOCK_LINES + 2}: index 0 is not positive$"):
+        load_libsvm(path)
 
 
 def test_dense_parse_memory_stays_under_twice_the_text(tmp_path):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from detavg import sketch
 from detavg.averaging import combine_determinantal
+from detavg.dataio import synth_regression
 from detavg.errors import NotPositiveDefinite, SingularCovariance
 from detavg.objective import Dataset
 from detavg.sketch import SeedSpec, SketchMask, draw_mask, local_covariance
@@ -230,3 +231,26 @@ def test_config_validation():
         uq_sweep(data, 5, 1.0, [8, 4], 2, Statistic.TRACE, seed=0)
     with pytest.raises(ValueError):
         uq_sweep(data, 5, 1.0, [4], 0, Statistic.TRACE, seed=0)
+
+
+def test_fleet_meets_the_determinantal_identity_of_the_precision_trace():
+    # with a fixed ridge r, A_t = Sigma_hat_t + r I has E[A_t] = Sigma + r I,
+    # so E[det(A_t) tr(A_t^{-1})] = det(Sigma + r I) tr((Sigma + r I)^{-1})
+    # and E[det A_t] = det(Sigma + r I); both read off the fleet's spectra,
+    # the exact sides by slogdet and inv.  Bound and stream were fixed
+    # before the first run, as in the Newton twin
+    seed, r, bound = 0, 0.1, 4.0
+    data = synth_regression(2000, 10, 1.0, seed=seed)
+    (eigenvalues,) = _local_spectra(data, 50, 1.0, 20_000, seed, 0, Statistic.TRACE)
+    A = data.X.T @ data.X / data.n + r * np.eye(data.d)
+    log_det = np.linalg.slogdet(A)[1]
+    s = eigenvalues + r
+    ratio = np.exp(np.log(s).sum(axis=1) - log_det)
+    samples = np.column_stack([ratio * (1.0 / s).sum(axis=1), ratio])
+    se = samples.std(axis=0, ddof=1) / np.sqrt(len(samples))
+    z = (samples.mean(axis=0) - [np.trace(np.linalg.inv(A)), 1.0]) / se
+    assert np.abs(z).max() <= bound, z
+    # the unweighted mean of the local traces is biased
+    traces = (1.0 / s).sum(axis=1)
+    assert abs(traces.mean() - np.trace(np.linalg.inv(A))) > 10 * bound * (
+        traces.std(ddof=1) / np.sqrt(len(traces)))
