@@ -71,16 +71,21 @@ def write_csv(path: Path, header: tuple[str, ...], rows) -> None:
 
 
 def resolve_seed(args) -> int:
-    """--seed beats the DETAVG_SEED environment variable beats 0."""
+    """--seed beats the DETAVG_SEED environment variable beats 0.  A negative
+    seed is refused naming its source."""
     if args.seed is not None:
-        return args.seed
-    env = os.environ.get("DETAVG_SEED")
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"DETAVG_SEED must be an integer, got {env!r}") from None
+        seed, source = args.seed, "--seed"
+    else:
+        env = os.environ.get("DETAVG_SEED")
+        if env is None:
+            return 0
+        try:
+            seed, source = int(env), "DETAVG_SEED"
+        except ValueError:
+            raise ValueError(f"DETAVG_SEED must be an integer, got {env!r}") from None
+    if seed < 0:
+        raise ValueError(f"{source} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def parse_m_list(text: str) -> list[int]:

@@ -21,7 +21,7 @@ import numpy as np
 from . import linalg
 from .averaging import LocalEstimate, weighted_means
 from .errors import NoConvergence
-from .objective import Objective, gram, gram_tail, hessian_rows
+from .objective import Objective, hessian_rows
 from .sketch import SketchMask, check_sweep, local_fleet, local_hessian
 
 _NEWTON_TOL = 1e-12  # of exact_minimizer, relative to the first gradient norm
@@ -110,25 +110,12 @@ def local_newton_estimate(
 def _local_steps(
     obj: Objective, w: np.ndarray, grad: np.ndarray, k: int, m: int, seed: int, trial: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Steps (m, d) and log-determinants (m,) of machines 0..m-1 of one fleet.
-
-    :func:`objective.hessian_rows` weights all n rows once per fleet; one
-    :func:`sketch.local_fleet` writes :func:`objective.gram` over each
-    machine's rows into its slot and runs :func:`objective.gram_tail` (scale
-    k / f) over the stack, in place, before :func:`linalg.factor_solve`: the
-    calls of :func:`sketch.local_hessian`, so each row is bit-identical to
-    :func:`local_newton_estimate` for that machine.
-    """
+    """Steps (m, d) and log-determinants (m,) of machines 0..m-1 of one fleet,
+    from rows weighted once per fleet; row t is bit-identical to
+    :func:`local_newton_estimate` for machine t."""
     Z, f = hessian_rows(obj.loss, obj.data.X, w)
-    ridge = obj.lam * np.eye(obj.d)
-
-    def build(include: np.ndarray, out: np.ndarray) -> None:
-        gram(out, Z.compress(include, axis=0))
-
-    def decompose(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return linalg.factor_solve(gram_tail(stack, k / f, ridge), grad)
-
-    return local_fleet(build, decompose, obj.data.n, obj.d, k, m, seed, trial)
+    return local_fleet(Z, f, obj.lam * np.eye(obj.d), lambda H: linalg.factor_solve(H, grad),
+                       k, m, seed, trial)
 
 
 def _merged_steps(

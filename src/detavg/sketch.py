@@ -11,22 +11,21 @@ np.uint64)``.
 The module holds the sampling, the one loop over a fleet's machines and
 the sweep check.  :func:`draw_mask` keys a fresh Philox through numpy's own
 ``SeedSequence``, the public route that replays one machine.
-:func:`local_fleet` draws, builds and decomposes every machine of a Newton
-or precision fleet, in stacks of about 1 MiB, and names the (seed, trial,
-machine) triple of a machine that fails.  It draws the same masks without a
-generator per machine: the machine index is the last word ``SeedSequence``
-mixes, so the pool that (seed, trial) leave is numpy's own, read once per
-fleet from ``SeedSequence(entropy=seed, spawn_key=(trial,))``, the keys of
-a whole stack follow from it in a few vectorized uint32 operations, and one
-Philox is re-keyed for each machine.  The mask is one compare of the
-Philox's raw words against :func:`_threshold`, which keeps exactly the rows
-whose ``Generator.random`` value falls below the rate.  The Newton and
-precision fleets write :func:`detavg.objective.gram` over each machine's
-rows (the Newton fleet's weighted once per fleet) straight into a stack
-and run :func:`detavg.objective.gram_tail` on it in place, once per stack:
-the calls that :func:`local_hessian` and :func:`local_covariance` make on
-one matrix, so a fleet's machine is bit-identical to the public route,
-with no ``SeedSpec``, ``SketchMask`` or ``Generator`` built per machine.
+:func:`local_fleet` draws, gathers, builds and decomposes every machine of
+a Newton or precision fleet, in stacks of about 1 MiB, and names the
+(seed, trial, machine) triple of a machine that fails.  It draws the same
+masks without a generator per machine: the machine index is the last word
+``SeedSequence`` mixes, so the pool that (seed, trial) leave is numpy's
+own, read once per fleet from ``SeedSequence(entropy=seed,
+spawn_key=(trial,))``, the keys of a whole stack follow from it in a few
+vectorized uint32 operations, and one Philox is re-keyed for each machine.
+The mask is one compare of the Philox's raw words against
+:func:`_threshold`, which keeps exactly the rows whose ``Generator.random``
+value falls below the rate.  Each machine's matrix is made by the calls of
+:func:`local_hessian` and :func:`local_covariance`, with
+:func:`detavg.objective.gram_tail` run once per stack, so a fleet's machine
+is bit-identical to the public route, with no ``SeedSpec``, ``SketchMask``
+or ``Generator`` built per machine; the caller only decomposes.
 """
 
 from __future__ import annotations
@@ -224,27 +223,24 @@ def block_size(width: int) -> int:
 
 
 def local_fleet(
-    build: Callable[[np.ndarray, np.ndarray], None],
+    Z: np.ndarray, f: float, ridge: np.ndarray | None,
     decompose: Callable[[np.ndarray], tuple[np.ndarray, ...]],
-    n: int, d: int, k: int, m: int, seed: int, trial: int,
+    k: int, m: int, seed: int, trial: int,
 ) -> tuple[np.ndarray, ...]:
     """Decomposed local matrices of machines 0..m-1 of one fleet.
 
-    Machine t draws its inclusion mask over n rows from the stream keyed by
-    (seed, trial, t), bit-identical to :func:`draw_mask`'s, and
-    ``build(include, out)`` writes its (d, d) matrix, or the raw product of
-    it, into ``out``, a slot of a stack of :func:`block_size` matrices.  The
-    keys of each stack's machines are derived at once from the pool of
-    numpy's ``SeedSequence(entropy=seed, spawn_key=(trial,))``, built once
-    per fleet; one Philox, re-keyed per machine, draws n raw words, and one
-    compare against :func:`_threshold` writes the mask into one buffer, so
-    ``include`` is valid only during its ``build``.  ``decompose(stack)``
-    maps a stack of at most :func:`block_size` such matrices to a tuple of
-    arrays with one row per matrix; anything elementwise over the matrices,
-    such as ``objective.gram_tail(stack, k, ridge)``, runs there once per
-    stack and may overwrite the stack, since each stack's outputs are copied
-    out before the next is built.  Returns those arrays for the whole fleet,
-    row t for machine t, so the first m machines are the same whatever m is.
+    ``Z`` (n, d) and ``f`` are the weighted rows and factor of
+    :func:`objective.hessian_rows`, or ``(data.X, 1.0)`` for a covariance.
+    Machine t draws its inclusion mask over the n rows from the stream keyed
+    by (seed, trial, t), bit-identical to :func:`draw_mask`'s, and its local
+    matrix is ``(1/k) f Z_t^T Z_t + ridge`` over its rows Z_t (a ridge of
+    None adds nothing), made by the calls of :func:`local_hessian` and
+    :func:`local_covariance`, so it is bit-identical to theirs.
+    ``decompose(stack)`` maps a stack of at most :func:`block_size` finished
+    matrices to a tuple of arrays with one row per matrix; it may overwrite
+    the stack, since each stack's outputs are copied out before the next is
+    built.  Returns those arrays for the whole fleet, row t for machine t,
+    so the first m machines are the same whatever m is.
 
     Raises InvalidSampleSize unless 1 <= k <= n, and ValueError naming m,
     before the arrays are allocated, if they would hold more than
@@ -252,7 +248,7 @@ def local_fleet(
     ``NotPositiveDefinite`` from ``decompose``, or an output row that is not
     finite (``NonFiniteResult``), names the (seed, trial, machine) triple
     that replays the machine; an overflow on the way there raises no warning.
-    A negative seed or trial raises ValueError before any build, as
+    A negative seed or trial raises ValueError before any draw, as
     ``SeedSequence`` does.
     """
     def where(t: int) -> str:
@@ -263,6 +259,7 @@ def local_fleet(
             raise ValueError(f"a fleet of m={m} machines would store at least {entries} "
                              f"values, more than {MAX_ENTRIES}")
 
+    n, d = Z.shape
     refuse_above_cap(m)
     threshold = _threshold(_rate(n, k))
     prefix = _stream_prefix(seed, trial)
@@ -282,9 +279,10 @@ def local_fleet(
             for key, out in zip(_stream_keys(prefix, start, stop).tolist(), stack):
                 state["state"]["key"] = key
                 philox.state = state
-                build(np.less_equal(philox.random_raw(n), threshold, out=include), out)
+                np.less_equal(philox.random_raw(n), threshold, out=include)
+                gram(out, Z.compress(include, axis=0))
             try:
-                outputs = decompose(stack[:stop - start])
+                outputs = decompose(gram_tail(stack[:stop - start], k / f, ridge))
             except NotPositiveDefinite as exc:
                 t = start + exc.index
                 raise NotPositiveDefinite(f"{where(t)} is not positive definite",

@@ -133,10 +133,8 @@ def _local_spectra(
     """Spectra of the subsampled covariances of machines 0..m-1, from one
     :func:`sketch.local_fleet`: the eigenvalues (m, d) from ``eigvalsh`` for
     the trace, plus the squared eigenvectors ``V * V`` (m, d, d) from
-    ``eigh`` for the diagonal.  Each machine's build writes
-    :func:`objective.gram` over its rows into its slot, and the
-    decomposition runs :func:`objective.gram_tail` over the stack, in place,
-    so each covariance is bit-identical to :func:`sketch.local_covariance`'s.
+    ``eigh`` for the diagonal.  Each covariance is bit-identical to
+    :func:`sketch.local_covariance`'s.
 
     A machine whose smallest eigenvalue plus the fleet's smallest ridge
     ``eta/sqrt(m)`` is at most ``d / float max`` (the trace of its ridged
@@ -146,8 +144,7 @@ def _local_spectra(
     ridge = eta / np.sqrt(m)
     floor = data.d / np.finfo(float).max
 
-    def decompose(stack: np.ndarray) -> tuple[np.ndarray, ...]:
-        C = gram_tail(stack, k)
+    def decompose(C: np.ndarray) -> tuple[np.ndarray, ...]:
         if statistic is Statistic.TRACE:
             spectra = (np.linalg.eigvalsh(C),)
         else:
@@ -160,10 +157,7 @@ def _local_spectra(
                                       index=int(bad[0]))
         return spectra
 
-    def build(include: np.ndarray, out: np.ndarray) -> None:
-        gram(out, data.X.compress(include, axis=0))
-
-    return local_fleet(build, decompose, data.n, data.d, k, m, seed, trial)
+    return local_fleet(data.X, 1.0, None, decompose, k, m, seed, trial)
 
 
 def _fleet_estimate(spectra: tuple[np.ndarray, ...], m: int, eta: float,

@@ -183,16 +183,30 @@ class TestSeedResolution:
         code, _ = run(tmp_path, "o.csv", *sweep_args(seed=None))
         assert code == 1
 
-    def test_negative_seed_on_a_dataset_exits_1_at_once(self, tmp_path, capsys):
-        # with --dataset no data is synthesized, so the fleet's stream keys
-        # are the first to read the seed
+    @pytest.mark.parametrize("command, flag, env, source, value", [
+        pytest.param("newton-sweep", "-1", None, "--seed", -1, id="flag"),
+        pytest.param("newton-sweep", None, "-3", "DETAVG_SEED", -3, id="env"),
+        pytest.param("verify-identities", "-1", None, "--seed", -1, id="verify-identities"),
+    ])
+    def test_negative_seed_on_a_dataset_exits_1_at_once(self, tmp_path, capsys, monkeypatch,
+                                                        command, flag, env, source, value):
+        # with --dataset no data is synthesized, so nothing but the seed's
+        # own check reads the seed before the fleet's stream keys would
         path = tmp_path / "data.txt"
         path.write_text("1 1:1 2:0.5\n0 1:-1 2:2\n1 1:0.3 2:-1\n0 1:2 2:1\n")
+        monkeypatch.delenv("DETAVG_SEED", raising=False)
+        if env is not None:
+            monkeypatch.setenv("DETAVG_SEED", env)
+        out = tmp_path / "o.csv"
+        if command == "verify-identities":
+            argv = [command, "--models", "2", "--seed", flag]
+        else:
+            argv = [*sweep_args(synth=None, dataset=str(path), k="2", seed=flag), "--out", str(out)]
         t0 = time.perf_counter()
-        code, out = run(tmp_path, "o.csv", *sweep_args(synth=None, dataset=str(path), k="2",
-                                                       seed="-1"))
+        code = main(argv)
         assert code == 1 and time.perf_counter() - t0 < 0.5
-        assert_one_line(capsys.readouterr().err, "error: expected non-negative integer")
+        assert_one_line(capsys.readouterr().err,
+                        f"error: {source} must be a non-negative integer, got {value}")
         assert not out.exists()
 
 

@@ -1,7 +1,11 @@
-"""scripts/pinned_outputs.py --compare: what it reports for each file."""
+"""scripts/pinned_outputs.py: its runs parse, and what --compare reports for each file."""
 
 import importlib.util
 from pathlib import Path
+
+import pytest
+
+from detavg.cli import build_parser
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "pinned_outputs.py"
 
@@ -37,3 +41,15 @@ def test_compare_reports_identical_moved_and_missing_files(tmp_path, capsys):
     for name in ("moved.csv", "side.json"):
         (new / name).write_bytes((old / name).read_bytes())
     assert script.run(["--compare", str(old), str(new)]) == 0
+
+
+def test_every_run_parses_under_the_cli(capsys):
+    # a renamed or dropped flag fails here, without a run, rather than
+    # halfway through writing the pinned outputs
+    parser = build_parser()
+    for name, argv in load_script().RUNS.items():
+        try:
+            args = parser.parse_args([*argv, "--out", name])
+        except SystemExit:
+            pytest.fail(f"{name}: {argv} does not parse: {capsys.readouterr().err}")
+        assert args.command == argv[0]

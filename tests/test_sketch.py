@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from detavg import linalg
 from detavg.dataio import MAX_ENTRIES
 from detavg.errors import InvalidSampleSize, NonFiniteResult, NotPositiveDefinite
-from detavg import newton, uq
+from detavg import newton, sketch, uq
 from detavg.objective import (
     Dataset,
     LossKind,
@@ -143,18 +143,19 @@ BLOCK_FLEET = block_size(D_FLEET * D_FLEET)
 
 
 def fleet_with_one_bad_machine(bad, scale):
-    """Fleet of identity matrices in which machine ``bad`` is ``scale * I``,
-    solved by :func:`linalg.factor_solve`."""
+    """Rows Z = 0, factor 1 and ridge I, so every machine's matrix is I, and
+    a decomposition that makes machine ``bad``'s ``scale * I`` and solves by
+    :func:`linalg.factor_solve`.  ``built`` lists the machines decomposed."""
     built = []
 
-    def build(include, out):
-        built.append(include)
-        out[...] = np.eye(D_FLEET) * (scale if len(built) == bad + 1 else 1.0)
-
     def decompose(stack):
+        start = len(built)
+        built.extend(range(start, start + len(stack)))
+        if start <= bad < len(built):
+            stack[bad - start] *= scale
         return linalg.factor_solve(stack, np.ones(D_FLEET))
 
-    return build, decompose, built
+    return (np.zeros((10, D_FLEET)), 1.0, np.eye(D_FLEET), decompose), built
 
 
 @pytest.mark.parametrize("scale, error, text", [
@@ -164,9 +165,9 @@ def fleet_with_one_bad_machine(bad, scale):
 def test_local_fleet_names_the_failing_machine(scale, error, text):
     # the bad machine sits in the second stack, so its index is block-relative there
     bad = BLOCK_FLEET + 2
-    build, decompose, built = fleet_with_one_bad_machine(bad, scale)
+    fleet, built = fleet_with_one_bad_machine(bad, scale)
     with pytest.raises(error) as info:
-        local_fleet(build, decompose, 10, D_FLEET, 1, BLOCK_FLEET + 5, 7, 3)
+        local_fleet(*fleet, 1, BLOCK_FLEET + 5, 7, 3)
     assert f"(seed, trial, machine) = (7, 3, {bad}) {text}" in str(info.value)
     if error is NotPositiveDefinite:
         assert info.value.index == bad
@@ -175,17 +176,17 @@ def test_local_fleet_names_the_failing_machine(scale, error, text):
 
 def test_local_fleet_refuses_oversized_outputs_before_allocating():
     # m alone is under the cap, so the first stack is drawn and gives the sizes
-    build, decompose, built = fleet_with_one_bad_machine(-1, 1.0)
+    fleet, built = fleet_with_one_bad_machine(-1, 1.0)
     m = MAX_ENTRIES // (D_FLEET + 1) + 1  # steps (m, d) plus log-dets (m,)
     with pytest.raises(ValueError, match=f"m={m} machines"):
-        local_fleet(build, decompose, 10, D_FLEET, 1, m, 0, 0)
+        local_fleet(*fleet, 1, m, 0, 0)
     assert len(built) == BLOCK_FLEET
     # m above the cap is refused before any draw
     built.clear()
     with pytest.raises(ValueError, match=f"m={MAX_ENTRIES + 1} machines"):
-        local_fleet(build, decompose, 10, D_FLEET, 1, MAX_ENTRIES + 1, 0, 0)
+        local_fleet(*fleet, 1, MAX_ENTRIES + 1, 0, 0)
     assert built == []
-    steps, log_dets = local_fleet(build, decompose, 10, D_FLEET, 1, 3, 0, 0)
+    steps, log_dets = local_fleet(*fleet, 1, 3, 0, 0)
     assert np.array_equal(steps, np.ones((3, D_FLEET))) and np.array_equal(log_dets, np.zeros(3))
 
 
@@ -248,12 +249,8 @@ def test_fleet_kernels_equal_the_seed_formulas(d, loss, k, seed, trial):
     ridge = obj.lam * np.eye(d)
     Z, f = hessian_rows(loss, data.X, w)
     curv = loss.d2value(data.X @ w)
-    hessians, = local_fleet(
-        lambda include, out: gram(out, Z.compress(include, axis=0)),
-        lambda stack: (gram_tail(stack, k / f, ridge),), n, d, k, m, seed, trial)
-    covariances, = local_fleet(
-        lambda include, out: gram(out, data.X.compress(include, axis=0)),
-        lambda stack: (gram_tail(stack, k),), n, d, k, m, seed, trial)
+    hessians, = local_fleet(Z, f, ridge, lambda H: (H,), k, m, seed, trial)
+    covariances, = local_fleet(data.X, 1.0, None, lambda C: (C,), k, m, seed, trial)
     for t in range(m):
         include = seed_mask(n, k, seed, trial, t)
         mask = draw_mask(n, k, SeedSpec(seed, trial, t))
@@ -318,18 +315,19 @@ def test_fleet_masks_cross_blocks_bit_for_bit(seed, trial, m, d, rate):
     # through local_fleet, whose d picks stacks of 1 (d=362), 2 (256) or 3
     # (182) machines: the re-keyed Philox and the one mask buffer give each
     # machine _include's mask; n not a multiple of 4 leaves part of Philox's
-    # last output unread
+    # last output unread.  Rows Z = [I 0] at factor k make each machine's
+    # matrix diag(mask) in its leading n x n block, exactly.
     n, k = rate
     assert block_size(d * d) == {362: 1, 256: 2, 182: 3}[d]
-    masks = []
-
-    def build(include, out):
-        masks.append(include.copy())
-        out[0, 0] = include.sum()
-
-    counts, = local_fleet(build, lambda stack: (stack[:, 0, 0].copy(),), n, d, k, m, seed, trial)
-    assert len(masks) == m
-    for t, mask in enumerate(masks):
+    Z = np.zeros((n, d))
+    Z[:, :n] = np.eye(n)
+    diagonals, counts = local_fleet(
+        Z, k, None, lambda stack: (np.diagonal(stack, axis1=1, axis2=2)[:, :n].copy(),
+                                   stack.sum(axis=(1, 2))), k, m, seed, trial)
+    assert len(diagonals) == m
+    for t, diagonal in enumerate(diagonals):
+        mask = diagonal == 1
+        assert np.array_equal(diagonal, mask)
         assert mask.tobytes() == _include(n, k / n, seed, trial, t).tobytes()
         assert counts[t] == mask.sum()
 
@@ -352,9 +350,9 @@ def test_negative_seed_or_trial_is_refused_like_seed_sequence(seed, trial):
     with pytest.raises(ValueError) as got:
         _stream_prefix(seed, trial)
     assert str(got.value) == str(want.value)
-    build, decompose, built = fleet_with_one_bad_machine(-1, 1.0)
+    fleet, built = fleet_with_one_bad_machine(-1, 1.0)
     with pytest.raises(ValueError, match=str(want.value)):
-        local_fleet(build, decompose, 10, D_FLEET, 1, 3, seed, trial)
+        local_fleet(*fleet, 1, 3, seed, trial)
     assert built == []
 
 
@@ -377,18 +375,14 @@ def test_local_fleet_builds_one_generator_per_fleet(monkeypatch):
     for name in ("SeedSequence", "Philox", "Generator"):
         counting(np.random, name)
     m, n, k = 1024, 50, 5
-
-    def build(include, out):
-        out[...] = include.sum()
-
-    counts, = local_fleet(build, lambda stack: (stack.copy(),), n, 1, k, m, 3, 2)
+    # rows of ones at factor k: each machine's 1x1 matrix is its row count
+    counts, = local_fleet(np.ones((n, 1)), k, None, lambda stack: (stack.copy(),), k, m, 3, 2)
     assert "Philox" in built and all(count <= 1 for count in built.values()), built
     assert np.array_equal(counts.ravel(), [_include(n, k / n, 3, 2, t).sum() for t in range(m)])
 
     d = 65
     m = 2 * block_size(d * d) + 5  # three stacks
-    for module, name in ((newton, "gram_tail"), (newton, "gram"), (newton, "hessian_rows"),
-                         (uq, "gram_tail"), (uq, "gram")):
+    for module, name in ((sketch, "gram_tail"), (sketch, "gram"), (newton, "hessian_rows")):
         counting(module, name)
     obj = small_objective(n=300, d=d)
     labels = Dataset(X=obj.data.X, y=(obj.data.y > 0).astype(float))

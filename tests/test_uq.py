@@ -233,7 +233,8 @@ def test_config_validation():
         uq_sweep(data, 5, 1.0, [4], 0, Statistic.TRACE, seed=0)
 
 
-def test_fleet_meets_the_determinantal_identity_of_the_precision_trace():
+@pytest.mark.parametrize("k", [20, 50, 200])
+def test_fleet_meets_the_determinantal_identity_of_the_precision_trace(k):
     # with a fixed ridge r, A_t = Sigma_hat_t + r I has E[A_t] = Sigma + r I,
     # so E[det(A_t) tr(A_t^{-1})] = det(Sigma + r I) tr((Sigma + r I)^{-1})
     # and E[det A_t] = det(Sigma + r I); both read off the fleet's spectra,
@@ -241,7 +242,7 @@ def test_fleet_meets_the_determinantal_identity_of_the_precision_trace():
     # before the first run, as in the Newton twin
     seed, r, bound = 0, 0.1, 4.0
     data = synth_regression(2000, 10, 1.0, seed=seed)
-    (eigenvalues,) = _local_spectra(data, 50, 1.0, 20_000, seed, 0, Statistic.TRACE)
+    (eigenvalues,) = _local_spectra(data, k, 1.0, 20_000, seed, 0, Statistic.TRACE)
     A = data.X.T @ data.X / data.n + r * np.eye(data.d)
     log_det = np.linalg.slogdet(A)[1]
     s = eigenvalues + r
