@@ -8,8 +8,10 @@ Usage::
 Runs a fixed list of argv through ``detavg.cli.main`` from inside OUTDIR,
 so every CSV, every ``newton-sweep`` sidecar and the two data files they
 read (a dense d=65 file and a sparse one with comments, a blank line and
-tabs) land there, and the sidecars record relative paths only.  It takes a
-few seconds on one core.  Run it at two commits into two directories, then
+tabs) land there, and the sidecars record relative paths only.  The
+``verify-identities`` runs print their report instead, and each one's
+standard output is written to a ``.txt`` file there.  It takes a few
+seconds on one core.  Run it at two commits into two directories, then
 ``--compare`` them: for each file it prints ``identical`` (the same bytes)
 or how many cells moved and the largest relative move |new - old| / |old|
 among them, a cell being a value between commas, colons, brackets, quotes
@@ -19,10 +21,12 @@ their values.  It exits 0 when every file is identical and 1 otherwise.
 
 from __future__ import annotations
 
+import io
 import math
 import os
 import re
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +84,16 @@ RUNS = {
                                  "--m", "2,4,8", "--trials", "20", "--seed", str(2**32)],
     "wide_seed_uq_trace.csv": ["uq-sweep", "--synth", "60,3,1.0", "--k", "6",
                                "--m", "2,4,8", "--trials", "20", "--seed", str(2**128)],
+}
+
+STDOUT_RUNS = {
+    "identities.txt": ["verify-identities", "--models", "50", "--max-n", "8", "--max-d", "3",
+                       "--seed", "0"],
+    # the second and third models (13824 outcomes each) take two chunks each
+    "identities_spanning.txt": ["verify-identities", "--models", "3", "--max-n", "12",
+                                "--max-d", "1", "--seed", "27"],
+    "identities_d5.txt": ["verify-identities", "--models", "4", "--max-n", "4", "--max-d", "5",
+                          "--seed", "2"],
 }
 
 
@@ -161,6 +175,14 @@ def run(argv: list[str]) -> int:
         if code != 0:
             print(f"{name}: the CLI exited {code}", file=sys.stderr)
             return 1
+    for name, args in STDOUT_RUNS.items():
+        stdout = io.StringIO()
+        with redirect_stdout(stdout):
+            code = main(args)
+        if code != 0:
+            print(f"{name}: the CLI exited {code}", file=sys.stderr)
+            return 1
+        Path(name).write_text(stdout.getvalue(), encoding="utf-8")
     return 0
 
 

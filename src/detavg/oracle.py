@@ -17,10 +17,15 @@ cofactor expansion so singular outcomes are handled exactly.  With a
 rank-two component the identities genuinely fail, and the test suite pins
 a counterexample.
 
-A pass over a model enumerates it in chunks of about a mebibyte, each of
-probabilities ``p`` (b,) and a stack ``A = B + S @ Z`` (b, d, d), with
-``S`` the chunk's rows of the product grid of supports.  ``E[f(A)]`` is
-``p @ f(A)`` summed over the chunks, ``f`` taking the whole stack at once.
+A model is enumerated in chunks of about a mebibyte, each of probabilities
+``p`` (b,) and a stack ``A = B + S @ Z`` (b, d, d), with ``S`` the chunk's
+rows of the product grid of supports.  ``E[f(A)]`` is ``p @ f(A)`` summed
+over the model's chunks.  One pass serves many models: the chunks of all
+models of one dimension d are concatenated into stacks of at most
+``block_size(d * d)`` outcomes, each ``f`` runs once per stack, and each
+chunk's ``p @ f(A)`` is taken from its own rows of the stack.  ``f`` acts on
+every slice on its own, so the sums are bit-identical to a pass over each
+model alone.
 
 Everything here is exponential in the number of components and exists to
 check the fast estimators, not to be one.
@@ -166,13 +171,52 @@ class RandomRankOneSum:
             yield p, self.base + (S @ Z).reshape(-1, d, d)
 
 
-def _expect(model: RandomRankOneSum, *fs: Callable[[np.ndarray], np.ndarray]) -> list:
-    """``[E[f(A)] for f in fs]`` in one pass; ``f`` maps a stack (b, d, d) to (b, ...)."""
-    totals = [0.0] * len(fs)
-    for p, A in model.outcome_blocks():
-        for i, f in enumerate(fs):
-            totals[i] = totals[i] + np.tensordot(p, f(A), axes=1)
+def _expect_each(
+    models: Sequence[RandomRankOneSum], *fs: Callable[[np.ndarray], np.ndarray]
+) -> list:
+    """``[[E[f(A)] for f in fs] for model in models]`` in one pass.
+
+    ``f`` maps a stack (b, d, d) to (b, ...) slice by slice.  The chunks of
+    :meth:`RandomRankOneSum.outcome_blocks` queue up per dimension d, and a
+    queue is evaluated when the next chunk would take it past
+    ``block_size(d * d)`` outcomes, and at the end.  A chunk holds at most
+    that many outcomes, so none is split.  Each chunk still gets its own
+    ``tensordot``, in the model's chunk order, which keeps every sum
+    bit-identical to enumerating its model alone.
+    """
+    totals = [[0.0] * len(fs) for _ in models]
+    queues: dict[int, list[tuple[int, np.ndarray, np.ndarray]]] = {}
+    held: dict[int, int] = {}
+
+    def evaluate(queue):
+        values = [f(np.concatenate([A for _, _, A in queue])) for f in fs]
+        start = 0
+        for owner, p, _ in queue:
+            stop = start + len(p)
+            row = totals[owner]
+            for i, value in enumerate(values):
+                row[i] = row[i] + np.tensordot(p, value[start:stop], axes=1)
+            start = stop
+        queue.clear()
+
+    for owner, model in enumerate(models):
+        d = model.dim
+        queue = queues.setdefault(d, [])
+        for p, A in model.outcome_blocks():
+            if held.get(d, 0) + len(p) > block_size(d * d):
+                evaluate(queue)
+                held[d] = 0
+            queue.append((owner, p, A))
+            held[d] = held.get(d, 0) + len(p)
+    for queue in queues.values():
+        if queue:
+            evaluate(queue)
     return totals
+
+
+def _expect(model: RandomRankOneSum, *fs: Callable[[np.ndarray], np.ndarray]) -> list:
+    """``[E[f(A)] for f in fs]`` for one model."""
+    return _expect_each([model], *fs)[0]
 
 
 def _det_times_inverse(A: np.ndarray) -> np.ndarray:
@@ -299,6 +343,14 @@ def identity_suite(models: int = 50, max_n: int = 8, max_d: int = 3, seed: int =
     determinant and adjugate maxima; the rank-two counterexample is
     reported separately since its whole point is to violate the identity.
     Each random model is enumerated once for all three identities.
+
+    Models are drawn from ``default_rng(seed)`` in order, in groups that
+    close once they hold ``block_size(max_d * max_d)`` outcomes, and each
+    group is evaluated, one :func:`_expect_each` pass and the det, adjugate
+    and inverse of each dimension's stack of means, before the next is
+    drawn, so memory stays bounded whatever ``models`` is.  Every deviation
+    is bit-identical to evaluating the models one at a time.
+
     ``max_d`` and ``max_n`` bound each model's dimension and component
     count; both are checked before any model is drawn.  ``max_d`` is at
     most 5, the largest dimension the O(d!) cofactor expansion serves, and
@@ -318,16 +370,31 @@ def identity_suite(models: int = 50, max_n: int = 8, max_d: int = 3, seed: int =
             f"enumeration cap of {_MAX_OUTCOMES}"
         )
     rng = np.random.default_rng(seed)
+    cap = block_size(max_d * max_d)
     dev_det = dev_adj = dev_winv = 0.0
-    for _ in range(models):
-        model = random_model(rng, max_n=max_n, max_d=max_d)
-        mean = model.mean()
-        e_det, e_adj, e_det_inv = _expect(
-            model, linalg.det_cofactor, linalg.adjugate_cofactor, _det_times_inverse
+    drawn = 0
+    while drawn < models:
+        group: list[RandomRankOneSum] = []
+        outcomes = 0
+        while drawn < models and outcomes < cap:
+            group.append(random_model(rng, max_n=max_n, max_d=max_d))
+            outcomes += group[-1].n_outcomes
+            drawn += 1
+        expectations = _expect_each(
+            group, linalg.det_cofactor, linalg.adjugate_cofactor, _det_times_inverse
         )
-        dev_det = max(dev_det, _rel_dev(e_det, linalg.det_cofactor(mean)))
-        dev_adj = max(dev_adj, _rel_dev(e_adj, linalg.adjugate_cofactor(mean)))
-        dev_winv = max(dev_winv, _rel_dev(e_det_inv / e_det, np.linalg.inv(mean)))
+        means = {}
+        for d in {model.dim for model in group}:
+            at = [i for i, model in enumerate(group) if model.dim == d]
+            stack = np.stack([group[i].mean() for i in at])
+            means.update(zip(at, zip(linalg.det_cofactor(stack),
+                                     linalg.adjugate_cofactor(stack),
+                                     np.linalg.inv(stack))))
+        for i, (e_det, e_adj, e_det_inv) in enumerate(expectations):
+            det_mean, adj_mean, inv_mean = means[i]
+            dev_det = max(dev_det, _rel_dev(e_det, det_mean))
+            dev_adj = max(dev_adj, _rel_dev(e_adj, adj_mean))
+            dev_winv = max(dev_winv, _rel_dev(e_det_inv / e_det, inv_mean))
     hand = hand_checked_instance()
     hand_det, hand_adj = _expect(hand, linalg.det_cofactor, linalg.adjugate_cofactor)
     hand_dev = max(_rel_dev(hand_det, 0.75), _rel_dev(hand_adj, [[1.0, -0.5], [-0.5, 1.0]]))

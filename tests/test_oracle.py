@@ -7,12 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detavg import linalg
+from detavg import linalg, oracle
 from detavg.errors import EnumerationBudgetExceeded
 from detavg.objective import Dataset, LossKind, Objective
 from detavg.oracle import (
     Component,
+    IdentityReport,
     RandomRankOneSum,
+    _det_times_inverse,
+    _expect_each,
+    _rel_dev,
     expect_adjugate,
     expect_det,
     expect_inverse,
@@ -24,6 +28,7 @@ from detavg.oracle import (
     random_model,
     rank_two_counterexample,
 )
+from detavg.sketch import block_size
 
 
 def per_outcome(model):
@@ -223,14 +228,19 @@ def test_batched_expectations_match_per_outcome_loop(max_n, max_d, seed):
     assert rel_err(expect_weighted_inverse(model), weighted_inverse) <= 1e-12
 
 
+def spanning_model():
+    """A d=1 model of 18 Bernoulli components: 2^18 outcomes, many chunks."""
+    rng = np.random.default_rng(131)
+    z = rng.uniform(0.5, 2.0, size=18)
+    return RandomRankOneSum.bernoulli(
+        [np.array([[v]]) for v in z], gamma=rng.uniform(0.2, 0.9, size=18), base=np.eye(1)
+    )
+
+
 def test_outcome_blocks_span_chunks_in_product_order():
     # 2^18 outcomes at d=1 fill several chunks; the identity still holds and
     # every chunk boundary continues itertools.product order
-    rng = np.random.default_rng(131)
-    z = rng.uniform(0.5, 2.0, size=18)
-    model = RandomRankOneSum.bernoulli(
-        [np.array([[v]]) for v in z], gamma=rng.uniform(0.2, 0.9, size=18), base=np.eye(1)
-    )
+    model = spanning_model()
     blocks = list(model.outcome_blocks())
     assert len(blocks) >= 2
     p = np.concatenate([b[0] for b in blocks])
@@ -249,3 +259,109 @@ def test_outcome_blocks_span_chunks_in_product_order():
         assert np.abs(A[i] - A_i).max() <= 1e-13 * np.abs(A_i).max()
     det_mean = linalg.det_cofactor(model.mean())
     assert abs(expect_det(model) - det_mean) <= 1e-12 * abs(det_mean)
+
+
+SUITE_FS = (linalg.det_cofactor, linalg.adjugate_cofactor, _det_times_inverse)
+
+
+def expect_alone(model, *fs):
+    """Reference: each E[f(A)] of one model alone, summed chunk by chunk."""
+    return [sum(np.tensordot(p, f(A), axes=1) for p, A in model.outcome_blocks()) for f in fs]
+
+
+def assert_same_bits(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        g, w = np.asarray(g), np.asarray(w)
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(count=st.integers(1, 6), max_n=st.integers(2, 7), max_d=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_pass_equals_the_pass_over_each_model(count, max_n, max_d, seed):
+    rng = np.random.default_rng(seed)
+    models = [random_model(rng, max_n=max_n, max_d=max_d) for _ in range(count)]
+    for model, got in zip(models, _expect_each(models, *SUITE_FS)):
+        assert_same_bits(got, expect_alone(model, *SUITE_FS))
+
+
+def test_stacked_pass_with_a_model_across_stacks():
+    # the 2^18-outcome model among small d=1 models closes a stack mid-suite
+    # and spreads over several stacks
+    rng = np.random.default_rng(137)
+    small = [random_model(rng, max_n=7, max_d=1) for _ in range(4)]
+    models = [small[0], small[1], spanning_model(), small[2], small[3]]
+    assert {model.dim for model in models} == {1}
+    stacks = []
+
+    def recorded_det(A):
+        stacks.append(len(A))
+        return linalg.det_cofactor(A)
+
+    got = _expect_each(models, recorded_det, *SUITE_FS[1:])
+    assert len(stacks) >= 3 and max(stacks) <= block_size(1)
+    assert sum(stacks) == sum(model.n_outcomes for model in models)
+    for model, row in zip(models, got):
+        assert_same_bits(row, expect_alone(model, *SUITE_FS))
+
+
+def identity_suite_alone(models, max_n, max_d, seed):
+    """Reference for identity_suite: one model at a time, through expect_alone."""
+    rng = np.random.default_rng(seed)
+    dev_det = dev_adj = dev_winv = 0.0
+    for _ in range(models):
+        model = random_model(rng, max_n=max_n, max_d=max_d)
+        mean = model.mean()
+        e_det, e_adj, e_det_inv = expect_alone(model, *SUITE_FS)
+        dev_det = max(dev_det, _rel_dev(e_det, linalg.det_cofactor(mean)))
+        dev_adj = max(dev_adj, _rel_dev(e_adj, linalg.adjugate_cofactor(mean)))
+        dev_winv = max(dev_winv, _rel_dev(e_det_inv / e_det, np.linalg.inv(mean)))
+    hand = hand_checked_instance()
+    hand_det, hand_adj = expect_alone(hand, linalg.det_cofactor, linalg.adjugate_cofactor)
+    hand_dev = max(_rel_dev(hand_det, 0.75), _rel_dev(hand_adj, [[1.0, -0.5], [-0.5, 1.0]]))
+    dev_det = max(dev_det, _rel_dev(hand_det, linalg.det_cofactor(hand.mean())))
+    dev_adj = max(dev_adj, _rel_dev(hand_adj, linalg.adjugate_cofactor(hand.mean())))
+    counter = rank_two_counterexample()
+    (counter_det,) = expect_alone(counter, linalg.det_cofactor)
+    gap = abs(counter_det - linalg.det_cofactor(counter.mean()))
+    return IdentityReport(models, dev_det, dev_adj, dev_winv, hand_dev, gap)
+
+
+@pytest.mark.parametrize("models, seed", [(20, P) for P in range(11)] + [(50, 0)])
+def test_identity_suite_report_is_the_model_by_model_report(models, seed):
+    # the benchmark's suite (20, 8, 3, 0..10) and criterion 1's (50, 8, 3, 0)
+    got = identity_suite(models=models, max_n=8, max_d=3, seed=seed)
+    assert got == identity_suite_alone(models, 8, 3, seed)
+
+
+def test_identity_suite_evaluates_in_bounded_groups(monkeypatch):
+    events = []
+    det, draw = linalg.det_cofactor, oracle.random_model
+
+    def recorded_det(M):
+        M = np.asarray(M)
+        if M.ndim == 3:
+            events.append(("stack", len(M), M.shape[-1]))
+        return det(M)
+
+    def recorded_draw(*args, **kwargs):
+        model = draw(*args, **kwargs)
+        events.append(("draw", model.n_outcomes, model.dim))
+        return model
+
+    monkeypatch.setattr(linalg, "det_cofactor", recorded_det)
+    monkeypatch.setattr(oracle, "random_model", recorded_draw)
+    report = identity_suite(models=100, max_n=8, max_d=3)
+    monkeypatch.undo()
+    assert report.max_identity_dev <= 1e-12
+    draws = [i for i, (kind, _, _) in enumerate(events) if kind == "draw"]
+    assert len(draws) == 100
+    # more outcomes than one group holds, and a group evaluated before the
+    # last model is drawn
+    assert sum(events[i][1] for i in draws) > block_size(3 * 3)
+    assert any(kind == "stack" for kind, _, _ in events[draws[0]:draws[-1]])
+    for kind, size, d in events:
+        if kind == "stack":
+            assert size <= block_size(d * d)

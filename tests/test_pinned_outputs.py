@@ -47,9 +47,12 @@ def test_every_run_parses_under_the_cli(capsys):
     # a renamed or dropped flag fails here, without a run, rather than
     # halfway through writing the pinned outputs
     parser = build_parser()
-    for name, argv in load_script().RUNS.items():
+    script = load_script()
+    runs = [(name, [*argv, "--out", name]) for name, argv in script.RUNS.items()]
+    runs += list(script.STDOUT_RUNS.items())
+    for name, argv in runs:
         try:
-            args = parser.parse_args([*argv, "--out", name])
+            args = parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"{name}: {argv} does not parse: {capsys.readouterr().err}")
         assert args.command == argv[0]
