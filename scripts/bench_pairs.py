@@ -1,0 +1,136 @@
+"""Run the benchmark on two source trees in alternating pairs and summarize.
+
+Usage::
+
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W --pairs N \\
+        --seed S [--seconds 20]
+
+Pair i (i = 0 .. N-1) runs ``python3 bench/run.py --workload W --seed S+i
+--seconds T --trace 0`` in each tree, the parent first when i is even and
+the change first when it is odd, and reads the JSON object on the last line
+of each run's standard output.  The record goes to standard output as JSON:
+``command`` and, under the workload's name, ``runs`` and ``summary``.  Each
+run holds its seed, the side that went first, both sides' ``attempted``,
+``failed``, ``correct`` and metrics, and the sha256 of each tree's
+``src/detavg`` (see :func:`source_sha256`).  For every end-to-end metric of
+the change tree's ``BENCHMARK.json`` the summary holds each side's median
+and inclusive quartiles, ``change_better_in`` (the pairs in which the change
+reads better by that metric's ``better``; ties count for neither side) and
+``change_over_parent_median``.  A run that exits nonzero stops the script
+with exit code 1.  Progress goes to standard error.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def source_sha256(tree: Path) -> str:
+    """sha256 over the files under ``tree/src/detavg`` but ``__pycache__``,
+    in sorted order of their relative paths, each hashed as its path, a NUL
+    byte and its bytes."""
+    root = tree / "src" / "detavg"
+    digest = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*")
+                       if p.is_file() and "__pycache__" not in p.parts):
+        digest.update(path.relative_to(root).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+class RunFailed(Exception):
+    """A benchmark run exited nonzero."""
+
+
+def bench_argv(workload: str, seed: str, seconds: float) -> list[str]:
+    return ["bench/run.py", "--workload", workload, "--seed", seed,
+            "--seconds", str(seconds), "--trace", "0"]
+
+
+def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run in ``tree``: its last JSON line, metrics flattened."""
+    proc = subprocess.run([sys.executable, *bench_argv(workload, str(seed), seconds)],
+                          cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RunFailed(f"{tree}: bench/run.py exited {proc.returncode}\n{proc.stderr}")
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    row = {key: result[key] for key in ("attempted", "failed", "correct")}
+    row.update((name, m["value"]) for name, m in result["metrics"].items())
+    return row
+
+
+def spread(values: list[float]) -> dict:
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": statistics.median(values), "q1": q1, "q3": q3}
+
+
+def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+    """Per metric of ``better`` (name -> "lower" or "higher"): each side's
+    median and quartiles, the pairs the change wins and the ratio of the
+    medians."""
+    summary = {}
+    for name, direction in better.items():
+        values = {side: [run[side][name] for run in runs] for side in SIDES}
+        sign = 1 if direction == "lower" else -1
+        wins = sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
+        entry = {side: spread(values[side]) for side in SIDES}
+        entry["change_better_in"] = f"{wins} of {len(runs)} pairs"
+        entry["change_over_parent_median"] = (entry["change"]["median"]
+                                              / entry["parent"]["median"])
+        summary[name] = entry
+    return summary
+
+
+def parse_args(argv):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("parent", type=Path, help="source tree of the parent commit")
+    p.add_argument("change", type=Path, help="source tree of the change")
+    p.add_argument("--workload", required=True)
+    p.add_argument("--pairs", type=int, required=True, help="pairs to run, at least 2")
+    p.add_argument("--seed", type=int, required=True, help="seed of pair 0, >= 0")
+    p.add_argument("--seconds", type=float, default=20.0, help="measured time per run")
+    args = p.parse_args(argv)
+    if args.pairs < 2:
+        p.error("--pairs must be at least 2, for quartiles")
+    if args.seed < 0:
+        p.error("--seed must be >= 0")
+    return args
+
+
+def main(argv=None) -> int:
+    args = parse_args(sys.argv[1:] if argv is None else argv)
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    spec = json.loads((trees["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    runs = []
+    for i in range(args.pairs):
+        seed = args.seed + i
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        results = {}
+        for side in order:
+            print(f"pair {i + 1}/{args.pairs}: {side}, seed {seed}", file=sys.stderr)
+            try:
+                results[side] = run_side(trees[side], args.workload, seed, args.seconds)
+            except RunFailed as exc:
+                print(exc, file=sys.stderr)
+                return 1
+        runs.append({"seed": seed, "first": order[0],
+                     **{side: results[side] for side in SIDES},
+                     "source_sha256": {side: source_sha256(trees[side]) for side in SIDES}})
+    command = "python3 " + " ".join(bench_argv(args.workload, "S", args.seconds))
+    record = {"command": command,
+              args.workload: {"runs": runs, "summary": summarize(runs, better)}}
+    print(json.dumps(record, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

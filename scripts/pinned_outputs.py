@@ -94,6 +94,10 @@ STDOUT_RUNS = {
                                 "--max-d", "1", "--seed", "27"],
     "identities_d5.txt": ["verify-identities", "--models", "4", "--max-n", "4", "--max-d", "5",
                           "--seed", "2"],
+    # 5, 1, 5, 5 and 4 models of d = 1..5, so every dimension's stack of
+    # deviations is folded
+    "identities_all_d.txt": ["verify-identities", "--models", "20", "--max-n", "6",
+                             "--max-d", "5", "--seed", "3"],
 }
 
 

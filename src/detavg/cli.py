@@ -308,9 +308,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    # the parser is a web of reference cycles; holding no reference to it
+    # while the command runs lets the collector free it young, before the
+    # command's own allocations promote it to the oldest generation
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 for --help and 2 for usage errors; fold the
         # latter into the validation exit code

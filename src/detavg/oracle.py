@@ -21,11 +21,12 @@ A model is enumerated in chunks of about a mebibyte, each of probabilities
 ``p`` (b,) and a stack ``A = B + S @ Z`` (b, d, d), with ``S`` the chunk's
 rows of the product grid of supports.  ``E[f(A)]`` is ``p @ f(A)`` summed
 over the model's chunks.  One pass serves many models: the chunks of all
-models of one dimension d are concatenated into stacks of at most
+models of one dimension d are concatenated once into stacks of at most
 ``block_size(d * d)`` outcomes, each ``f`` runs once per stack, and each
-chunk's ``p @ f(A)`` is taken from its own rows of the stack.  ``f`` acts on
-every slice on its own, so the sums are bit-identical to a pass over each
-model alone.
+chunk's ``p @ f(A)`` is one ``np.dot`` of ``p`` as a row with its own rows
+of the stack, the call ``np.tensordot(p, f(A), axes=1)`` makes.  ``f`` acts
+on every slice on its own, so the sums are bit-identical to a pass over
+each model alone.
 
 Everything here is exponential in the number of components and exists to
 check the fast estimators, not to be one.
@@ -59,13 +60,19 @@ class Component:
 
     def __post_init__(self):
         matrix = np.asarray(self.matrix, dtype=float)
-        values = tuple(float(v) for v in self.values)
-        probs = tuple(float(p) for p in self.probs)
+        values = tuple(map(float, self.values))
+        probs = tuple(map(float, self.probs))
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError(f"component matrix must be square, got {matrix.shape}")
+        if np.count_nonzero(np.isfinite(matrix)) < matrix.size:
+            raise ValueError("component matrix must be finite")
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"support values must be finite, got {values}")
+        if not all(map(math.isfinite, probs)):
+            raise ValueError(f"probabilities must be finite, got {probs}")
         if len(values) != len(probs) or len(values) == 0:
             raise ValueError("support values and probabilities must align and be nonempty")
-        if any(p < 0 for p in probs) or abs(sum(probs) - 1.0) > 1e-12:
+        if min(probs) < 0 or abs(sum(probs) - 1.0) > 1e-12:
             raise ValueError("probabilities must be nonnegative and sum to 1")
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "values", values)
@@ -96,6 +103,8 @@ class RandomRankOneSum:
         base = np.asarray(self.base, dtype=float)
         if base.shape != (d, d):
             raise ValueError(f"base shape {base.shape} does not match d={d}")
+        if np.count_nonzero(np.isfinite(base)) < base.size:
+            raise ValueError("base must be finite")
         for c in components:
             if c.matrix.shape != (d, d):
                 raise ValueError("all component matrices must share one dimension")
@@ -165,9 +174,10 @@ class RandomRankOneSum:
         for start in range(0, total, chunk):
             digits = np.unravel_index(np.arange(start, min(start + chunk, total)), sizes)
             p = np.ones(len(digits[0]))
-            for (_, probs), digit in zip(laws, digits):
+            S = np.empty((len(p), len(sizes)))
+            for j, ((values, probs), digit) in enumerate(zip(laws, digits)):
                 p *= probs[digit]
-            S = np.column_stack([values[digit] for (values, _), digit in zip(laws, digits)])
+                S[:, j] = values[digit]
             yield p, self.base + (S @ Z).reshape(-1, d, d)
 
 
@@ -178,10 +188,12 @@ def _expect_each(
 
     ``f`` maps a stack (b, d, d) to (b, ...) slice by slice.  The chunks of
     :meth:`RandomRankOneSum.outcome_blocks` queue up per dimension d, and a
-    queue is evaluated when the next chunk would take it past
-    ``block_size(d * d)`` outcomes, and at the end.  A chunk holds at most
-    that many outcomes, so none is split.  Each chunk still gets its own
-    ``tensordot``, in the model's chunk order, which keeps every sum
+    queue is concatenated into one stack when the next chunk would take it
+    past ``block_size(d * d)`` outcomes, and at the end, and every ``f``
+    runs on that stack.  A chunk holds at most that many outcomes, so none
+    is split.  Each chunk still gets its own product, in the model's chunk
+    order: the ``np.dot`` of ``p`` as a row with its rows of ``f``'s value,
+    the call ``np.tensordot(p, value, axes=1)`` makes, which keeps every sum
     bit-identical to enumerating its model alone.
     """
     totals = [[0.0] * len(fs) for _ in models]
@@ -189,13 +201,16 @@ def _expect_each(
     held: dict[int, int] = {}
 
     def evaluate(queue):
-        values = [f(np.concatenate([A for _, _, A in queue])) for f in fs]
+        stack = np.concatenate([A for _, _, A in queue])
+        values = [f(stack) for f in fs]
         start = 0
         for owner, p, _ in queue:
             stop = start + len(p)
             row = totals[owner]
+            p_row = p.reshape(1, -1)
             for i, value in enumerate(values):
-                row[i] = row[i] + np.tensordot(p, value[start:stop], axes=1)
+                product = np.dot(p_row, value[start:stop].reshape(len(p), -1))
+                row[i] = row[i] + product.reshape(value.shape[1:])
             start = stop
         queue.clear()
 
@@ -283,6 +298,16 @@ def _rel_dev(lhs: np.ndarray, rhs: np.ndarray) -> float:
     return float(np.abs(lhs - rhs).max() / max(1.0, np.abs(rhs).max()))
 
 
+def _max_rel_dev(lhs: np.ndarray, rhs: np.ndarray) -> float:
+    """``max(_rel_dev(l, r) for l, r in zip(lhs, rhs))`` over stacks of one
+    shape: ``abs`` and ``max`` are exact and each model's quotient is the
+    same division, so the value is the same float."""
+    k = len(rhs)
+    spread = np.abs(lhs - rhs).reshape(k, -1).max(axis=1)
+    scale = np.maximum(1.0, np.abs(rhs).reshape(k, -1).max(axis=1))
+    return float((spread / scale).max())
+
+
 def hand_checked_instance() -> RandomRankOneSum:
     """Three-component 2x2 model whose E[det A] works out to 6/8 = 0.75.
 
@@ -314,25 +339,32 @@ def random_model(rng: np.random.Generator, max_n: int = 8, max_d: int = 3) -> Ra
     Scale laws rotate through Bernoulli at 1/gamma scaling, plain 0/1
     inclusion, a two-point law bracketing 1, and a three-point law, so the
     identity checks cover more than the subsampling special case.
+
+    The rng calls are made one by one: d, n and the base scale, then per
+    component its vector z, its law's kind and the law's parameters.  Every
+    report depends on that order, so a draw is neither batched nor moved.
+    The n matrices z z^T are built at once afterwards, with the products
+    ``np.outer`` takes, and each goes through :class:`Component`'s checks.
     """
     d = int(rng.integers(1, max_d + 1))
     n = int(rng.integers(2, max_n + 1))
     lam = float(rng.uniform(0.5, 2.0))
-    comps = []
-    for _ in range(n):
-        z = rng.standard_normal(d)
-        Z = np.outer(z, z)
+    z = np.empty((n, d))
+    laws = []
+    for i in range(n):
+        z[i] = rng.standard_normal(d)
         kind = int(rng.integers(0, 4))
         if kind < 2:
             g = float(rng.uniform(0.2, 0.9))
-            comps.append(Component(Z, (0.0, 1.0 / g if kind == 0 else 1.0), (1.0 - g, g)))
+            laws.append(((0.0, 1.0 / g if kind == 0 else 1.0), (1.0 - g, g)))
         elif kind == 2:
-            comps.append(Component(Z, (0.5, 1.5), (0.5, 0.5)))
+            laws.append(((0.5, 1.5), (0.5, 0.5)))
         else:
             p = rng.uniform(0.1, 1.0, size=3)
-            p = p / p.sum()
-            comps.append(Component(Z, (0.0, 1.0, 2.0), tuple(p)))
-    return RandomRankOneSum(components=tuple(comps), base=lam * np.eye(d))
+            laws.append(((0.0, 1.0, 2.0), tuple(p / p.sum())))
+    Z = z[:, :, None] * z[:, None, :]
+    comps = tuple(Component(M, values, probs) for M, (values, probs) in zip(Z, laws))
+    return RandomRankOneSum(components=comps, base=lam * np.eye(d))
 
 
 def identity_suite(models: int = 50, max_n: int = 8, max_d: int = 3, seed: int = 0) -> IdentityReport:
@@ -348,8 +380,12 @@ def identity_suite(models: int = 50, max_n: int = 8, max_d: int = 3, seed: int =
     close once they hold ``block_size(max_d * max_d)`` outcomes, and each
     group is evaluated, one :func:`_expect_each` pass and the det, adjugate
     and inverse of each dimension's stack of means, before the next is
-    drawn, so memory stays bounded whatever ``models`` is.  Every deviation
-    is bit-identical to evaluating the models one at a time.
+    drawn, so memory stays bounded whatever ``models`` is.  The deviations
+    are folded per stack of one dimension: ``|lhs - rhs|`` max and
+    ``max(1, |rhs|)`` max per model, their quotient, and its max over the
+    models.  ``abs`` and ``max`` are exact and each quotient is the same
+    division, so every deviation is bit-identical to evaluating the models
+    one at a time.
 
     ``max_d`` and ``max_n`` bound each model's dimension and component
     count; both are checked before any model is drawn.  ``max_d`` is at
@@ -383,18 +419,14 @@ def identity_suite(models: int = 50, max_n: int = 8, max_d: int = 3, seed: int =
         expectations = _expect_each(
             group, linalg.det_cofactor, linalg.adjugate_cofactor, _det_times_inverse
         )
-        means = {}
         for d in {model.dim for model in group}:
             at = [i for i, model in enumerate(group) if model.dim == d]
-            stack = np.stack([group[i].mean() for i in at])
-            means.update(zip(at, zip(linalg.det_cofactor(stack),
-                                     linalg.adjugate_cofactor(stack),
-                                     np.linalg.inv(stack))))
-        for i, (e_det, e_adj, e_det_inv) in enumerate(expectations):
-            det_mean, adj_mean, inv_mean = means[i]
-            dev_det = max(dev_det, _rel_dev(e_det, det_mean))
-            dev_adj = max(dev_adj, _rel_dev(e_adj, adj_mean))
-            dev_winv = max(dev_winv, _rel_dev(e_det_inv / e_det, inv_mean))
+            mean = np.stack([group[i].mean() for i in at])
+            e_det, e_adj, e_det_inv = (np.stack(e) for e in zip(*(expectations[i] for i in at)))
+            dev_det = max(dev_det, _max_rel_dev(e_det, linalg.det_cofactor(mean)))
+            dev_adj = max(dev_adj, _max_rel_dev(e_adj, linalg.adjugate_cofactor(mean)))
+            dev_winv = max(dev_winv, _max_rel_dev(e_det_inv / e_det[:, None, None],
+                                                  np.linalg.inv(mean)))
     hand = hand_checked_instance()
     hand_det, hand_adj = _expect(hand, linalg.det_cofactor, linalg.adjugate_cofactor)
     hand_dev = max(_rel_dev(hand_det, 0.75), _rel_dev(hand_adj, [[1.0, -0.5], [-0.5, 1.0]]))

@@ -1,0 +1,84 @@
+"""scripts/bench_pairs.py: the summary of fixed runs, and the pair order."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def pair(parent_p50, change_p50, parent_rate, change_rate):
+    return {"parent": {"op_p50_s": parent_p50, "machines_per_s": parent_rate},
+            "change": {"op_p50_s": change_p50, "machines_per_s": change_rate}}
+
+
+def test_summary_of_fixed_runs():
+    script = load_script()
+    runs = [pair(0.012, 0.010, 250.0, 300.0), pair(0.013, 0.011, 240.0, 240.0),
+            pair(0.011, 0.012, 260.0, 250.0), pair(0.014, 0.009, 230.0, 310.0),
+            pair(0.010, 0.010, 270.0, 280.0)]
+    summary = script.summarize(runs, {"op_p50_s": "lower", "machines_per_s": "higher"})
+    assert list(summary) == ["op_p50_s", "machines_per_s"]
+    p50 = summary["op_p50_s"]
+    # parent 0.010 0.011 0.012 0.013 0.014; change 0.009 0.010 0.010 0.011 0.012
+    assert p50["parent"] == pytest.approx({"median": 0.012, "q1": 0.011, "q3": 0.013})
+    assert p50["change"] == pytest.approx({"median": 0.010, "q1": 0.010, "q3": 0.011})
+    # the tie in the last pair counts for neither side
+    assert p50["change_better_in"] == "3 of 5 pairs"
+    assert p50["change_over_parent_median"] == pytest.approx(0.010 / 0.012)
+    rate = summary["machines_per_s"]
+    assert rate["parent"] == pytest.approx({"median": 250.0, "q1": 240.0, "q3": 260.0})
+    assert rate["change"] == pytest.approx({"median": 280.0, "q1": 250.0, "q3": 300.0})
+    assert rate["change_better_in"] == "3 of 5 pairs"
+    assert rate["change_over_parent_median"] == pytest.approx(280.0 / 250.0)
+    # inclusive quartiles interpolate between the middle values
+    four = [pair(x, x, 1.0, 1.0) for x in (1.0, 2.0, 3.0, 4.0)]
+    assert script.summarize(four, {"op_p50_s": "lower"})["op_p50_s"]["parent"] == {
+        "median": 2.5, "q1": 1.75, "q3": 3.25}
+
+
+def test_pairs_alternate_and_record_each_tree(tmp_path, monkeypatch, capsys):
+    script = load_script()
+    trees = {}
+    for side in ("parent", "change"):
+        trees[side] = tmp_path / side
+        (trees[side] / "src" / "detavg" / "__pycache__").mkdir(parents=True)
+        (trees[side] / "src" / "detavg" / "oracle.py").write_text(f"# {side}\n")
+        (trees[side] / "src" / "detavg" / "__pycache__" / "x.pyc").write_bytes(b"\0")
+    (trees["change"] / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "op_p50_s", "better": "lower"}]}))
+    calls = []
+
+    def fake_run(tree, workload, seed, seconds):
+        calls.append((tree.name, workload, seed, seconds))
+        return {"attempted": 3, "failed": 0, "correct": True,
+                "op_p50_s": 2.0 if tree.name == "parent" else 1.0}
+
+    monkeypatch.setattr(script, "run_side", fake_run)
+    assert script.main([str(trees["parent"]), str(trees["change"]), "--workload", "w",
+                        "--pairs", "3", "--seed", "7", "--seconds", "1"]) == 0
+    assert calls == [("parent", "w", 7, 1.0), ("change", "w", 7, 1.0),
+                     ("change", "w", 8, 1.0), ("parent", "w", 8, 1.0),
+                     ("parent", "w", 9, 1.0), ("change", "w", 9, 1.0)]
+    record = json.loads(capsys.readouterr().out)
+    assert record["command"] == ("python3 bench/run.py --workload w --seed S "
+                                 "--seconds 1.0 --trace 0")
+    runs = record["w"]["runs"]
+    assert [(run["seed"], run["first"]) for run in runs] == [
+        (7, "parent"), (8, "change"), (9, "parent")]
+    sha = runs[0]["source_sha256"]
+    assert sha["parent"] != sha["change"]
+    assert sha["parent"] == script.source_sha256(trees["parent"])
+    # bytecode left by a run does not move the hash
+    (trees["parent"] / "src" / "detavg" / "__pycache__" / "x.pyc").write_bytes(b"\1")
+    assert script.source_sha256(trees["parent"]) == sha["parent"]
+    assert record["w"]["summary"]["op_p50_s"]["change_better_in"] == "3 of 3 pairs"

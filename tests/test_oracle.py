@@ -203,6 +203,22 @@ def test_model_validation():
         )
     with pytest.raises(ValueError):
         RandomRankOneSum.bernoulli([np.eye(2)], gamma=0.0, base=np.eye(2))
+    nan, inf = float("nan"), float("inf")
+    # a NaN probability passes the sum-to-one check, since NaN compares false
+    for field, args in [
+        ("probabilities", (np.eye(2), (1.0, 2.0), (nan, 0.5))),
+        ("probabilities", (np.eye(2), (1.0, 2.0), (inf, 0.5))),
+        ("values", (np.eye(2), (1.0, inf), (0.5, 0.5))),
+        ("values", (np.eye(2), (nan,), (1.0,))),
+        ("matrix", (np.array([[1.0, 0.0], [0.0, nan]]), (1.0,), (1.0,))),
+        ("matrix", (np.array([[1.0, -inf], [0.0, 1.0]]), (1.0,), (1.0,))),
+    ]:
+        with pytest.raises(ValueError, match=field):
+            Component(*args)
+    comp = Component(np.eye(2), (1.0,), (1.0,))
+    for bad in (inf, nan):
+        with pytest.raises(ValueError, match="base"):
+            RandomRankOneSum(components=(comp,), base=np.diag([1.0, bad]))
     for max_d in (0, 6):
         with pytest.raises(ValueError, match="max_d"):
             identity_suite(models=1, max_d=max_d)
@@ -334,6 +350,55 @@ def test_identity_suite_report_is_the_model_by_model_report(models, seed):
     # the benchmark's suite (20, 8, 3, 0..10) and criterion 1's (50, 8, 3, 0)
     got = identity_suite(models=models, max_n=8, max_d=3, seed=seed)
     assert got == identity_suite_alone(models, 8, 3, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(models=st.integers(1, 8), max_n=st.integers(2, 6), max_d=st.integers(1, 5),
+       seed=st.integers(0, 2**64 - 1))
+def test_identity_suite_report_is_the_model_by_model_report_anywhere(models, max_n, max_d,
+                                                                     seed):
+    got = identity_suite(models=models, max_n=max_n, max_d=max_d, seed=seed)
+    assert got == identity_suite_alone(models, max_n, max_d, seed)
+
+
+def random_model_one_by_one(rng, max_n, max_d):
+    """Reference draw: one Component per component, built as it is drawn."""
+    d = int(rng.integers(1, max_d + 1))
+    n = int(rng.integers(2, max_n + 1))
+    lam = float(rng.uniform(0.5, 2.0))
+    comps = []
+    for _ in range(n):
+        z = rng.standard_normal(d)
+        Z = np.outer(z, z)
+        kind = int(rng.integers(0, 4))
+        if kind < 2:
+            g = float(rng.uniform(0.2, 0.9))
+            comps.append(Component(Z, (0.0, 1.0 / g if kind == 0 else 1.0), (1.0 - g, g)))
+        elif kind == 2:
+            comps.append(Component(Z, (0.5, 1.5), (0.5, 0.5)))
+        else:
+            p = rng.uniform(0.1, 1.0, size=3)
+            p = p / p.sum()
+            comps.append(Component(Z, (0.0, 1.0, 2.0), tuple(p)))
+    return RandomRankOneSum(components=tuple(comps), base=lam * np.eye(d))
+
+
+@pytest.mark.parametrize("max_n, max_d", [(2, 1), (8, 3), (12, 1), (6, 5)])
+def test_random_model_keeps_the_draw_stream(max_n, max_d):
+    # every report depends on this stream: a draw batched, reordered or
+    # added moves the models, and the rng's end state shows it
+    for seed in range(41):
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(5):
+            got = random_model(rng, max_n=max_n, max_d=max_d)
+            want = random_model_one_by_one(reference, max_n, max_d)
+            assert got.base.tobytes() == want.base.tobytes()
+            assert len(got.components) == len(want.components)
+            for c, w in zip(got.components, want.components):
+                assert c.matrix.shape == w.matrix.shape
+                assert c.matrix.tobytes() == w.matrix.tobytes()
+                assert c.values == w.values and c.probs == w.probs
+        assert rng.bit_generator.state == reference.bit_generator.state
 
 
 def test_identity_suite_evaluates_in_bounded_groups(monkeypatch):

@@ -3,9 +3,11 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from detavg.cli import build_parser
+from detavg.oracle import random_model
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "pinned_outputs.py"
 
@@ -56,3 +58,14 @@ def test_every_run_parses_under_the_cli(capsys):
         except SystemExit:
             pytest.fail(f"{name}: {argv} does not parse: {capsys.readouterr().err}")
         assert args.command == argv[0]
+
+
+def test_identities_all_d_draws_every_dimension():
+    # the suite draws its models from default_rng(seed) in order, so the
+    # argv alone fixes which dimensions' deviation stacks the file pins
+    argv = load_script().STDOUT_RUNS["identities_all_d.txt"]
+    args = build_parser().parse_args(argv)
+    assert args.command == "verify-identities"
+    rng = np.random.default_rng(args.seed)
+    dims = [random_model(rng, args.max_n, args.max_d).dim for _ in range(args.models)]
+    assert sorted(set(dims)) == [1, 2, 3, 4, 5]
