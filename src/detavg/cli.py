@@ -11,11 +11,16 @@ Four subcommands:
 * ``verify-identities``: exact enumeration check of the determinant and
   adjugate expectation identities, plus the rank-two counterexample.
 
-Every run is reproducible byte for byte from its flags and seed.  Trials
-run one after another in this process; ``--threads`` is still accepted by
-the three data subcommands so older command lines keep working, but it has
-no effect.  Exit codes: 0 on success, 1 for validation problems, 2 for
-numerical failures.
+Every run is reproducible byte for byte from its flags and seed at a fixed
+BLAS thread count (``OPENBLAS_NUM_THREADS``).  A different count may move
+the last bits of a ``verify-identities`` deviation, whose long dot products
+BLAS splits across threads: at ``--models 3 --max-n 12 --max-d 1 --seed
+27`` two of them read ``2.220e-16`` and ``2.776e-17`` at 1 thread, against
+``1.110e-16`` and ``0.000e+00`` at 2.  Trials run one after another in
+this process; ``--threads`` is still accepted by the three data
+subcommands so older command lines keep working, but it has no effect.
+Exit codes: 0 on success, 1 for validation problems, 2 for numerical
+failures.
 """
 
 from __future__ import annotations

@@ -269,15 +269,32 @@ def serialize_libsvm(data: Dataset) -> str:
     """Inverse of :func:`parse_libsvm` for datasets without explicit zeros.
 
     Nonzero entries only, shortest round-tripping float repr, LF endings.
+    Each row is one ``%`` of a template, ``"%r 1:%r 2:%r ..."``, built from
+    its nonzero columns (:func:`_row_template`) and filled with its label
+    and nonzero values as Python floats: ``%r`` is ``float.__repr__``, so
+    the text is what a repr per entry gives.  Rows with no zero share the
+    template built at the first of them.  Per row, work and memory are
+    O(its nonzeros) beyond the scan for them; the floor is
+    ``float.__repr__`` itself, and a faster formatter would change the
+    bytes.
     """
     lines = []
-    for i in range(data.n):
-        parts = [repr(float(data.y[i]))]
-        row = data.X[i]
-        for j in np.flatnonzero(row):
-            parts.append(f"{j + 1}:{repr(float(row[j]))}")
-        lines.append(" ".join(parts))
+    dense = None  # the template of a row with no zero
+    for label, row in zip(data.y.tolist(), data.X):
+        cols = np.flatnonzero(row)
+        if len(cols) == data.d:
+            if dense is None:
+                dense = _row_template(cols)
+            lines.append(dense % (label, *row.tolist()))
+        else:
+            lines.append(_row_template(cols) % (label, *row[cols].tolist()))
     return "\n".join(lines) + "\n"
+
+
+def _row_template(cols: np.ndarray) -> str:
+    """``"%r"`` for the label, then ``" j:%r"`` for each 0-based column in
+    ``cols``, with j its 1-based index."""
+    return "%r" + "".join(map(" {}:%r".format, (cols + 1).tolist()))
 
 
 def expand_degree2(data: Dataset) -> Dataset:
@@ -285,9 +302,12 @@ def expand_degree2(data: Dataset) -> Dataset:
 
     The output columns are the original features followed by the products
     ``x_j * x_l`` for ``j <= l`` in lexicographic order.  A column that is
-    exactly constant, or an exact duplicate of an earlier kept column, is
-    dropped; the scan order makes the result deterministic.  A 0/1 column
-    therefore loses its square, which duplicates it.
+    exactly constant, or an exact duplicate (``==`` in every entry, so -0.0
+    matches 0.0) of an earlier kept column, is dropped; the scan order makes
+    the result deterministic.  A 0/1 column therefore loses its square,
+    which duplicates it.  Kept columns are bucketed by the hash of their
+    bytes with -0.0 made 0.0, so a column is compared only with the kept
+    columns of its bucket.
     """
     X = data.X
     d = data.d
@@ -296,11 +316,15 @@ def expand_degree2(data: Dataset) -> Dataset:
         for l in range(j, d):
             columns.append(X[:, j] * X[:, l])
     kept: list[np.ndarray] = []
+    buckets: dict[int, list[np.ndarray]] = {}
     for col in columns:
         if np.all(col == col[0]):
             continue
-        if any(np.array_equal(col, prev) for prev in kept):
+        # + 0.0 turns -0.0 into 0.0, and leaves every other entry's bytes
+        bucket = buckets.setdefault(hash((col + 0.0).tobytes()), [])
+        if any(np.array_equal(col, prev) for prev in bucket):
             continue
+        bucket.append(col)
         kept.append(col)
     if not kept:
         raise EmptyDataset("every expanded column was constant")

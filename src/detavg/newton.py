@@ -210,13 +210,16 @@ def exact_minimizer(obj: Objective) -> np.ndarray:
     :class:`~detavg.errors.NonFiniteResult` (see :meth:`Objective.gradient`).
     """
     w = np.zeros(obj.d)
-    norm = linalg.norm(obj.gradient(w))
+    g = obj.gradient(w)
+    norm = linalg.norm(g)
     target = _NEWTON_TOL * max(1.0, norm)
     for _ in range(_NEWTON_ITERS):
         if norm <= target < math.inf:
             return w
-        w = w - obj.exact_newton_step(w)
-        norm = linalg.norm(obj.gradient(w))
+        # the exact Newton step at w, with the gradient already in hand
+        w = w - linalg.solve_psd(obj.hessian(w), g)
+        g = obj.gradient(w)
+        norm = linalg.norm(g)
     if not norm <= target < math.inf:
         raise NoConvergence(f"exact Newton did not reach tol={_NEWTON_TOL} relative to the first "
                             f"gradient norm ({target:.3e}) in {_NEWTON_ITERS} iterations")

@@ -168,6 +168,73 @@ def reference_parse_libsvm(text):
     return Dataset(X=X, y=np.array(labels))
 
 
+
+def reference_serialize_libsvm(data):
+    """The entry-by-entry writer that serialize_libsvm replaced, kept as the
+    reference for its bytes."""
+    lines = []
+    for i in range(data.n):
+        parts = [repr(float(data.y[i]))]
+        row = data.X[i]
+        for j in np.flatnonzero(row):
+            parts.append(f"{j + 1}:{repr(float(row[j]))}")
+        lines.append(" ".join(parts))
+    return "\n".join(lines) + "\n"
+
+
+BIG = np.finfo(float).max
+TINY = 5e-324  # the least subnormal
+# edge values the writer must spell as float.__repr__ does
+edge_floats = st.sampled_from([-0.0, TINY, -TINY, 2.2250738585072014e-308, BIG, -BIG, 1e16, 0.1])
+nonzero_floats = st.one_of(edge_floats, finite).filter(bool)
+
+
+@st.composite
+def writer_datasets(draw):
+    """Rows each dense (no zero), sparse (some zeros, -0.0 among them) or
+    all zero, in any mix, d from 1; labels may be -0.0 or 0.0."""
+    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    rows = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["dense", "sparse", "zero"]))
+        if kind == "dense":
+            cells = nonzero_floats
+        elif kind == "sparse":
+            cells = st.one_of(st.sampled_from([0.0, -0.0]), nonzero_floats)
+        else:
+            cells = st.sampled_from([0.0, -0.0])
+        rows.append(draw(st.lists(cells, min_size=d, max_size=d)))
+    y = draw(st.lists(st.one_of(st.sampled_from([0.0, -0.0]), edge_floats, finite),
+                      min_size=n, max_size=n))
+    return Dataset(X=rows, y=y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(writer_datasets())
+@example(Dataset(X=[[-0.0]], y=[-0.0]))  # d = 1, one all-zero row
+@example(Dataset(X=[[TINY, -BIG], [0.0, 0.0], [BIG, -TINY], [0.0, 2.0]], y=[-0.0, 0.0, 1.0, 3.0]))
+@example(Dataset(X=np.eye(3) + 1.0, y=np.ones(3)))  # dense rows only
+def test_writer_writes_the_reference_bytes(data):
+    assert serialize_libsvm(data) == reference_serialize_libsvm(data)
+
+
+def test_writer_memory_follows_the_nonzeros():
+    # eight rows of 2^20 columns, one nonzero each: a writer whose per-row
+    # work or memory is O(d), such as a table of every index text or a list
+    # of every entry of a row, peaks far above this bound
+    n, d = 8, 1 << 20
+    X = np.zeros((n, d))
+    X[np.arange(n), np.arange(n) * 1001 + 7] = np.arange(1.0, n + 1)
+    data = Dataset(X=X, y=np.arange(n, dtype=float))
+    tracemalloc.start()
+    try:
+        text = serialize_libsvm(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    assert text == reference_serialize_libsvm(data)
+
 def outcome(parse, text):
     """What a parser makes of ``text``: the dataset's bytes, or its error."""
     try:
@@ -569,6 +636,76 @@ def test_dense_parse_memory_stays_under_twice_the_text(tmp_path):
     with mock.patch.object(dataio, "BLOCK_LINES", 1 << 30):
         assert peak() > bound
 
+
+
+def reference_expand_degree2(data):
+    """expand_degree2 with the pairwise duplicate scan it replaced: every
+    column is compared with every kept one.  Its result (width and bytes)
+    or its error is the reference."""
+    X, d = data.X, data.d
+    columns = [X[:, j] for j in range(d)]
+    for j in range(d):
+        for l in range(j, d):
+            columns.append(X[:, j] * X[:, l])
+    kept = []
+    for col in columns:
+        if np.all(col == col[0]):
+            continue
+        if any(np.array_equal(col, prev) for prev in kept):
+            continue
+        kept.append(col)
+    if not kept:
+        raise EmptyDataset("every expanded column was constant")
+    return Dataset(X=np.column_stack(kept), y=data.y)
+
+
+def expanded(expand, data):
+    try:
+        out = expand(data)
+    except EmptyDataset as e:
+        return ("EmptyDataset", str(e))
+    return (out.X.shape, out.X.tobytes(), out.y.tobytes())
+
+
+@st.composite
+def integer_matrices(draw):
+    """Small integer-valued matrices, zeros of either sign, with constant
+    and 0/1 columns and columns that repeat another up to the sign of its
+    zeros."""
+    n, d = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    cells = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0, 3.0])
+    columns = []
+    for _ in range(d):
+        kind = draw(st.sampled_from(["any", "constant", "binary", "repeat"]))
+        if kind == "constant":
+            columns.append([draw(cells)] * n)
+        elif kind == "binary":
+            columns.append(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n)))
+        elif kind == "repeat" and columns:
+            col = draw(st.sampled_from(columns))
+            flips = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+            columns.append([-x if flip and x == 0.0 else x for x, flip in zip(col, flips)])
+        else:
+            columns.append(draw(st.lists(cells, min_size=n, max_size=n)))
+    return Dataset(X=np.array(columns).T.reshape(n, d), y=np.arange(n, dtype=float))
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices())
+@example(Dataset(X=[[0.0, -0.0], [1.0, 1.0]], y=[0.0, 1.0]))
+@example(Dataset(X=[[2.0, 0.0], [2.0, 1.0]], y=[0.0, 1.0]))
+@example(Dataset(X=[[1.0], [1.0]], y=[0.0, 1.0]))  # every column constant
+def test_expand_degree2_keeps_the_pairwise_scan(data):
+    assert expanded(expand_degree2, data) == expanded(reference_expand_degree2, data)
+
+
+def test_expand_degree2_drops_a_column_equal_up_to_the_sign_of_zero():
+    # x2 == x1 entrywise (-0.0 == 0.0) though their bytes differ
+    data = Dataset(X=[[0.0, -0.0], [1.0, 1.0], [2.0, 2.0]], y=[0.0, 0.0, 0.0])
+    out = expand_degree2(data)
+    # x1, x1^2; x2, x1*x2 and x2^2 repeat them
+    assert out.d == 2
+    assert out.X.tobytes() == np.column_stack([[0.0, 1.0, 2.0], [0.0, 1.0, 4.0]]).tobytes()
 
 def test_expand_degree2_generic_width():
     # without exact collisions: d originals plus all d(d+1)/2 products
