@@ -26,6 +26,7 @@ failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -40,7 +41,6 @@ from .errors import NonFiniteResult, NumericalError
 from .newton import MachineConfig, Scheme, SweepRow, coherence, error_sweep, run_distributed_newton
 from .objective import Dataset, LossKind, Objective
 from .oracle import identity_suite
-from .sketch import check_sweep
 from .uq import Statistic, UqRow, uq_sweep
 
 NEWTON_SWEEP_HEADER = tuple(f.name for f in fields(SweepRow))
@@ -164,13 +164,9 @@ def cmd_newton_sweep(args) -> int:
     check_table_size("--trials", args.trials,
                      len(schemes) * len(m_list) * args.trials * len(NEWTON_SWEEP_HEADER))
     w0 = np.zeros(obj.d)
-    # the full-data Hessian once, for the sweep and the sidecar, after the
-    # checks that error_sweep makes before building it
-    check_sweep(m_list, args.trials)
-    grad = obj.gradient(w0)
+    rows = error_sweep(obj, w0, args.k, m_list, args.trials, schemes, seed)
     H = obj.hessian(w0)
-    rows = error_sweep(obj, w0, args.k, m_list, args.trials, schemes, seed, hessian=H)
-    step = linalg.solve_psd(H, grad)
+    step = linalg.solve_psd(H, obj.gradient(w0))
     step_norm = linalg.norm(step)
     if not math.isfinite(step_norm):
         raise NonFiniteResult(f"the exact step's norm is {step_norm}")
@@ -185,7 +181,7 @@ def cmd_newton_sweep(args) -> int:
         "trials": args.trials,
         "scheme": args.scheme,
         "seed": seed,
-        "coherence": coherence(obj, w0, H),
+        "coherence": coherence(obj, w0),
         "step_norm_euclidean": step_norm,
         "step_norm_hessian": linalg.mahalanobis_norm(step, H),
     }
@@ -269,6 +265,7 @@ def _add_data_flags(sp: argparse.ArgumentParser, with_loss: bool) -> None:
     sp.add_argument("--out", required=True, metavar="PATH", help="output CSV path")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="detavg",
@@ -313,9 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # the parser is a web of reference cycles; holding no reference to it
-    # while the command runs lets the collector free it young, before the
-    # command's own allocations promote it to the oldest generation
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:

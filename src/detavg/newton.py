@@ -159,7 +159,6 @@ def error_sweep(
     trials: int,
     scheme: Scheme | list[Scheme],
     seed: int,
-    hessian: np.ndarray | None = None,
 ) -> list[SweepRow]:
     """Step-error table over a grid of machine counts.
 
@@ -172,8 +171,6 @@ def error_sweep(
         streams keyed by (seed, i, *).
     scheme : Scheme or list of Scheme
         One or both merge schemes; both share identical masks per trial.
-    hessian : ndarray, optional
-        ``obj.hessian(w)``, if the caller has built it; else built here.
 
     Returns
     -------
@@ -186,7 +183,7 @@ def error_sweep(
     check_sweep(m_list, trials)
     w = np.asarray(w, dtype=float)
     grad = obj.gradient(w)
-    H = obj.hessian(w) if hessian is None else hessian
+    H = obj.hessian(w)
     exact = linalg.solve_psd(H, grad)
     per_trial = [_merged_steps(obj, w, grad, k, m_list, schemes, seed, trial)
                  for trial in range(trials)]
@@ -263,16 +260,14 @@ def run_distributed_newton(
     )
 
 
-def coherence(obj: Objective, w: np.ndarray, hessian: np.ndarray | None = None) -> float:
+def coherence(obj: Objective, w: np.ndarray) -> float:
     """Largest curvature-weighted leverage of any row, (1/d) max_i l_i''
     x_i^T H^-1 x_i, read as f z_i^T H^-1 z_i off the rows of
-    :func:`hessian_rows` by :func:`linalg.inverse_forms`.  ``hessian`` is
-    ``obj.hessian(w)``, if the caller has built it; else it is built here.
+    :func:`hessian_rows` by :func:`linalg.inverse_forms`.
 
     Rows of zeros contribute nothing; the value is 0 exactly when no row
     carries curvature.
     """
     Z, f = hessian_rows(obj.loss, obj.data.X, w)
-    H = obj.hessian(w) if hessian is None else hessian
-    quad = linalg.inverse_forms(H, Z.T)
+    quad = linalg.inverse_forms(obj.hessian(w), Z.T)
     return float(np.max(f * quad, initial=0.0) / obj.data.d)

@@ -467,7 +467,7 @@ def expect_uniform_newton_bias(obj: Objective, w: np.ndarray, k: int) -> np.ndar
         )
     w = np.asarray(w, dtype=float)
     g = obj.gradient(w)
-    p = obj.exact_newton_step(w)
+    p = linalg.solve_psd(obj.hessian(w), g)
     gamma = k / data.n
     mean_step = np.zeros(data.d)
     for bits in itertools.product((False, True), repeat=data.n):

@@ -1,6 +1,7 @@
 """Command-line interface: output contracts, determinism, exit codes."""
 
 import csv
+import gc
 import io
 import json
 import math
@@ -20,8 +21,10 @@ from hypothesis import strategies as st
 import detavg
 from detavg.cli import main, write_csv
 from detavg.dataio import serialize_libsvm, synth_regression
-from detavg.errors import NonFiniteResult
-from detavg.objective import Dataset, Objective
+from detavg.errors import NonFiniteResult, NotPositiveDefinite
+from detavg.newton import local_newton_estimate
+from detavg.objective import Dataset, LossKind, Objective
+from detavg.sketch import SeedSpec, block_size, draw_mask
 
 
 def run(tmp_path, name, *argv):
@@ -38,13 +41,34 @@ def assert_one_line(err, prefix):
 # a --trials or --iters count whose output table would be far past the cap
 HUGE_COUNT = 10**12
 
-# a vanishing ridge: an empty mask's step grad/lam overflows to inf
+# a vanishing ridge: an empty mask's step grad/lam overflows to inf in the
+# first fleet of either run, four machines at trial 0 and w = 0
 NON_FINITE_STEP_ARGV = [
     ["newton-sweep", "--synth", "20,2,1.0", "--k", "1", "--m", "2,4",
      "--lambda", "1e-320", "--trials", "1"],
     ["newton-converge", "--synth", "20,2,1.0", "--k", "1", "--m", "4",
-     "--lambda", "1e-300", "--iters", "2"],
+     "--lambda", "1e-320", "--iters", "2"],
 ]
+
+
+def first_failure(obj, k, m, seed):
+    """(machine, how it fails) that a fleet of m machines, one stack, at
+    trial 0 and w = 0 names, or None; found machine by machine through
+    draw_mask and the public single-machine route, each from its own
+    (seed, trial, machine) triple.  The stack is factored whole before any
+    step is checked, so a machine that is not positive definite is named
+    before an earlier one whose step is not finite."""
+    assert m <= block_size(obj.d * obj.d)
+    w = np.zeros(obj.d)
+    steps = []
+    for t in range(m):
+        try:
+            estimate = local_newton_estimate(obj, w, draw_mask(obj.data.n, k, SeedSpec(seed, 0, t)))
+        except NotPositiveDefinite:
+            return t, "is not positive definite"
+        steps.append(estimate.value)
+    bad = [t for t, step in enumerate(steps) if not np.isfinite(step).all()]
+    return (bad[0], "has a non-finite result") if bad else None
 
 
 def sweep_args(out_name="sweep.csv", **over):
@@ -84,16 +108,6 @@ class TestNewtonSweep:
         assert meta["lambda"] == pytest.approx(1.0 / 120)  # auto default
         assert "threads" not in meta
 
-    def test_builds_the_full_data_hessian_once(self, tmp_path, monkeypatch):
-        # shared by error_sweep, the sidecar's step norms and coherence
-        calls = []
-        hessian = Objective.hessian
-        monkeypatch.setattr(Objective, "hessian",
-                            lambda obj, w: calls.append(w) or hessian(obj, w))
-        code, _ = run(tmp_path, "h.csv", *sweep_args())
-        assert code == 0
-        assert len(calls) == 1
-
     def test_single_scheme_filter(self, tmp_path):
         code, out = run(tmp_path, "u.csv", *sweep_args(scheme="uniform"))
         assert code == 0
@@ -129,11 +143,18 @@ class TestNewtonSweep:
         assert code == 1
 
     def test_local_factorization_failure_names_the_machine(self, tmp_path, capsys):
-        # about two rows per machine in d=10 with a vanishing ridge
-        code, _ = run(tmp_path, "s.csv", *sweep_args(
+        # about two rows per machine in d=10 with a vanishing ridge; the
+        # machine is found from the masks, so the test holds whatever the
+        # stream draws
+        obj = Objective(synth_regression(50, 10, 1.0, seed=0), LossKind.SQUARE, lam=1e-300)
+        failure = first_failure(obj, k=2, m=4, seed=0)
+        assert failure is not None and failure[1] == "is not positive definite"
+        code, out = run(tmp_path, "s.csv", *sweep_args(
             synth="50,10,1.0", k="2", m="2,4", trials="1", seed="0", **{"lambda": "1e-300"}))
         assert code == 2
-        assert "(seed, trial, machine) = (0, 0, 0)" in capsys.readouterr().err
+        assert not out.exists()
+        assert_one_line(capsys.readouterr().err, "numerical failure: local matrix of (seed, trial, "
+                        f"machine) = (0, 0, {failure[0]}) is not positive definite")
 
     def test_overflowing_step_error_exits_2_without_csv(self, tmp_path, capsys):
         # labels near 4.8e306 overflow the weighted sum of the local steps, not
@@ -162,6 +183,33 @@ class TestNewtonSweep:
         assert len(errors) == 4 and all(1e300 < e < math.inf for e in errors)
         meta = json.loads(out.with_suffix(".meta.json").read_text())
         assert 1e298 < meta["step_norm_euclidean"] < meta["step_norm_hessian"] < math.inf
+
+
+# a small run of each subcommand whose objects reference counting frees
+# alone; newton-sweep is left out, because its sidecar's json.dump(indent=2)
+# builds the standard library encoder's closures in a reference cycle
+ACYCLIC_ARGV = [
+    ["verify-identities", "--models", "3", "--max-n", "3", "--max-d", "2"],
+    ["uq-sweep", "--synth", "40,2,1.0", "--k", "10", "--m", "2,4", "--trials", "2"],
+    ["newton-converge", "--synth", "40,2,1.0", "--k", "10", "--m", "4", "--iters", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", ACYCLIC_ARGV, ids=lambda argv: argv[0])
+def test_a_call_leaves_no_cyclic_garbage(tmp_path, capsys, argv):
+    # the parser is built once per process, so a warm call makes no cycle
+    if argv[0] != "verify-identities":
+        argv = [*argv, "--out", str(tmp_path / "o.csv")]
+    assert main(argv) == 0
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class TestSeedResolution:
@@ -407,12 +455,21 @@ class TestExitCodes:
 class TestFleetBoundary:
     @pytest.mark.parametrize("argv", NON_FINITE_STEP_ARGV, ids=lambda argv: argv[0])
     def test_non_finite_local_step_exits_2(self, tmp_path, capsys, argv):
+        # the seed is the first whose first fleet, replayed machine by
+        # machine, fails on a non-finite step (an empty mask's grad/lam) with
+        # every matrix factored, so the test holds whatever the stream draws
+        for seed in range(1000):
+            obj = Objective(synth_regression(20, 2, 1.0, seed=seed), LossKind.SQUARE, lam=1e-320)
+            failure = first_failure(obj, k=1, m=4, seed=seed)
+            if failure is not None and failure[1] == "has a non-finite result":
+                break
+        else:
+            pytest.fail("no seed below 1000 draws a fleet with a non-finite step")
         out = tmp_path / "o.csv"
-        assert main([*argv, "--out", str(out)]) == 2
+        assert main([*argv, "--seed", str(seed), "--out", str(out)]) == 2
         assert not out.exists()
-        err = capsys.readouterr().err
-        assert_one_line(err, "numerical failure: local matrix of (seed, trial, machine) = (0, ")
-        assert "non-finite" in err
+        assert_one_line(capsys.readouterr().err, "numerical failure: local matrix of (seed, trial, "
+                        f"machine) = ({seed}, 0, {failure[0]}) has a non-finite result")
 
     @pytest.mark.parametrize("command, extra", [
         ("newton-sweep", ["--trials", "1"]),

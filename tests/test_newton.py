@@ -131,17 +131,6 @@ def test_error_sweep_rows_equal_single_fleet_steps():
         assert (row.err_euclidean, row.err_hnorm) == (report.err_euclidean, report.err_hnorm)
 
 
-def test_a_given_hessian_gives_the_built_one_bytes():
-    # error_sweep and coherence take obj.hessian(w) from a caller that has it
-    obj = make_objective(14, n=200, d=4, lam=0.05, loss=LossKind.LOGISTIC)
-    w = np.full(4, 0.2)
-    H = obj.hessian(w)
-    sweep = [error_sweep(obj, w, 30, [2, 8], 2, Scheme.DETERMINANTAL, seed=3, **given)
-             for given in ({}, {"hessian": H})]
-    assert sweep[0] == sweep[1]
-    assert coherence(obj, w) == coherence(obj, w, H)
-
-
 def test_error_sweep_validation():
     obj = make_objective(7, n=20, d=2, lam=0.2)
     with pytest.raises(ValueError):

@@ -28,7 +28,7 @@ from detavg.oracle import (
     random_model,
     rank_two_counterexample,
 )
-from detavg.sketch import block_size
+from detavg.sketch import SketchMask, block_size, local_hessian
 
 
 def per_outcome(model):
@@ -159,6 +159,37 @@ def test_uniform_newton_bias_two_routes_agree():
     via_model = expect_inverse(model) @ obj.gradient(w) - obj.exact_newton_step(w)
     assert np.allclose(bias, via_model, atol=1e-12)
     assert np.linalg.norm(bias) > 0
+
+
+def reference_uniform_newton_bias(obj, w, k):
+    """expect_uniform_newton_bias as it was before it kept its gradient: the
+    exact step is Objective.exact_newton_step, which takes the gradient again."""
+    g = obj.gradient(w)
+    p = obj.exact_newton_step(w)
+    gamma = k / obj.data.n
+    mean_step = np.zeros(obj.data.d)
+    for bits in itertools.product((False, True), repeat=obj.data.n):
+        include = np.array(bits)
+        prob = float(np.prod(np.where(include, gamma, 1.0 - gamma)))
+        H_hat = local_hessian(obj, w, SketchMask(include=include, k=k, n=obj.data.n))
+        mean_step += prob * np.linalg.solve(H_hat, g)
+    return mean_step - p
+
+
+def test_uniform_newton_bias_takes_the_gradient_once(monkeypatch):
+    # criterion 2's instance
+    rng = np.random.default_rng(42)
+    data = Dataset(X=rng.standard_normal((4, 2)), y=rng.standard_normal(4))
+    obj = Objective(data=data, loss=LossKind.SQUARE, lam=0.1)
+    w, k = np.zeros(2), 2
+    want = reference_uniform_newton_bias(obj, w, k)
+    calls = []
+    gradient = Objective.gradient
+    monkeypatch.setattr(Objective, "gradient",
+                        lambda self, w: calls.append(w) or gradient(self, w))
+    bias = expect_uniform_newton_bias(obj, w, k)
+    assert len(calls) == 1
+    assert bias.tobytes() == want.tobytes()
 
 
 def test_uniform_newton_bias_vanishes_at_huge_ridge():

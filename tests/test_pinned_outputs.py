@@ -1,6 +1,23 @@
-"""scripts/pinned_outputs.py: its runs parse, and what --compare reports for each file."""
+"""scripts/pinned_outputs.py: its runs parse, what --compare reports for each
+file, and the bytes of every output against the committed digests.
 
+``pinned_digests.json`` holds the sha256 of each output and the environment
+it was written in.  A change that moves bits on purpose re-records it with::
+
+    PYTHONPATH=src python tests/test_pinned_outputs.py
+
+which runs the script at the recorded BLAS thread count and rewrites the
+file; the change then names the moved files, and why, in CHANGES.md.
+"""
+
+import hashlib
 import importlib.util
+import json
+import os
+import platform
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +26,9 @@ import pytest
 from detavg.cli import build_parser
 from detavg.oracle import random_model
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "pinned_outputs.py"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "pinned_outputs.py"
+DIGESTS = Path(__file__).resolve().parent / "pinned_digests.json"
 
 
 def load_script():
@@ -69,3 +88,56 @@ def test_identities_all_d_draws_every_dimension():
     rng = np.random.default_rng(args.seed)
     dims = [random_model(rng, args.max_n, args.max_d).dim for _ in range(args.models)]
     assert sorted(set(dims)) == [1, 2, 3, 4, 5]
+
+
+def environment() -> dict:
+    """What the bytes may depend on, besides the code: numpy and its BLAS
+    build, the CPU architecture, and the CPU features numpy finds at run
+    time, since numpy and a DYNAMIC_ARCH OpenBLAS pick their kernels by
+    them."""
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "blas_name": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "blas_configuration": blas.get("openblas configuration"),
+        "machine": platform.machine(),
+        "cpu_features": config["SIMD Extensions"]["found"],
+    }
+
+
+def pinned_run(outdir: Path, threads: int) -> dict[str, str]:
+    """sha256 of every file the script writes into ``outdir``, run in a
+    fresh process at ``threads`` BLAS threads: a long dot product's last
+    bits follow how BLAS splits it across threads."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads),
+           "PYTHONPATH": os.pathsep.join(
+               p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, str(SCRIPT), str(outdir)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(outdir.iterdir())}
+
+
+def test_outputs_keep_their_pinned_digests(tmp_path):
+    pinned = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    recorded = pinned["environment"]
+    here = environment()
+    for field, value in here.items():
+        if value != recorded[field]:
+            pytest.skip(f"digests recorded with {field} {recorded[field]!r}, here {value!r}")
+    found = pinned_run(tmp_path, recorded["blas_threads"])
+    moved = sorted(name for name in pinned["sha256"].keys() | found.keys()
+                   if pinned["sha256"].get(name) != found.get(name))
+    assert moved == [], f"outputs whose bytes moved, are missing or are new: {moved}"
+
+
+if __name__ == "__main__":
+    threads = (json.loads(DIGESTS.read_text(encoding="utf-8"))["environment"]["blas_threads"]
+               if DIGESTS.exists() else 1)
+    with tempfile.TemporaryDirectory() as outdir:
+        record = {"environment": {**environment(), "blas_threads": threads},
+                  "sha256": pinned_run(Path(outdir), threads)}
+    DIGESTS.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
