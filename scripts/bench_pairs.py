@@ -16,8 +16,10 @@ run holds its seed, the side that went first, both sides' ``attempted``,
 the change tree's ``BENCHMARK.json`` the summary holds each side's median
 and inclusive quartiles, ``change_better_in`` (the pairs in which the change
 reads better by that metric's ``better``; ties count for neither side) and
-``change_over_parent_median``.  A run that exits nonzero stops the script
-with exit code 1.  Progress goes to standard error.
+``change_over_parent_median``.  Each run starts with no bytecode of
+detavg in its tree and writes none (see :func:`run_side`).  A run that
+exits nonzero stops the script with exit code 1.  Progress goes to
+standard error.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -56,9 +60,18 @@ def bench_argv(workload: str, seed: str, seconds: float) -> list[str]:
 
 
 def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run in ``tree``: its last JSON line, metrics flattened."""
+    """One benchmark run in ``tree``: its last JSON line, metrics flattened.
+
+    Every run starts from the same bytecode state: the tree's
+    ``src/detavg/__pycache__`` is deleted first and the run writes none
+    (``PYTHONDONTWRITEBYTECODE=1``), so each set-up probe compiles detavg
+    from source on both sides, where a tree holding valid bytecode would
+    import it faster and read a lower ``setup_s``.
+    """
+    shutil.rmtree(tree / "src" / "detavg" / "__pycache__", ignore_errors=True)
     proc = subprocess.run([sys.executable, *bench_argv(workload, str(seed), seconds)],
-                          cwd=tree, capture_output=True, text=True)
+                          cwd=tree, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
     if proc.returncode != 0:
         raise RunFailed(f"{tree}: bench/run.py exited {proc.returncode}\n{proc.stderr}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])

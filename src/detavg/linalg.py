@@ -82,6 +82,8 @@ def factor_solve(M: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray
     Returns
     -------
     x : ndarray of shape (b, *rhs.shape), or of ``rhs.shape`` for one matrix
+        For a stack, a view that swaps the first two axes of the stack-last
+        solution.
     log_dets : ndarray of shape (b,), or a scalar for one matrix
         ``log det M[i]``.
 
@@ -94,8 +96,8 @@ def factor_solve(M: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray
     L = _cholesky(M)
     log_dets = 2.0 * np.sum(np.log(np.diagonal(L, axis1=-2, axis2=-1)), axis=-1)
     if M.ndim == 2:
-        return _substitute(L[None], rhs)[0], log_dets
-    return _substitute(L, rhs), log_dets
+        return _substitute(L[None], rhs)[:, 0], log_dets
+    return _substitute(L, rhs).swapaxes(0, 1), log_dets
 
 
 def inverse_forms(M: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -111,8 +113,8 @@ def inverse_forms(M: np.ndarray, V: np.ndarray) -> np.ndarray:
     NotPositiveDefinite
         If ``M`` fails the Cholesky factorization.
     """
-    M = require_symmetric(M)
-    Y = _forward(_cholesky(M)[None], np.eye(len(M)))[0][0] @ V
+    L = _cholesky(require_symmetric(M))
+    Y = _substitute(L[None], np.eye(len(L)), back=False)[:, 0] @ V
     return np.einsum("ij,ij->j", Y, Y)
 
 
@@ -132,47 +134,39 @@ def _cholesky(M: np.ndarray) -> np.ndarray:
         ) from exc
 
 
-def _forward(L: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(y, D)`` with ``y[i] = L[i]^-1 rhs`` for a stack of lower triangular
-    factors with positive diagonals D, shape (b, d, d), which it overwrites
-    with their unit lower triangular parts ``U = L D^-1``.
+def _substitute(L: np.ndarray, rhs: np.ndarray, back: bool = True) -> np.ndarray:
+    """``x[:, i]`` with ``L[i] L[i]^T x[:, i] = rhs``, or with ``L[i] x[:, i]
+    = rhs`` if not ``back``, for a stack of lower triangular factors with
+    positive diagonals D, shape (b, d, d), which it overwrites with their
+    unit lower triangular parts ``U = L D^-1``.
 
-    It solves ``U z = rhs`` forward and divides by D.  Each step subtracts an
-    entry of z, once final, from the rows still open, so every operation is
-    elementwise across the stack and no slice depends on another.  A matrix
-    right-hand side (d, r) gets D of shape (b, d, 1), to broadcast over its
-    columns.
+    x is held stack-last, shape (d, b), or (d, b, r) for rhs of shape
+    (d, r).  It solves ``U z = rhs`` forward and divides by D, which gives
+    ``L^-1 rhs``; to go back it divides by D once more and solves ``U^T x =
+    z / D``.  Each step subtracts an entry of x, once final, from the rows
+    still open: it writes the products into one buffer that every step
+    reuses and subtracts them from the open rows, whose entries for the
+    whole stack lie next to each other.  Every operation is elementwise
+    across the stack, so no slice depends on another.  An overflowing solve reads inf or NaN, without a warning.
     """
-    d = L.shape[-1]
-    y = np.empty((len(L), *np.shape(rhs)))
-    y[:] = rhs
     diag = np.diagonal(L, axis1=1, axis2=2).copy()
-    with np.errstate(all="ignore"):  # an overflowing solve reads inf or NaN
-        L *= (1.0 / diag)[:, None, :]
-        if y.ndim == 3:
-            L, diag = L[..., None], diag[..., None]
-        for k in range(d - 1):
-            rest = y[:, k + 1:]
-            rest -= L[:, k + 1:, k] * y[:, k, None]
-        y /= diag
-    return y, diag
-
-
-def _substitute(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """``x[i]`` with ``L[i] L[i]^T x[i] = rhs`` for a stack of lower triangular
-    factors with positive diagonals, shape (b, d, d), which it overwrites.
-
-    :func:`_forward` gives ``y = L^-1 rhs`` and ``U = L D^-1``; it divides y
-    by D once more and solves ``U^T x = y / D`` back, one entry at a time.
-    """
-    x, diag = _forward(L, rhs)
-    if x.ndim == 3:
-        L = L[..., None]
+    x = np.empty((L.shape[1], len(L), *rhs.shape[1:]))
+    x[...] = rhs[:, None]
+    products = np.empty(x.shape)
     with np.errstate(all="ignore"):
+        L *= (1.0 / diag)[:, None, :]
+        U, diag = L.transpose(1, 2, 0), diag.T
+        if x.ndim == 3:  # broadcast over the columns of rhs
+            U, diag = U[..., None], diag[..., None]
+        for k in range(len(x) - 1):
+            rest = x[k + 1:]
+            rest -= np.multiply(U[k + 1:, k], x[k], products[k + 1:])
         x /= diag
-        for k in range(L.shape[1] - 1, 0, -1):
-            rest = x[:, :k]
-            rest -= L[:, k, :k] * x[:, k, None]
+        if back:
+            x /= diag
+            for k in range(len(x) - 1, 0, -1):
+                rest = x[:k]
+                rest -= np.multiply(U[k, :k], x[k], products[:k])
     return x
 
 
@@ -322,8 +316,13 @@ def mahalanobis_norm(v: np.ndarray, M: np.ndarray) -> float:
     still NaN or past float max raises
     :class:`~detavg.errors.NonFiniteResult`.
     """
-    v = np.asarray(v, dtype=float)
-    M = require_symmetric(M)
+    return _mahalanobis_norm(np.asarray(v, dtype=float), require_symmetric(M))
+
+
+def _mahalanobis_norm(v: np.ndarray, M: np.ndarray) -> float:
+    """:func:`mahalanobis_norm` of a float vector and of a matrix that
+    :func:`require_symmetric` has passed, for a caller that takes many norms
+    in one matrix and checks it once."""
 
     def root(u: np.ndarray) -> float:
         q = float(u @ M @ u)

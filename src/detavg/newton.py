@@ -130,9 +130,11 @@ def _merged_steps(
 
 
 def _step_errors(step: np.ndarray, exact: np.ndarray, H: np.ndarray) -> tuple[float, float]:
+    """Euclidean and H-norm of ``step - exact``, for an H that
+    ``linalg.solve_psd`` has checked when it solved for ``exact``."""
     with np.errstate(over="ignore"):
         diff = step - exact
-    return linalg.norm(diff), linalg.mahalanobis_norm(diff, H)
+    return linalg.norm(diff), linalg._mahalanobis_norm(diff, H)
 
 
 def merged_step(

@@ -22,11 +22,11 @@ A model is enumerated in chunks of about a mebibyte, each of probabilities
 rows of the product grid of supports.  ``E[f(A)]`` is ``p @ f(A)`` summed
 over the model's chunks.  One pass serves many models: the chunks of all
 models of one dimension d are concatenated once into stacks of at most
-``block_size(d * d)`` outcomes, each ``f`` runs once per stack, and each
-chunk's ``p @ f(A)`` is one ``np.dot`` of ``p`` as a row with its own rows
-of the stack, the call ``np.tensordot(p, f(A), axes=1)`` makes.  ``f`` acts
-on every slice on its own, so the sums are bit-identical to a pass over
-each model alone.
+``block_size(d * d, _CHUNK_BYTES)`` outcomes, each ``f`` runs once per
+stack, and each chunk's ``p @ f(A)`` is one ``np.dot`` of ``p`` as a row
+with its own rows of the stack, the call ``np.tensordot(p, f(A), axes=1)``
+makes.  ``f`` acts on every slice on its own, so the sums are
+bit-identical to a pass over each model alone.
 
 Everything here is exponential in the number of components and exists to
 check the fast estimators, not to be one.
@@ -47,6 +47,10 @@ from .objective import Objective
 from .sketch import SketchMask, block_size, local_hessian
 
 _MAX_COMPONENTS = 20
+# Bytes of outcome matrices per chunk and per stack of the enumeration, its
+# own budget and not the fleets': a chunk's length sets the summation order
+# of its product, and so the bits of every expectation.
+_CHUNK_BYTES = 1 << 20
 _MAX_OUTCOMES = 1 << 20
 
 
@@ -158,8 +162,9 @@ class RandomRankOneSum:
     def outcome_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Yield ``(p, A)``: probabilities (b,) and matrices (b, d, d) of the
         outcomes, in :func:`itertools.product` order of the supports, with
-        ``block_size(max(n, d * d))`` outcomes per chunk, so neither the
-        (N, n) grid of scales nor the (N, d, d) stack is ever built whole."""
+        ``block_size(max(n, d * d), _CHUNK_BYTES)`` outcomes per chunk, so
+        neither the (N, n) grid of scales nor the (N, d, d) stack is ever
+        built whole."""
         if len(self.components) > _MAX_COMPONENTS:
             raise EnumerationBudgetExceeded(
                 f"{len(self.components)} components exceed the cap of {_MAX_COMPONENTS}"
@@ -170,7 +175,7 @@ class RandomRankOneSum:
         sizes = tuple(len(c.values) for c in self.components)
         laws = [(np.array(c.values), np.array(c.probs)) for c in self.components]
         Z = np.array([c.matrix.ravel() for c in self.components])
-        chunk = block_size(max(len(sizes), d * d))
+        chunk = block_size(max(len(sizes), d * d), _CHUNK_BYTES)
         for start in range(0, total, chunk):
             digits = np.unravel_index(np.arange(start, min(start + chunk, total)), sizes)
             p = np.ones(len(digits[0]))
@@ -189,12 +194,12 @@ def _expect_each(
     ``f`` maps a stack (b, d, d) to (b, ...) slice by slice.  The chunks of
     :meth:`RandomRankOneSum.outcome_blocks` queue up per dimension d, and a
     queue is concatenated into one stack when the next chunk would take it
-    past ``block_size(d * d)`` outcomes, and at the end, and every ``f``
-    runs on that stack.  A chunk holds at most that many outcomes, so none
-    is split.  Each chunk still gets its own product, in the model's chunk
-    order: the ``np.dot`` of ``p`` as a row with its rows of ``f``'s value,
-    the call ``np.tensordot(p, value, axes=1)`` makes, which keeps every sum
-    bit-identical to enumerating its model alone.
+    past ``block_size(d * d, _CHUNK_BYTES)`` outcomes, and at the end, and
+    every ``f`` runs on that stack.  A chunk holds at most that many
+    outcomes, so none is split.  Each chunk still gets its own product, in
+    the model's chunk order: the ``np.dot`` of ``p`` as a row with its rows
+    of ``f``'s value, the call ``np.tensordot(p, value, axes=1)`` makes,
+    which keeps every sum bit-identical to enumerating its model alone.
     """
     totals = [[0.0] * len(fs) for _ in models]
     queues: dict[int, list[tuple[int, np.ndarray, np.ndarray]]] = {}
@@ -218,7 +223,7 @@ def _expect_each(
         d = model.dim
         queue = queues.setdefault(d, [])
         for p, A in model.outcome_blocks():
-            if held.get(d, 0) + len(p) > block_size(d * d):
+            if held.get(d, 0) + len(p) > block_size(d * d, _CHUNK_BYTES):
                 evaluate(queue)
                 held[d] = 0
             queue.append((owner, p, A))
@@ -377,10 +382,11 @@ def identity_suite(models: int = 50, max_n: int = 8, max_d: int = 3, seed: int =
     Each random model is enumerated once for all three identities.
 
     Models are drawn from ``default_rng(seed)`` in order, in groups that
-    close once they hold ``block_size(max_d * max_d)`` outcomes, and each
-    group is evaluated, one :func:`_expect_each` pass and the det, adjugate
-    and inverse of each dimension's stack of means, before the next is
-    drawn, so memory stays bounded whatever ``models`` is.  The deviations
+    close once they hold ``block_size(max_d * max_d, _CHUNK_BYTES)``
+    outcomes, and each group is evaluated, one :func:`_expect_each` pass
+    and the det, adjugate and inverse of each dimension's stack of means,
+    before the next is drawn, so memory stays bounded whatever ``models``
+    is.  The deviations
     are folded per stack of one dimension: ``|lhs - rhs|`` max and
     ``max(1, |rhs|)`` max per model, their quotient, and its max over the
     models.  ``abs`` and ``max`` are exact and each quotient is the same
@@ -406,7 +412,7 @@ def identity_suite(models: int = 50, max_n: int = 8, max_d: int = 3, seed: int =
             f"enumeration cap of {_MAX_OUTCOMES}"
         )
     rng = np.random.default_rng(seed)
-    cap = block_size(max_d * max_d)
+    cap = block_size(max_d * max_d, _CHUNK_BYTES)
     dev_det = dev_adj = dev_winv = 0.0
     drawn = 0
     while drawn < models:

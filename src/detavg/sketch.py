@@ -12,7 +12,7 @@ The module holds the sampling, the one loop over a fleet's machines and
 the sweep check.  :func:`draw_mask` keys a fresh Philox through numpy's own
 ``SeedSequence``, the public route that replays one machine.
 :func:`local_fleet` draws, gathers, builds and decomposes every machine of
-a Newton or precision fleet, in stacks of about 1 MiB, and names the
+a Newton or precision fleet, in stacks of about 2 MiB, and names the
 (seed, trial, machine) triple of a machine that fails.  It draws the same
 masks without a generator per machine: the machine index is the last word
 ``SeedSequence`` mixes, so the pool that (seed, trial) leave is numpy's
@@ -41,8 +41,11 @@ from .dataio import MAX_ENTRIES
 from .errors import InvalidSampleSize, NonFiniteResult, NotPositiveDefinite
 from .objective import Dataset, Objective, gram, gram_tail, hessian_rows
 
-# Bytes of matrices stacked per decomposition call by the fleets.
-_STACK_BYTES = 1 << 20
+# Bytes of matrices stacked per decomposition call by the fleets.  A
+# decomposition's numpy calls cost about the same for 31 machines as for 62,
+# so at d=65 a 2 MiB stack (62 machines) pays them about half as often as a
+# 1 MiB one, for about 2 MB more peak memory.
+_STACK_BYTES = 2 << 20
 
 # numpy's SeedSequence: pool size in 32-bit words and the constants of its
 # entropy hash (INIT_A, MULT_A), its pool mix (MIX_MULT_L, MIX_MULT_R) and
@@ -212,14 +215,14 @@ def local_covariance(data: Dataset, mask: SketchMask) -> np.ndarray:
                      mask.k)
 
 
-def block_size(width: int) -> int:
+def block_size(width: int, stack_bytes: int = _STACK_BYTES) -> int:
     """Number of items of ``width`` float64 values each that one stack holds.
 
-    About ``_STACK_BYTES`` of them.  A fleet stacks (d, d) matrices, width
-    d * d: the whole fleet at small d, while a large-d fleet never holds all
-    m matrices at once.
+    About ``stack_bytes`` of them, by default the fleets' ``_STACK_BYTES``.
+    A fleet stacks (d, d) matrices, width d * d: the whole fleet at small d,
+    while a large-d fleet never holds all m matrices at once.
     """
-    return max(1, _STACK_BYTES // (8 * width))
+    return max(1, stack_bytes // (8 * width))
 
 
 def local_fleet(

@@ -82,3 +82,29 @@ def test_pairs_alternate_and_record_each_tree(tmp_path, monkeypatch, capsys):
     (trees["parent"] / "src" / "detavg" / "__pycache__" / "x.pyc").write_bytes(b"\1")
     assert script.source_sha256(trees["parent"]) == sha["parent"]
     assert record["w"]["summary"]["op_p50_s"]["change_better_in"] == "3 of 3 pairs"
+
+
+def test_each_run_starts_without_bytecode(tmp_path, monkeypatch):
+    # the tree's detavg bytecode is gone when the run starts, and the run is
+    # told to write none, so both sides import detavg from source
+    script = load_script()
+    cache = tmp_path / "src" / "detavg" / "__pycache__"
+    cache.mkdir(parents=True)
+    (cache / "oracle.cpython-311.pyc").write_bytes(b"\0")
+    calls = []
+
+    class Done:
+        returncode = 0
+        stderr = ""
+        stdout = "set-up\n" + json.dumps({"attempted": 4, "failed": 0, "correct": True,
+                                          "metrics": {"op_p50_s": {"value": 0.5}}})
+
+    def fake_run(argv, **kwargs):
+        calls.append((argv[1:], kwargs["cwd"], kwargs["env"]["PYTHONDONTWRITEBYTECODE"],
+                      cache.exists()))
+        return Done()
+
+    monkeypatch.setattr(script.subprocess, "run", fake_run)
+    row = script.run_side(tmp_path, "w", 3, 1.0)
+    assert row == {"attempted": 4, "failed": 0, "correct": True, "op_p50_s": 0.5}
+    assert calls == [(script.bench_argv("w", "3", 1.0), tmp_path, "1", False)]

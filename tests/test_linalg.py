@@ -349,3 +349,92 @@ def test_factor_solve_single_matrix():
         linalg.factor_solve(np.diag([1.0, -1.0]), np.ones(2))
     assert info.value.index is None
     assert "stack" not in str(info.value)
+
+
+# The substitutions as they were before they held the solution stack-last:
+# the slow path, kept verbatim, that factor_solve and inverse_forms must
+# equal byte for byte.
+def reference_forward(L: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(y, D)`` with ``y[i] = L[i]^-1 rhs`` for a stack of lower triangular
+    factors with positive diagonals D, shape (b, d, d), which it overwrites
+    with their unit lower triangular parts ``U = L D^-1``.
+
+    It solves ``U z = rhs`` forward and divides by D.  Each step subtracts an
+    entry of z, once final, from the rows still open, so every operation is
+    elementwise across the stack and no slice depends on another.  A matrix
+    right-hand side (d, r) gets D of shape (b, d, 1), to broadcast over its
+    columns.
+    """
+    d = L.shape[-1]
+    y = np.empty((len(L), *np.shape(rhs)))
+    y[:] = rhs
+    diag = np.diagonal(L, axis1=1, axis2=2).copy()
+    with np.errstate(all="ignore"):  # an overflowing solve reads inf or NaN
+        L *= (1.0 / diag)[:, None, :]
+        if y.ndim == 3:
+            L, diag = L[..., None], diag[..., None]
+        for k in range(d - 1):
+            rest = y[:, k + 1:]
+            rest -= L[:, k + 1:, k] * y[:, k, None]
+        y /= diag
+    return y, diag
+
+
+def reference_substitute(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``x[i]`` with ``L[i] L[i]^T x[i] = rhs`` for a stack of lower triangular
+    factors with positive diagonals, shape (b, d, d), which it overwrites.
+
+    :func:`reference_forward` gives ``y = L^-1 rhs`` and ``U = L D^-1``; it
+    divides y by D once more and solves ``U^T x = y / D`` back, one entry at
+    a time.
+    """
+    x, diag = reference_forward(L, rhs)
+    if x.ndim == 3:
+        L = L[..., None]
+    with np.errstate(all="ignore"):
+        x /= diag
+        for k in range(L.shape[1] - 1, 0, -1):
+            rest = x[:, :k]
+            rest -= L[:, k, :k] * x[:, k, None]
+    return x
+
+
+# matrix scale and right-hand side scale: plain, and solves whose entries
+# pass float max, so that inf and NaN come out of the substitutions
+SCALES = st.sampled_from([(1.0, 1.0), (1e-300, 1e300), (1e-200, 1e150), (1e-10, 1e300)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    b=st.integers(1, 70),
+    d=st.integers(1, 70),
+    rhs_cols=st.sampled_from([None, 1, 3]),
+    scales=SCALES,
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(b=31, d=65, rhs_cols=None, scales=(1.0, 1.0), seed=31)
+@example(b=62, d=65, rhs_cols=None, scales=(1.0, 1.0), seed=62)
+@example(b=62, d=65, rhs_cols=3, scales=(1e-300, 1e300), seed=62)
+@example(b=31, d=65, rhs_cols=None, scales=(1e-300, 1e300), seed=3)
+@example(b=1, d=1, rhs_cols=None, scales=(1.0, 1.0), seed=1)
+@example(b=70, d=70, rhs_cols=1, scales=(1e-10, 1e300), seed=70)
+def test_substitutions_give_the_reference_bytes(b, d, rhs_cols, scales, seed):
+    # factor_solve on the stack and on each matrix, and inverse_forms, give
+    # the bytes of the reference substitutions, inf and NaN in the same places
+    rng = np.random.default_rng(seed)
+    S = np.array([random_pd(rng, d) for _ in range(b)])
+    M = scales[0] * 0.5 * (S + S.transpose(0, 2, 1))
+    rhs = scales[1] * rng.standard_normal(d if rhs_cols is None else (d, rhs_cols))
+    L = np.linalg.cholesky(M)
+    want = reference_substitute(L.copy(), rhs)
+    x, _ = linalg.factor_solve(M, rhs)
+    assert x.shape == want.shape and x.tobytes() == want.tobytes()
+    for i in (0, b - 1):
+        assert linalg.factor_solve(M[i], rhs)[0].tobytes() == want[i].tobytes()
+    if scales == (1e-300, 1e300):
+        assert not np.isfinite(want).all()
+    V = rng.standard_normal((d, 4))
+    Y = reference_forward(L[-1:].copy(), np.eye(d))[0][0] @ V
+    with np.errstate(all="ignore"):
+        forms = np.einsum("ij,ij->j", Y, Y)
+    assert linalg.inverse_forms(M[-1], V).tobytes() == forms.tobytes()

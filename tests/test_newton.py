@@ -131,6 +131,32 @@ def test_error_sweep_rows_equal_single_fleet_steps():
         assert (row.err_euclidean, row.err_hnorm) == (report.err_euclidean, report.err_hnorm)
 
 
+def test_error_sweep_checks_the_hessian_once(monkeypatch):
+    # solve_psd checks the full-data Hessian when it solves for the exact
+    # step, and the rows' H-norms take it unchecked: 16 rows, at most two
+    # checks (17 with one per row), and each H-norm the public norm's bytes
+    calls = []
+    check = linalg.require_symmetric
+
+    def counted(M):
+        calls.append(np.shape(M))
+        return check(M)
+
+    monkeypatch.setattr(linalg, "require_symmetric", counted)
+    obj = make_objective(5, n=30, d=3, lam=0.2)
+    w = np.full(3, 0.1)
+    schemes = [Scheme.DETERMINANTAL, Scheme.UNIFORM]
+    rows = error_sweep(obj, w, 5, [2, 4, 8, 16], trials=2, scheme=schemes, seed=1)
+    assert len(rows) == 16 and 1 <= len(calls) <= 2, calls
+    monkeypatch.undo()
+    H = obj.hessian(w)
+    exact = linalg.solve_psd(H, obj.gradient(w))
+    for row in rows:
+        cfg = MachineConfig(m=row.m, k=5, scheme=Scheme(row.scheme))
+        step = merged_step(obj, w, cfg, seed=1, trial=row.trial).step
+        assert row.err_hnorm == linalg.mahalanobis_norm(step - exact, H)
+
+
 def test_error_sweep_validation():
     obj = make_objective(7, n=20, d=2, lam=0.2)
     with pytest.raises(ValueError):
@@ -274,7 +300,7 @@ RESIDUAL_RTOL = 1e-13  # ||H step - grad|| / (||H|| ||step||)
 
 # loss, d and k of a fleet, each at a nonzero w: the square loss at d=65; the
 # logistic loss there; k=1, where about a third of the 300-row masks are empty;
-# and d=10, whose stacks hold 1310 machines
+# and d=10, whose stacks hold 2621 machines
 FLEET_CASES = {
     "square": (LossKind.SQUARE, D_WIDE, 100),
     "logistic": (LossKind.LOGISTIC, D_WIDE, 100),

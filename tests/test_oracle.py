@@ -348,7 +348,7 @@ def test_stacked_pass_with_a_model_across_stacks():
         return linalg.det_cofactor(A)
 
     got = _expect_each(models, recorded_det, *SUITE_FS[1:])
-    assert len(stacks) >= 3 and max(stacks) <= block_size(1)
+    assert len(stacks) >= 3 and max(stacks) <= block_size(1, oracle._CHUNK_BYTES)
     assert sum(stacks) == sum(model.n_outcomes for model in models)
     for model, row in zip(models, got):
         assert_same_bits(row, expect_alone(model, *SUITE_FS))
@@ -456,8 +456,8 @@ def test_identity_suite_evaluates_in_bounded_groups(monkeypatch):
     assert len(draws) == 100
     # more outcomes than one group holds, and a group evaluated before the
     # last model is drawn
-    assert sum(events[i][1] for i in draws) > block_size(3 * 3)
+    assert sum(events[i][1] for i in draws) > block_size(3 * 3, oracle._CHUNK_BYTES)
     assert any(kind == "stack" for kind, _, _ in events[draws[0]:draws[-1]])
     for kind, size, d in events:
         if kind == "stack":
-            assert size <= block_size(d * d)
+            assert size <= block_size(d * d, oracle._CHUNK_BYTES)
