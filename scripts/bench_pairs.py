@@ -9,14 +9,16 @@ Pair i (i = 0 .. N-1) runs ``python3 bench/run.py --workload W --seed S+i
 --seconds T --trace 0`` in each tree, the parent first when i is even and
 the change first when it is odd, and reads the JSON object on the last line
 of each run's standard output.  The record goes to standard output as JSON:
-``command`` and, under the workload's name, ``runs`` and ``summary``.  Each
-run holds its seed, the side that went first, both sides' ``attempted``,
-``failed``, ``correct`` and metrics, and the sha256 of each tree's
-``src/detavg`` (see :func:`source_sha256`).  For every end-to-end metric of
-the change tree's ``BENCHMARK.json`` the summary holds each side's median
-and inclusive quartiles, ``change_better_in`` (the pairs in which the change
-reads better by that metric's ``better``; ties count for neither side) and
-``change_over_parent_median``.  Each run starts with no bytecode of
+``command``, ``env`` (see :data:`ENV_KEYS`, from the environment line of
+the first run) and, under the workload's name, ``runs`` and ``summary``.
+Each run holds its seed, the side that went first, both sides'
+``attempted``, ``failed``, ``correct`` and metrics, and the sha256 of each
+tree's ``src/detavg`` (see :func:`source_sha256`).  For every end-to-end
+metric of the change tree's ``BENCHMARK.json`` the summary holds each
+side's median and inclusive quartiles, ``change_better_in`` (the pairs in
+which the change reads better by that metric's ``better``; ties count for
+neither side), ``change_over_parent_median`` and a ``verdict`` (see
+:func:`verdict`).  Each run starts with no bytecode of
 detavg in its tree and writes none (see :func:`run_side`).  A run that
 exits nonzero stops the script with exit code 1.  Progress goes to
 standard error.
@@ -35,6 +37,9 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+# what the environment line of a run says of the machine and the numeric
+# stack; its commit, source hash and seed are the run's own
+ENV_KEYS = ("python", "numpy", "scipy", "blas", "blas_threads_env", "nproc", "affinity", "cpu")
 
 
 def source_sha256(tree: Path) -> str:
@@ -59,8 +64,9 @@ def bench_argv(workload: str, seed: str, seconds: float) -> list[str]:
             "--seconds", str(seconds), "--trace", "0"]
 
 
-def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run in ``tree``: its last JSON line, metrics flattened.
+def run_side(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+    """One benchmark run in ``tree``: its last JSON line, metrics flattened,
+    and the :data:`ENV_KEYS` of its ``{"env": ...}`` line.
 
     Every run starts from the same bytecode state: the tree's
     ``src/detavg/__pycache__`` is deleted first and the run writes none
@@ -74,10 +80,12 @@ def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
                           env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
     if proc.returncode != 0:
         raise RunFailed(f"{tree}: bench/run.py exited {proc.returncode}\n{proc.stderr}")
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    lines = proc.stdout.strip().splitlines()
+    result = json.loads(lines[-1])
     row = {key: result[key] for key in ("attempted", "failed", "correct")}
     row.update((name, m["value"]) for name, m in result["metrics"].items())
-    return row
+    env = next(json.loads(line)["env"] for line in lines if line.startswith('{"env"'))
+    return row, {key: env[key] for key in ENV_KEYS}
 
 
 def spread(values: list[float]) -> dict:
@@ -85,19 +93,48 @@ def spread(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric of ``better`` (name -> "lower" or "higher"): each side's
-    median and quartiles, the pairs the change wins and the ratio of the
-    medians."""
+def verdict(entry: dict, wins: int, pairs: int, better: str, bound: float) -> str:
+    """How the change reads on one metric, from its ``entry`` of sides'
+    spreads, the pairs it wins and the metric's ``better`` and ``bound`` (a
+    share of the parent's median), in this order of precedence:
+
+    * ``gain``: at least ten pairs, the change wins at least nine tenths of
+      them, and its median is better than the parent's by more than the
+      parent's interquartile range;
+    * ``worse``: the change's median is worse than the parent's by more than
+      the bound;
+    * ``unresolved``: the parent's interquartile range is wider than the
+      bound, so a worsening within it could not be told from noise;
+    * ``level``: any other case.
+    """
+    parent, change = entry["parent"], entry["change"]
+    sign = 1 if better == "lower" else -1
+    gap = sign * (parent["median"] - change["median"])  # > 0 where the change is better
+    if pairs >= 10 and 10 * wins >= 9 * pairs and gap > parent["q3"] - parent["q1"]:
+        return "gain"
+    if -gap > bound * parent["median"]:
+        return "worse"
+    if parent["q3"] - parent["q1"] > bound * parent["median"]:
+        return "unresolved"
+    return "level"
+
+
+def summarize(runs: list[dict], metrics: list[dict]) -> dict:
+    """Per metric of ``metrics`` (the ``end_to_end`` entries of
+    ``BENCHMARK.json``: ``name``, ``better`` "lower" or "higher", ``bound``):
+    each side's median and quartiles, the pairs the change wins, the ratio of
+    the medians and the :func:`verdict`."""
     summary = {}
-    for name, direction in better.items():
+    for metric in metrics:
+        name = metric["name"]
         values = {side: [run[side][name] for run in runs] for side in SIDES}
-        sign = 1 if direction == "lower" else -1
+        sign = 1 if metric["better"] == "lower" else -1
         wins = sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
         entry = {side: spread(values[side]) for side in SIDES}
         entry["change_better_in"] = f"{wins} of {len(runs)} pairs"
         entry["change_over_parent_median"] = (entry["change"]["median"]
                                               / entry["parent"]["median"])
+        entry["verdict"] = verdict(entry, wins, len(runs), metric["better"], metric["bound"])
         summary[name] = entry
     return summary
 
@@ -122,8 +159,8 @@ def main(argv=None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     runs = []
+    env = None
     for i in range(args.pairs):
         seed = args.seed + i
         order = SIDES if i % 2 == 0 else SIDES[::-1]
@@ -131,16 +168,18 @@ def main(argv=None) -> int:
         for side in order:
             print(f"pair {i + 1}/{args.pairs}: {side}, seed {seed}", file=sys.stderr)
             try:
-                results[side] = run_side(trees[side], args.workload, seed, args.seconds)
+                results[side], run_env = run_side(trees[side], args.workload, seed,
+                                                  args.seconds)
             except RunFailed as exc:
                 print(exc, file=sys.stderr)
                 return 1
+            env = env or run_env
         runs.append({"seed": seed, "first": order[0],
                      **{side: results[side] for side in SIDES},
                      "source_sha256": {side: source_sha256(trees[side]) for side in SIDES}})
     command = "python3 " + " ".join(bench_argv(args.workload, "S", args.seconds))
-    record = {"command": command,
-              args.workload: {"runs": runs, "summary": summarize(runs, better)}}
+    record = {"command": command, "env": env,
+              args.workload: {"runs": runs, "summary": summarize(runs, spec["end_to_end"])}}
     print(json.dumps(record, indent=1))
     return 0
 

@@ -67,7 +67,7 @@ def factor_solve(M: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray
     refuse.
 
     The matrices must be exactly symmetric, as every Gram matrix that
-    ``objective.gram_tail`` leaves is.  The
+    ``objective.gram`` writes (syrk's mirrored triangle) is.  The
     symmetry check is left to the public routines: the fleets build their
     matrices symmetric, and one ``allclose`` per matrix would cost more
     than its factorization at small d.

@@ -114,8 +114,7 @@ def _local_steps(
     from rows weighted once per fleet; row t is bit-identical to
     :func:`local_newton_estimate` for machine t."""
     Z, f = hessian_rows(obj.loss, obj.data.X, w)
-    return local_fleet(Z, f, obj.lam * np.eye(obj.d), lambda H: linalg.factor_solve(H, grad),
-                       k, m, seed, trial)
+    return local_fleet(Z, f, obj.lam, lambda H: linalg.factor_solve(H, grad), k, m, seed, trial)
 
 
 def _merged_steps(

@@ -12,16 +12,17 @@ so the Hessian is a scaled Gram matrix plus a ridge:
 
 The ridge term makes the Hessian positive definite (eigenvalues >= lam),
 which every solver in the package relies on.  Every Gram matrix is
-``gram_tail(gram(out, Z), scale, ridge)``: :func:`gram` writes Z^T Z as a
-symmetric rank-k update, then :func:`gram_tail` scales, symmetrizes and
-adds the ridge in place.  A covariance takes Z = X, a Hessian the rows of
-:func:`hessian_rows` (f Z^T Z = sum_i l_i'' x_i x_i^T) and scale / f.  The
-exact references pass every row and n, a machine the rows of its mask and
-k.  A fleet weights the rows once, writes each machine's product into its
-slot of a stack and runs the tail once per stack, with the same operations
-in the same order, so every machine's matrix is bit-identical to the
-single-matrix route.  The logistic loss computes its sigmoid and curvature
-with numpy alone, without overflow or cancellation at any prediction.
+``gram_tail(gram(out, Z), scale, ridge)``: :func:`gram` writes Z^T Z as an
+exactly symmetric rank-k update, then :func:`gram_tail` divides it by the
+scale and adds the scalar ridge to its diagonal, in place.  A covariance
+takes Z = X, a Hessian the rows of :func:`hessian_rows` (f Z^T Z = sum_i
+l_i'' x_i x_i^T) and scale / f.  The exact references pass every row and
+n, a machine the rows of its mask and k.  A fleet weights the rows once,
+writes each machine's product into its slot of a stack and runs the tail
+once per stack, with the same operations in the same order, so every
+machine's matrix is bit-identical to the single-matrix route.  The
+logistic loss computes its sigmoid and curvature with numpy alone, without
+overflow or cancellation at any prediction.
 """
 
 from __future__ import annotations
@@ -121,25 +122,24 @@ def hessian_rows(loss: LossKind, X: np.ndarray, w: np.ndarray) -> tuple[np.ndarr
 
 
 def gram(out: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """Write Z^T Z into ``out`` and return it; no rows give zero.  Z^T and Z
-    share a buffer, so numpy runs BLAS's syrk, half the flops of a general
-    product; on strided columns it may not, hence gram_tail's symmetrize."""
+    """Write Z^T Z into ``out`` and return it; no rows give zero.  Every
+    caller passes a C-contiguous Z (``Dataset.X``, :func:`hessian_rows`'
+    output, compressed rows), whose Z^T and Z share a buffer, so numpy runs
+    BLAS's syrk and mirrors its triangle: the product is exactly symmetric.
+    A column-strided Z may take the general product, whose triangles differ."""
     return np.matmul(Z.T, Z, out=out)
 
 
-def gram_tail(G: np.ndarray, scale: float, ridge: np.ndarray | None = None) -> np.ndarray:
-    """Overwrite G with (G/scale + (G/scale)^T)/2 + ridge and return it, for
-    one raw product G of shape (d, d) or a stack of them, (b, d, d).
+def gram_tail(G: np.ndarray, scale: float, ridge: float | None = None) -> np.ndarray:
+    """Overwrite G with G/scale + ridge I and return it, for one exactly
+    symmetric product G of shape (d, d) or a stack of them, (b, d, d).
 
-    Four elementwise calls in place, whatever b is.  The add of G to its own
-    transpose is safe: a numpy ufunc whose output overlaps an input gives
-    the bytes it would give without the overlap.  ``ridge`` of shape (d, d)
-    is shared by the stack; without one nothing is added."""
+    One in-place division, then ``ridge`` added to the diagonal of each
+    matrix through a writeable view; without a ridge nothing is added."""
     np.divide(G, scale, out=G)
-    np.add(G, np.swapaxes(G, -1, -2), out=G)
-    np.multiply(G, 0.5, out=G)
     if ridge is not None:
-        np.add(G, ridge, out=G)
+        diagonal = np.einsum("...ii->...i", G)  # a writeable view of G, never a copy
+        diagonal += ridge
     return G
 
 
@@ -197,8 +197,7 @@ class Objective:
         w = np.asarray(w, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
             Z, f = hessian_rows(self.loss, self.data.X, w)
-            H = gram_tail(gram(np.empty((self.d, self.d)), Z), self.data.n / f,
-                          self.lam * np.eye(self.d))
+            H = gram_tail(gram(np.empty((self.d, self.d)), Z), self.data.n / f, self.lam)
         return linalg.require_finite(H, "the full-data Hessian")
 
     def exact_newton_step(self, w: np.ndarray) -> np.ndarray:

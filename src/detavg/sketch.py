@@ -204,7 +204,7 @@ def local_hessian(obj: Objective, w: np.ndarray, mask: SketchMask) -> np.ndarray
         raise ValueError(f"mask over {mask.n} rows, dataset has {obj.data.n}")
     Z, f = hessian_rows(obj.loss, obj.data.X, np.asarray(w, dtype=float))
     H = gram(np.empty((obj.d, obj.d)), Z.compress(mask.include, axis=0))
-    return gram_tail(H, mask.k / f, obj.lam * np.eye(obj.d))
+    return gram_tail(H, mask.k / f, obj.lam)
 
 
 def local_covariance(data: Dataset, mask: SketchMask) -> np.ndarray:
@@ -226,7 +226,7 @@ def block_size(width: int, stack_bytes: int = _STACK_BYTES) -> int:
 
 
 def local_fleet(
-    Z: np.ndarray, f: float, ridge: np.ndarray | None,
+    Z: np.ndarray, f: float, ridge: float | None,
     decompose: Callable[[np.ndarray], tuple[np.ndarray, ...]],
     k: int, m: int, seed: int, trial: int,
 ) -> tuple[np.ndarray, ...]:
@@ -236,8 +236,8 @@ def local_fleet(
     :func:`objective.hessian_rows`, or ``(data.X, 1.0)`` for a covariance.
     Machine t draws its inclusion mask over the n rows from the stream keyed
     by (seed, trial, t), bit-identical to :func:`draw_mask`'s, and its local
-    matrix is ``(1/k) f Z_t^T Z_t + ridge`` over its rows Z_t (a ridge of
-    None adds nothing), made by the calls of :func:`local_hessian` and
+    matrix is ``(1/k) f Z_t^T Z_t + ridge I`` over its rows Z_t (a scalar
+    ridge; None adds nothing), made by the calls of :func:`local_hessian` and
     :func:`local_covariance`, so it is bit-identical to theirs.
     ``decompose(stack)`` maps a stack of at most :func:`block_size` finished
     matrices to a tuple of arrays with one row per matrix; it may overwrite

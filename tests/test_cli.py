@@ -184,6 +184,19 @@ class TestNewtonSweep:
         meta = json.loads(out.with_suffix(".meta.json").read_text())
         assert 1e298 < meta["step_norm_euclidean"] < meta["step_norm_hessian"] < math.inf
 
+    def test_hessian_past_half_float_max_reads_finite(self, tmp_path):
+        # the full-data Hessian is 1.1e154^2 = 1.21e308, in (float max / 2,
+        # float max], which adding the Gram to its own transpose overflowed
+        path = tmp_path / "big.txt"
+        path.write_text("0 1:1.1e154\n1 1:1e-3\n")
+        code, out = run(tmp_path, "s.csv", "newton-sweep", "--dataset", str(path), "--k", "2",
+                        "--m", "1,2", "--trials", "1", "--lambda", "1")
+        assert code == 0
+        rows = out.read_text().splitlines()
+        assert rows[0] == "scheme,m,k,trial,err_euclidean,err_hnorm" and len(rows) == 5
+        errors = [float(v) for line in rows[1:] for v in line.split(",")[4:]]
+        assert len(errors) == 8 and all(math.isfinite(e) for e in errors)
+
 
 # a small run of each subcommand whose objects reference counting frees
 # alone; newton-sweep is left out, because its sidecar's json.dump(indent=2)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from detavg.objective import Dataset, LossKind, Objective, gram, gram_tail
+from detavg.objective import Dataset, LossKind, Objective, gram, gram_tail, hessian_rows
 
 
 def fd_gradient(obj, w):
@@ -190,28 +190,56 @@ def test_logistic_sigmoid_is_quiet_at_extremes():
                                    (31, 65, 65)])
 @pytest.mark.parametrize("with_ridge", [False, True])
 def test_gram_tail_in_place_equals_a_separate_buffer(shape, with_ridge):
-    # gram_tail works in place, so the add of G to its own transpose
-    # overlaps its output; numpy must give the bytes of the formula on
-    # separate arrays, for one matrix and for stacks past numpy's ufunc
-    # buffer (8192 elements)
+    # gram_tail divides an exactly symmetric product in place and adds the
+    # scalar ridge to each diagonal through a view: it returns G itself, with
+    # the bytes of G / scale plus the ridge on the diagonal of a separate
+    # buffer, for one matrix and for stacks past numpy's ufunc buffer (8192
+    # elements).  An off-diagonal -0.0 stays -0.0.
     rng = np.random.default_rng(sum(shape))
-    raw = rng.standard_normal(shape) * 1e3  # not symmetric
+    A = rng.standard_normal(shape) * 1e3
+    raw = A + np.swapaxes(A, -1, -2)
     d = shape[-1]
-    ridge = None
+    if d > 1:
+        raw[..., 0, 1] = raw[..., 1, 0] = -0.0
+    ridge = 0.3 if with_ridge else None
+    want = raw / 7
     if with_ridge:
-        A = rng.standard_normal((d, d))
-        ridge = A + A.T
+        want[..., np.arange(d), np.arange(d)] += ridge
     G = raw.copy()
     assert gram_tail(G, 7, ridge) is G
-    want = (raw / 7 + np.swapaxes(raw / 7, -1, -2)) * 0.5
-    assert G.tobytes() == (want if ridge is None else want + ridge).tobytes()
+    assert G.tobytes() == want.tobytes()
+
+
+def test_hessian_entry_past_half_float_max_stays_finite():
+    # 1.1e154^2 = 1.21e308 lies in (float max / 2, float max]: the Hessian
+    # reads it, where adding the Gram to its own transpose overflowed
+    obj = Objective(Dataset(X=[[1.1e154], [1e-3]], y=[0.0, 1.0]), LossKind.SQUARE, lam=1.0)
+    H = obj.hessian(np.zeros(1))
+    assert np.isfinite(H).all() and H[0, 0] == pytest.approx(1.21e308, rel=1e-15)
+
+
+@pytest.mark.parametrize("d", [1, 2, 10, 65, 257])
+def test_gram_of_every_operand_the_package_passes_is_exactly_symmetric(d):
+    # gram_tail does not symmetrize, so gram must: every operand the package
+    # passes it (the dataset's rows, both losses' weighted rows and any
+    # machine's compressed rows, none and one of them included) is
+    # C-contiguous, which numpy hands to syrk, whose triangle it mirrors
+    rng = np.random.default_rng(d)
+    n = 400
+    data = Dataset(X=rng.standard_normal((n, d)), y=(rng.random(n) < 0.5).astype(float))
+    w = 0.1 * rng.standard_normal(d)
+    masks = [np.zeros(n, dtype=bool), np.arange(n) == 7, rng.random(n) < 0.5]
+    for Z in [data.X, *(hessian_rows(loss, data.X, w)[0] for loss in LossKind)]:
+        for operand in [Z, *(Z.compress(include, axis=0) for include in masks)]:
+            G = gram(np.empty((d, d)), operand)
+            assert G.tobytes() == G.T.tobytes()
 
 
 @pytest.mark.parametrize("loss", list(LossKind))
 def test_column_strided_features_give_the_contiguous_hessian(loss):
     # a view of every other column is stored as a contiguous copy, so its
     # Hessian is the copy's to the byte, and its Gram is syrk's, exactly
-    # symmetric before gram_tail symmetrizes
+    # symmetric
     rng = np.random.default_rng(151)
     strided = rng.standard_normal((400, 130))[:, ::2]
     y = (rng.random(400) < 0.5).astype(float)

@@ -155,7 +155,7 @@ def fleet_with_one_bad_machine(bad, scale):
             stack[bad - start] *= scale
         return linalg.factor_solve(stack, np.ones(D_FLEET))
 
-    return (np.zeros((10, D_FLEET)), 1.0, np.eye(D_FLEET), decompose), built
+    return (np.zeros((10, D_FLEET)), 1.0, 1.0, decompose), built
 
 
 @pytest.mark.parametrize("scale, error, text", [
@@ -246,17 +246,16 @@ def test_fleet_kernels_equal_the_seed_formulas(d, loss, k, seed, trial):
     obj = Objective(data, loss, lam=0.3)
     w = rng.standard_normal(d)
     m = block_size(d * d) + 3 if d == 65 else 12
-    ridge = obj.lam * np.eye(d)
     Z, f = hessian_rows(loss, data.X, w)
     curv = loss.d2value(data.X @ w)
-    hessians, = local_fleet(Z, f, ridge, lambda H: (H,), k, m, seed, trial)
+    hessians, = local_fleet(Z, f, obj.lam, lambda H: (H,), k, m, seed, trial)
     covariances, = local_fleet(data.X, 1.0, None, lambda C: (C,), k, m, seed, trial)
     for t in range(m):
         include = seed_mask(n, k, seed, trial, t)
         mask = draw_mask(n, k, SeedSpec(seed, trial, t))
         assert mask.include.tobytes() == include.tobytes() and mask.count == include.sum()
         G = gram(np.empty((d, d)), Z[include])
-        want = gram_tail(G.copy(), k / f, ridge).tobytes()
+        want = gram_tail(G.copy(), k / f, obj.lam).tobytes()
         assert hessians[t].tobytes() == want and local_hessian(obj, w, mask).tobytes() == want
         X_s, c = data.X[include], curv[include]
         bound = 2 * gamma(include.sum() + 4) * (np.abs(X_s).T * c) @ np.abs(X_s) / k
