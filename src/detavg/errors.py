@@ -11,7 +11,7 @@ class NumericalError(Exception):
 
 
 class NotPositiveDefinite(NumericalError):
-    """Cholesky factorization hit a non-positive pivot.
+    """A Cholesky pivot, or a ridged eigenvalue, is not positive.
 
     ``index`` is the position of the failing matrix within a stack, or
     ``None`` when a single matrix was factored.

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import linalg
 from .averaging import LocalEstimate, weighted_means
-from .errors import NoConvergence
+from .errors import NoConvergence, NonFiniteResult
 from .objective import Objective, hessian_rows
 from .sketch import SketchMask, check_sweep, local_fleet, local_hessian
 
@@ -100,10 +100,15 @@ def local_newton_estimate(
     Returns the solution of ``H_hat p_hat = grad L(w)`` as the value and
     ``log det H_hat`` as the log-weight.  An empty mask degenerates to the
     ridge-only system, giving ``grad / lam`` with log-weight ``d log lam``.
+    It refuses what a fleet refuses: ``NotPositiveDefinite`` from
+    ``factor_solve``, ``NonFiniteResult`` for a non-finite step or log-weight.
     """
     if grad is None:
         grad = obj.gradient(w)
-    step, log_det = linalg.factor_solve(local_hessian(obj, w, mask), grad)
+    with np.errstate(all="ignore"):  # the step is checked below, as in a fleet
+        step, log_det = linalg.factor_solve(local_hessian(obj, w, mask), grad)
+    if not (np.isfinite(step).all() and math.isfinite(log_det)):
+        raise NonFiniteResult("the local step or its log-weight is not finite")
     return LocalEstimate(value=step, log_weight=float(log_det))
 
 

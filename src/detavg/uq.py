@@ -15,8 +15,9 @@ one :func:`sketch.local_fleet`, and reads every fleet size off that
 spectrum: the ridged eigenvalues are ``lambda + eta/sqrt(m)``.  The
 smallest ridge of the sweep is checked against every spectrum as the fleet
 is built, so a failing machine is named before any estimate is combined.
-The exact reference and the single-machine :func:`local_uq_estimate` stay
-on Cholesky factorizations, independent of the eigen route.
+The single-machine :func:`local_uq_estimate` runs the fleet's functions on
+a stack of one, so a machine a fleet names fails the same way on replay;
+only the exact reference runs a Cholesky factorization.
 """
 
 from __future__ import annotations
@@ -72,18 +73,48 @@ class UqRow:
 
 
 def _statistic_of_inverse(A: np.ndarray, statistic: Statistic) -> tuple[float | np.ndarray, float]:
-    """Statistic of A^{-1} plus log det A, from one Cholesky factorization.
-
-    The route of the exact reference and of a single machine, kept apart
-    from the eigendecompositions the fleets use.  ``A`` must be exactly
-    symmetric (see :func:`linalg.factor_solve`).
-    """
+    """Statistic of A^{-1} plus log det A, from one Cholesky factorization:
+    the exact reference, independent of the machines' eigen route.  Raises
+    ``NotPositiveDefinite`` where the factorization fails, which is not a
+    machine's refusal rule (see :func:`_spectra`).  ``A`` must be exactly
+    symmetric (see :func:`linalg.factor_solve`)."""
     inverse, log_det = linalg.factor_solve(A, np.eye(A.shape[0]))
-    inv_diag = np.diag(inverse)
-    log_det = float(log_det)
+    inv_diag = np.diag(inverse).copy()
+    return (float(inv_diag.sum()) if statistic is Statistic.TRACE else inv_diag), float(log_det)
+
+
+def _spectra(C: np.ndarray, ridge: float, statistic: Statistic) -> tuple[np.ndarray, ...]:
+    """Spectra of a stack of covariances C (b, d, d): the eigenvalues (b, d)
+    from ``eigvalsh`` for the trace, plus the squared eigenvectors ``V * V``
+    (b, d, d) from ``eigh`` for the diagonal.  A covariance whose smallest
+    eigenvalue plus ``ridge`` is NaN or at most ``d / float max`` (the trace
+    of its ridged inverse would not be finite) raises ``NotPositiveDefinite``,
+    ``index`` the first such: the one refusal rule of every machine.
+    """
     if statistic is Statistic.TRACE:
-        return float(inv_diag.sum()), log_det
-    return inv_diag.copy(), log_det
+        spectra = (np.linalg.eigvalsh(C),)
+    else:
+        eigenvalues, V = np.linalg.eigh(C)
+        spectra = (eigenvalues, V * V)
+    # eigenvalues come in ascending order; a NaN fails the test too
+    bad = np.flatnonzero(~(spectra[0][:, 0] + ridge > C.shape[-1] / np.finfo(float).max))
+    if bad.size:
+        raise NotPositiveDefinite("ridged covariance is not positive definite", index=int(bad[0]))
+    return spectra
+
+
+def _estimates(spectra: tuple[np.ndarray, ...], ridge: float,
+               statistic: Statistic) -> tuple[np.ndarray, np.ndarray]:
+    """Values and log-determinants of the ridged matrices ``C + ridge I`` of
+    :func:`_spectra`'s stack.  Each has the eigenvectors of C and the
+    eigenvalues ``s = lambda + ridge``, so its log-determinant is ``sum log
+    s``, the trace of its inverse ``sum 1/s`` and the diagonal of its
+    inverse ``(V*V) @ (1/s)``."""
+    s = spectra[0] + ridge
+    inv_s = 1.0 / s
+    values = (inv_s.sum(axis=1) if statistic is Statistic.TRACE
+              else np.einsum("tij,tj->ti", spectra[1], inv_s))
+    return values, np.log(s).sum(axis=1)
 
 
 def local_uq_estimate(
@@ -93,12 +124,19 @@ def local_uq_estimate(
 
     The value is F((Sigma_hat + (eta/sqrt(m)) I)^{-1}) and the log-weight
     is log det(Sigma_hat + (eta/sqrt(m)) I).  An empty subsample reduces
-    to the pure ridge, whose inverse trace is d sqrt(m) / eta.
+    to the pure ridge, whose inverse trace is d sqrt(m) / eta.  It runs a
+    fleet's :func:`_spectra` and :func:`_estimates` on a stack of one, so it
+    refuses what a fleet refuses: ``NotPositiveDefinite`` by the floor test,
+    ``NonFiniteResult`` for a spectrum that is not finite.
     """
     ridge = eta / np.sqrt(m)
-    A = local_covariance(data, mask) + ridge * np.eye(data.d)
-    value, log_det = _statistic_of_inverse(A, statistic)
-    return LocalEstimate(value=value, log_weight=log_det)
+    with np.errstate(all="ignore"):  # the spectrum is checked below
+        spectra = _spectra(local_covariance(data, mask)[None], ridge, statistic)
+        for out in spectra:
+            linalg.require_finite(out, "the spectrum of the local covariance")
+        values, log_dets = _estimates(spectra, ridge, statistic)
+    value = float(values[0]) if statistic is Statistic.TRACE else values[0]
+    return LocalEstimate(value=value, log_weight=float(log_dets[0]))
 
 
 def exact_statistic(data: Dataset, statistic: Statistic) -> float | np.ndarray:
@@ -130,55 +168,22 @@ def exact_statistic(data: Dataset, statistic: Statistic) -> float | np.ndarray:
 def _local_spectra(
     data: Dataset, k: int, eta: float, m: int, seed: int, trial: int, statistic: Statistic
 ) -> tuple[np.ndarray, ...]:
-    """Spectra of the subsampled covariances of machines 0..m-1, from one
-    :func:`sketch.local_fleet`: the eigenvalues (m, d) from ``eigvalsh`` for
-    the trace, plus the squared eigenvectors ``V * V`` (m, d, d) from
-    ``eigh`` for the diagonal.  Each covariance is bit-identical to
-    :func:`sketch.local_covariance`'s.
-
-    A machine whose smallest eigenvalue plus the fleet's smallest ridge
-    ``eta/sqrt(m)`` is at most ``d / float max`` (the trace of its ridged
-    inverse would not be finite) raises ``NotPositiveDefinite`` naming its
-    triple, so the others hold in every fleet of at most m machines.
-    """
+    """:func:`_spectra` of machines 0..m-1 at the fleet's smallest ridge
+    ``eta/sqrt(m)``, from one :func:`sketch.local_fleet`, whose covariances
+    are :func:`sketch.local_covariance`'s bit for bit.  A failing machine is
+    named by its triple, so the others hold in every fleet of at most m."""
     ridge = eta / np.sqrt(m)
-    floor = data.d / np.finfo(float).max
-
-    def decompose(C: np.ndarray) -> tuple[np.ndarray, ...]:
-        if statistic is Statistic.TRACE:
-            spectra = (np.linalg.eigvalsh(C),)
-        else:
-            eigenvalues, V = np.linalg.eigh(C)
-            spectra = (eigenvalues, V * V)
-        # eigenvalues come in ascending order; a NaN fails the test too
-        bad = np.flatnonzero(~(spectra[0][:, 0] + ridge > floor))
-        if bad.size:
-            raise NotPositiveDefinite("ridged covariance is not positive definite",
-                                      index=int(bad[0]))
-        return spectra
-
-    return local_fleet(data.X, 1.0, None, decompose, k, m, seed, trial)
+    return local_fleet(data.X, 1.0, None, lambda C: _spectra(C, ridge, statistic), k, m, seed,
+                       trial)
 
 
 def _fleet_estimate(spectra: tuple[np.ndarray, ...], m: int, eta: float,
                     statistic: Statistic) -> float | np.ndarray:
-    """Determinant-weighted statistic of the fleet of machines 0..m-1.
-
-    ``spectra`` comes from :func:`_local_spectra` over at least m machines.
-    Machine t's ridged matrix ``Sigma_hat_t + (eta/sqrt(m)) I`` has the
-    eigenvectors of ``Sigma_hat_t`` and the eigenvalues ``s = lambda +
-    eta/sqrt(m)``, so its log-determinant is ``sum log s``, the trace of
-    its inverse ``sum 1/s`` and the diagonal of its inverse ``(V*V) @
-    (1/s)``.  Each fleet size costs O(m d) (trace) or O(m d^2) (diagonal)
-    on top of the one decomposition per machine, whatever the grid of m.
-    """
-    s = spectra[0][:m] + eta / np.sqrt(m)
-    inv_s = 1.0 / s
-    if statistic is Statistic.TRACE:
-        values = inv_s.sum(axis=1)
-    else:
-        values = np.einsum("tij,tj->ti", spectra[1][:m], inv_s)
-    estimate = weighted_means(values, np.log(s).sum(axis=1), [m])[0]
+    """Determinant-weighted statistic of the fleet of machines 0..m-1, from
+    the :func:`_local_spectra` of at least m machines: O(m d) (trace) or
+    O(m d^2) (diagonal) per fleet size, whatever the grid of m."""
+    values, log_dets = _estimates(tuple(out[:m] for out in spectra), eta / np.sqrt(m), statistic)
+    estimate = weighted_means(values, log_dets, [m])[0]
     return float(estimate) if statistic is Statistic.TRACE else estimate
 
 

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -19,12 +20,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import detavg
+from detavg import cli
 from detavg.cli import main, write_csv
 from detavg.dataio import serialize_libsvm, synth_regression
 from detavg.errors import NonFiniteResult, NotPositiveDefinite
 from detavg.newton import local_newton_estimate
 from detavg.objective import Dataset, LossKind, Objective
 from detavg.sketch import SeedSpec, block_size, draw_mask
+from detavg.uq import Statistic, local_uq_estimate
 
 
 def run(tmp_path, name, *argv):
@@ -50,6 +53,11 @@ NON_FINITE_STEP_ARGV = [
      "--lambda", "1e-320", "--iters", "2"],
 ]
 
+# a ridge that cannot lift a rounding-negative eigenvalue: exits 2 naming
+# machine (24, 0, 0), which the generated draws of the property never reach
+UQ_NOT_POSITIVE_DEFINITE_ARGV = ["uq-sweep", "--synth=40,6,0.5", "--k=3", "--m=4,16",
+                                 "--eta=1e-30", "--seed=24"]
+
 
 def first_failure(obj, k, m, seed):
     """(machine, how it fails) that a fleet of m machines, one stack, at
@@ -60,15 +68,15 @@ def first_failure(obj, k, m, seed):
     before an earlier one whose step is not finite."""
     assert m <= block_size(obj.d * obj.d)
     w = np.zeros(obj.d)
-    steps = []
+    non_finite = []
     for t in range(m):
         try:
-            estimate = local_newton_estimate(obj, w, draw_mask(obj.data.n, k, SeedSpec(seed, 0, t)))
+            local_newton_estimate(obj, w, draw_mask(obj.data.n, k, SeedSpec(seed, 0, t)))
         except NotPositiveDefinite:
             return t, "is not positive definite"
-        steps.append(estimate.value)
-    bad = [t for t, step in enumerate(steps) if not np.isfinite(step).all()]
-    return (bad[0], "has a non-finite result") if bad else None
+        except NonFiniteResult:
+            non_finite.append(t)
+    return (non_finite[0], "has a non-finite result") if non_finite else None
 
 
 def sweep_args(out_name="sweep.csv", **over):
@@ -596,9 +604,33 @@ def cli_argv(draw, dataset=False):
     return (data, argv) if dataset else argv
 
 
+# a fleet's failure: the (seed, trial, machine) triple and how it failed
+NAMED_MACHINE = re.compile(r"\(seed, trial, machine\) = \((\d+), (\d+), (\d+)\) "
+                           r"(is not positive definite|has a non-finite result)")
+FAILURE_CLASS = {"is not positive definite": NotPositiveDefinite,
+                 "has a non-finite result": NonFiniteResult}
+
+
+def replay(argv, seed, trial, machine):
+    """Run one machine of the run ``argv`` through draw_mask and its public
+    single-machine route, on the data and objective the run built: at w = 0
+    for the Newton commands, at the sweep's largest m for uq-sweep."""
+    args = cli.build_parser().parse_args(argv)
+    data, _ = cli.load_data(args, seed)
+    mask = draw_mask(data.n, args.k, SeedSpec(seed, trial, machine))
+    if args.command == "uq-sweep":
+        local_uq_estimate(data, mask, args.eta, max(cli.parse_m_list(args.m)),
+                          Statistic(args.statistic))
+    else:
+        obj, _ = cli.make_objective(args, data)
+        local_newton_estimate(obj, np.zeros(obj.d), mask)
+
+
 def assert_exit_contract(tmp, argv):
     """Exit 0, 1 or 2; no exception escapes; a failure is one stderr line;
-    a written table holds only finite numbers."""
+    a written table holds only finite numbers; a machine that a failure
+    names fails the same way when replayed on its own (a newton-converge
+    machine only at trial 0, whose iterate is w = 0)."""
     out = tmp / "o.csv"
     if argv[0] != "verify-identities":
         argv = [*argv, f"--out={out}"]
@@ -610,6 +642,10 @@ def assert_exit_contract(tmp, argv):
         lines = err.getvalue().splitlines()
         assert len(lines) == 1, lines
         assert lines[0].startswith(("error:", "numerical failure:")), lines
+        named = NAMED_MACHINE.search(lines[0])
+        if code == 2 and named and (argv[0] != "newton-converge" or named[2] == "0"):
+            with pytest.raises(FAILURE_CLASS[named[4]]):
+                replay(argv, *map(int, named.groups()[:3]))
     elif out.exists():
         with open(out, newline="") as f:
             for row in list(csv.reader(f))[1:]:
@@ -625,6 +661,7 @@ def assert_exit_contract(tmp, argv):
 @given(argv=cli_argv())
 @example(argv=NON_FINITE_STEP_ARGV[0])
 @example(argv=NON_FINITE_STEP_ARGV[1])
+@example(argv=UQ_NOT_POSITIVE_DEFINITE_ARGV)
 def test_exit_contract(tmp_path_factory, argv):
     assert_exit_contract(tmp_path_factory.mktemp("argv"), argv)
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from detavg import linalg, newton, sketch
 from detavg.dataio import synth_regression
-from detavg.errors import NotPositiveDefinite
+from detavg.errors import NonFiniteResult, NotPositiveDefinite
 from detavg.newton import (
     MachineConfig,
     Scheme,
@@ -52,6 +52,15 @@ def test_empty_mask_estimate_is_ridge_solve():
     est = local_newton_estimate(obj, w, empty)
     assert np.allclose(est.value, obj.gradient(w) / 0.5, atol=1e-12)
     assert est.log_weight == pytest.approx(3 * np.log(0.5), rel=1e-12)
+
+
+def test_empty_mask_step_that_overflows_is_refused():
+    # the bare ridge 1e-320 I solves to grad / 1e-320, which overflows; a
+    # fleet refuses that machine, and so must its single-machine replay
+    obj = make_objective(1, n=20, d=2, lam=1e-320)
+    empty = SketchMask(include=np.zeros(20, dtype=bool), k=1, n=20)
+    with pytest.raises(NonFiniteResult, match="local step"):
+        local_newton_estimate(obj, np.zeros(2), empty)
 
 
 def test_full_mask_gives_zero_error():

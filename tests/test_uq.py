@@ -1,5 +1,6 @@
 """Precision-statistic estimation: local values, merging, sweeps."""
 
+import re
 import statistics
 
 import numpy as np
@@ -8,14 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detavg import sketch
-from detavg.averaging import combine_determinantal
+from detavg.averaging import LocalEstimate, combine_determinantal
+from detavg.cli import main
 from detavg.dataio import synth_regression
-from detavg.errors import NotPositiveDefinite, SingularCovariance
+from detavg.errors import NonFiniteResult, NotPositiveDefinite, SingularCovariance
 from detavg.objective import Dataset
 from detavg.sketch import SeedSpec, SketchMask, draw_mask, local_covariance
 from detavg.uq import (
     Statistic,
     UqConfig,
+    _estimates,
     _fleet_estimate,
     _local_spectra,
     _statistic_of_inverse,
@@ -153,11 +156,15 @@ def test_sweep_rows_equal_single_fleet_estimates(statistic):
 )
 def test_eigen_fleet_estimate_matches_cholesky_route(seed, trial, n, d, k, m, eta, statistic):
     # small k/n leaves many masks empty, so bare-ridge machines are covered
+    # against the Cholesky route of the exact reference, machine by machine
     data = gaussian_data(seed, n, d)
     got = _fleet_estimate(_local_spectra(data, k, eta, m, seed, trial, statistic), m, eta,
                           statistic)
+    ridge = eta / np.sqrt(m)
     want = combine_determinantal([
-        local_uq_estimate(data, draw_mask(n, k, SeedSpec(seed, trial, t)), eta, m, statistic)
+        LocalEstimate(*_statistic_of_inverse(
+            local_covariance(data, draw_mask(n, k, SeedSpec(seed, trial, t)))
+            + ridge * np.eye(d), statistic))
         for t in range(m)
     ])
     assert np.shape(got) == np.shape(want)
@@ -177,13 +184,19 @@ BLOCK_WIDE = sketch.block_size(D_WIDE * D_WIDE)
 )
 def test_local_spectra_equal_per_machine_decompositions(m, seed, trial, statistic):
     # stacks of one and stacks spanning several blocks at d=65 give, bit for
-    # bit, the per-machine decomposition of each local covariance
+    # bit, the per-machine decomposition of each local covariance, and
+    # local_uq_estimate gives the value and log-weight of the fleet's row
     assert BLOCK_WIDE > 1
     data = gaussian_data(seed, n=300, d=D_WIDE)
     spectra = _local_spectra(data, 100, 1.0, m, seed, trial, statistic)
     assert spectra[0].shape == (m, D_WIDE)
+    values, log_dets = _estimates(spectra, 1.0 / np.sqrt(m), statistic)
     for t in range(m):
-        cov = local_covariance(data, draw_mask(data.n, 100, SeedSpec(seed, trial, t)))
+        mask = draw_mask(data.n, 100, SeedSpec(seed, trial, t))
+        est = local_uq_estimate(data, mask, 1.0, m, statistic)
+        assert np.asarray(est.value).tobytes() == values[t].tobytes()
+        assert np.float64(est.log_weight).tobytes() == log_dets[t].tobytes()
+        cov = local_covariance(data, mask)
         if statistic is Statistic.TRACE:
             assert len(spectra) == 1
             assert np.array_equal(spectra[0][t], np.linalg.eigvalsh(cov))
@@ -206,6 +219,33 @@ def test_non_positive_ridged_eigenvalue_names_the_machine():
     spectra = _local_spectra(data, 2, 1.0, 8, 5, 2, Statistic.TRACE)
     first_bad = [t for t in range(8) if spectra[0][t].min() + 1e-300 / np.sqrt(8) <= 0]
     assert machine == first_bad[0]
+
+
+def test_machine_a_sweep_names_fails_the_same_way_on_replay(tmp_path, capsys):
+    # at eta = 1e-30 the ridge cannot lift machine (24, 0, 0)'s rounding-
+    # negative eigenvalue; its Cholesky factorization succeeded on roundoff
+    argv = ["uq-sweep", "--synth", "40,6,0.5", "--k", "3", "--m", "4,16", "--eta", "1e-30",
+            "--seed", "24", "--out", str(tmp_path / "o.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    named = re.search(r"\(seed, trial, machine\) = \((\d+), (\d+), (\d+)\) is not positive "
+                      "definite", err)
+    assert named, err
+    mask = draw_mask(40, 3, SeedSpec(*map(int, named.groups())))
+    with pytest.raises(NotPositiveDefinite):
+        local_uq_estimate(synth_regression(40, 6, 0.5, seed=24), mask, 1e-30, 16, Statistic.TRACE)
+
+
+@pytest.mark.parametrize("statistic", list(Statistic))
+def test_non_finite_spectrum_is_refused_by_fleet_and_machine(statistic):
+    # one row of 1.3e154 in both coordinates: the covariance's eigenvalues
+    # are 0 and 3.4e308, which overflows, while the smallest clears the ridge
+    data = Dataset(X=np.full((1, 2), 1.3e154), y=[0.0])
+    with pytest.raises(NonFiniteResult, match=r"machine\) = \(0, 0, 0\)"):
+        _local_spectra(data, 1, 1.0, 1, 0, 0, statistic)
+    full = SketchMask(include=[True], k=1, n=1)
+    with pytest.raises(NonFiniteResult):
+        local_uq_estimate(data, full, 1.0, 1, statistic)
 
 
 def test_diagonal_sweep_estimate_column_matches_trace():
