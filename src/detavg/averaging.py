@@ -79,7 +79,7 @@ def weighted_means(
         # shift by the max so the largest weight is exactly 1
         w = np.exp(logs - logs.max())
         mean = linalg._scaled_back(
-            lambda vals: np.tensordot(w, vals, axes=(0, 0)) / w.sum(), values[:c])
+            lambda vals: np.einsum("t,t...->...", w, vals) / w.sum(), values[:c])
         means.append(linalg.require_finite(mean, f"the weighted mean of the first {c} values"))
     return np.stack(means)
 

@@ -11,14 +11,18 @@ Four subcommands:
 * ``verify-identities``: exact enumeration check of the determinant and
   adjugate expectation identities, plus the rank-two counterexample.
 
-Every run is reproducible byte for byte from its flags and seed at a fixed
-BLAS thread count (``OPENBLAS_NUM_THREADS``).  A different count may move
-the last bits of a ``verify-identities`` deviation, whose long dot products
-BLAS splits across threads: at ``--models 3 --max-n 12 --max-d 1 --seed
-27`` two of them read ``2.220e-16`` and ``2.776e-17`` at 1 thread, against
-``1.110e-16`` and ``0.000e+00`` at 2.  Trials run one after another in
-this process; ``--threads`` is still accepted by the three data
-subcommands so older command lines keep working, but it has no effect.
+Every run is reproducible byte for byte from its flags and seed, at 1 and
+at 2 BLAS threads (``OPENBLAS_NUM_THREADS``) alike: the sums that grow with
+the input, the gradient's over n rows, the weighted mean's over m machines
+and the oracle's over each chunk's outcomes, are ``np.einsum`` calls, which
+never call BLAS.  The sums left on BLAS read the same bits at both counts
+where measured: the Gram matrix and ``X @ w`` up to n = 200,000 at d = 65,
+``u^T M u`` up to d = 3,000, and a 1-D norm up to 10,000 entries, past
+which OpenBLAS splits its dot product.  Tier-1 checks the 29 pinned outputs
+at both counts, and the three einsum sums at n = 200,000 and m = 100,000.
+Trials run one after another in this process; ``--threads`` is still
+accepted by the three data subcommands so older command lines keep
+working, but it has no effect.
 Exit codes: 0 on success, 1 for validation problems, 2 for numerical
 failures.
 """

@@ -189,7 +189,7 @@ class Objective:
         w = np.asarray(w, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
             z = self.data.X @ w
-            g = self.data.X.T @ self.loss.dvalue(z, self.data.y) / self.data.n
+            g = np.einsum("ij,i->j", self.data.X, self.loss.dvalue(z, self.data.y)) / self.data.n
             g = g + self.lam * w
         return linalg.require_finite(g, "the full-data gradient")
 

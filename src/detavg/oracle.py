@@ -23,10 +23,10 @@ rows of the product grid of supports.  ``E[f(A)]`` is ``p @ f(A)`` summed
 over the model's chunks.  One pass serves many models: the chunks of all
 models of one dimension d are concatenated once into stacks of at most
 ``block_size(d * d, _CHUNK_BYTES)`` outcomes, each ``f`` runs once per
-stack, and each chunk's ``p @ f(A)`` is one ``np.dot`` of ``p`` as a row
-with its own rows of the stack, the call ``np.tensordot(p, f(A), axes=1)``
-makes.  ``f`` acts on every slice on its own, so the sums are
-bit-identical to a pass over each model alone.
+stack, and each chunk's ``p @ f(A)`` is one ``np.einsum`` of ``p`` with its
+own rows of the stack, whose order of summation no BLAS thread count moves.
+``f`` acts on every slice on its own, so the sums are bit-identical to a
+pass over each model alone.
 
 Everything here is exponential in the number of components and exists to
 check the fast estimators, not to be one.
@@ -197,9 +197,9 @@ def _expect_each(
     past ``block_size(d * d, _CHUNK_BYTES)`` outcomes, and at the end, and
     every ``f`` runs on that stack.  A chunk holds at most that many
     outcomes, so none is split.  Each chunk still gets its own product, in
-    the model's chunk order: the ``np.dot`` of ``p`` as a row with its rows
-    of ``f``'s value, the call ``np.tensordot(p, value, axes=1)`` makes,
-    which keeps every sum bit-identical to enumerating its model alone.
+    the model's chunk order: one ``np.einsum`` of ``p`` with its rows of
+    ``f``'s value, which keeps every sum bit-identical to enumerating its
+    model alone, at any BLAS thread count.
     """
     totals = [[0.0] * len(fs) for _ in models]
     queues: dict[int, list[tuple[int, np.ndarray, np.ndarray]]] = {}
@@ -212,10 +212,8 @@ def _expect_each(
         for owner, p, _ in queue:
             stop = start + len(p)
             row = totals[owner]
-            p_row = p.reshape(1, -1)
             for i, value in enumerate(values):
-                product = np.dot(p_row, value[start:stop].reshape(len(p), -1))
-                row[i] = row[i] + product.reshape(value.shape[1:])
+                row[i] = row[i] + np.einsum("b,b...->...", p, value[start:stop])
             start = stop
         queue.clear()
 
@@ -297,16 +295,11 @@ class IdentityReport:
         return max(self.max_dev_det, self.max_dev_adjugate, self.max_dev_weighted_inverse)
 
 
-def _rel_dev(lhs: np.ndarray, rhs: np.ndarray) -> float:
-    lhs = np.atleast_2d(np.asarray(lhs, dtype=float))
-    rhs = np.atleast_2d(np.asarray(rhs, dtype=float))
-    return float(np.abs(lhs - rhs).max() / max(1.0, np.abs(rhs).max()))
-
-
 def _max_rel_dev(lhs: np.ndarray, rhs: np.ndarray) -> float:
-    """``max(_rel_dev(l, r) for l, r in zip(lhs, rhs))`` over stacks of one
-    shape: ``abs`` and ``max`` are exact and each model's quotient is the
-    same division, so the value is the same float."""
+    """Largest ``|l - r|_max / max(1, |r|_max)`` over the pairs of two stacks
+    of one shape, a stack of one included: ``abs`` and ``max`` are exact and
+    each pair's quotient is the same division, so the value is the same
+    float as folding each pair alone."""
     k = len(rhs)
     spread = np.abs(lhs - rhs).reshape(k, -1).max(axis=1)
     scale = np.maximum(1.0, np.abs(rhs).reshape(k, -1).max(axis=1))
@@ -434,10 +427,13 @@ def identity_suite(models: int = 50, max_n: int = 8, max_d: int = 3, seed: int =
             dev_winv = max(dev_winv, _max_rel_dev(e_det_inv / e_det[:, None, None],
                                                   np.linalg.inv(mean)))
     hand = hand_checked_instance()
-    hand_det, hand_adj = _expect(hand, linalg.det_cofactor, linalg.adjugate_cofactor)
-    hand_dev = max(_rel_dev(hand_det, 0.75), _rel_dev(hand_adj, [[1.0, -0.5], [-0.5, 1.0]]))
-    dev_det = max(dev_det, _rel_dev(hand_det, linalg.det_cofactor(hand.mean())))
-    dev_adj = max(dev_adj, _rel_dev(hand_adj, linalg.adjugate_cofactor(hand.mean())))
+    hand_det, hand_adj = (np.stack([e]) for e in _expect(
+        hand, linalg.det_cofactor, linalg.adjugate_cofactor))
+    hand_mean = np.stack([hand.mean()])
+    hand_dev = max(_max_rel_dev(hand_det, np.array([0.75])),
+                   _max_rel_dev(hand_adj, np.array([[[1.0, -0.5], [-0.5, 1.0]]])))
+    dev_det = max(dev_det, _max_rel_dev(hand_det, linalg.det_cofactor(hand_mean)))
+    dev_adj = max(dev_adj, _max_rel_dev(hand_adj, linalg.adjugate_cofactor(hand_mean)))
     counter = rank_two_counterexample()
     gap = abs(expect_det(counter) - linalg.det_cofactor(counter.mean()))
     return IdentityReport(models, dev_det, dev_adj, dev_winv, hand_dev, gap)

@@ -164,22 +164,39 @@ class TestNewtonSweep:
         assert_one_line(capsys.readouterr().err, "numerical failure: local matrix of (seed, trial, "
                         f"machine) = (0, 0, {failure[0]}) is not positive definite")
 
-    def test_overflowing_step_error_exits_2_without_csv(self, tmp_path, capsys):
-        # labels near 4.8e306 overflow the weighted sum of the local steps, not
-        # their weighted mean, and every step error still fits in a float
-        code, out = run(tmp_path, "fits.csv", *sweep_args(
-            synth="50,3,4.8e306", k="2", m="2", trials="1", seed=None))
-        assert code == 0
-        errors = [float(v) for line in out.read_text().splitlines()[1:]
-                  for v in line.split(",")[4:]]
-        assert len(errors) == 4 and all(1e308 < e < math.inf for e in errors)
-        # near 5e306 the H-norm of the step error is past float max
-        code, out = run(tmp_path, "s.csv", *sweep_args(
-            synth="50,3,5e306", k="2", m="2", trials="1", seed=None))
-        assert code == 2
-        assert not out.exists() and not out.with_suffix(".meta.json").exists()
-        assert_one_line(capsys.readouterr().err,
-                        "numerical failure: the norm sqrt(v^T M v) is not finite")
+    def test_overflowing_step_error_exits_2_without_csv(self, tmp_path):
+        # the step errors scale linearly with the label noise, so each seed's
+        # run at noise 1e300 gives the noise at which its largest error reads
+        # 1.2e308, and the one at which its largest H-norm error reads 1.05
+        # float max; the first may exit 0, the second on that norm, unless
+        # the gradient, a label or a local step overflows before it
+        def sweep(name, seed, noise):
+            tmp = tmp_path / f"{seed}-{name}"
+            tmp.mkdir()
+            code, err = assert_exit_contract(tmp, [
+                "newton-sweep", f"--synth=50,3,{noise!r}", "--k=2", "--m=2", "--trials=1",
+                f"--seed={seed}"])
+            out = tmp / "o.csv"
+            errors = [[float(v) for v in line.split(",")[4:]]
+                      for line in out.read_text().splitlines()[1:]] if code == 0 else []
+            return code, err, out, errors
+
+        fits = overflows = 0
+        for seed in range(40):
+            code, _, _, errors = sweep("plain", seed, 1e300)
+            if code != 0:
+                continue
+            largest = max(max(pair) for pair in errors)
+            largest_hnorm = max(hnorm for _, hnorm in errors)
+            code, _, _, errors = sweep("fits", seed, 1e300 * (1.2e308 / largest))
+            fits += code == 0 and max(max(pair) for pair in errors) > 1e308
+            code, err, out, _ = sweep("overflows", seed,
+                                      1e300 * (1.05 * (sys.float_info.max / largest_hnorm)))
+            if err.startswith("numerical failure: the norm sqrt(v^T M v) is not finite"):
+                assert code == 2
+                assert not out.exists() and not out.with_suffix(".meta.json").exists()
+                overflows += 1
+        assert fits >= 1 and overflows >= 1, (fits, overflows)
 
     def test_step_errors_past_sqrt_float_max_read_finite(self, tmp_path):
         # labels near 1e300: squaring the step errors overflows, the errors do not
@@ -533,6 +550,9 @@ class TestFleetBoundary:
 
 
 SCALARS = ["0", "1", "-1", "inf", "-inf", "nan", "1e300", "-1e300", "1e-300", "1e-320"]
+# --lambda and --eta: ridges too small to lift a rank-deficient machine's
+# rounding-negative eigenvalue, so that fleets name failing machines
+RIDGES = [*SCALARS, "1e-30", "1e-100"]
 SCHEMES = ["uniform", "determinantal", "both"]
 
 
@@ -541,6 +561,12 @@ def flag_int(lo, hi, huge=()):
     value 0 or -1, or about one time in twenty a value of ``huge``."""
     values = list(range(lo, hi + 1))
     return st.sampled_from([0, -1, *huge] + values * (1 + 18 // len(values)))
+
+
+def flag_k(n):
+    """A --k value for n rows, half the time 1 or 2 (or an edge value), so
+    that machines often keep fewer rows than the data has columns."""
+    return st.one_of(flag_int(1, 2), flag_int(1, max(n, 1)))
 
 
 # sorted distinct machine counts; the sweeps' own tests cover an unsorted list
@@ -581,19 +607,19 @@ def cli_argv(draw, dataset=False):
     flags = {"seed": draw(flag_int(0, 3))}
     if dataset:
         data = draw(extreme_datasets())
-        flags.update(k=draw(flag_int(1, data.n)))
+        flags.update(k=draw(flag_k(data.n)))
     elif command != "verify-identities":
         n, d, noise = draw(flag_int(1, 30)), draw(flag_int(1, 3)), draw(st.sampled_from(SCALARS))
-        flags.update(synth=f"{n},{d},{noise}", k=draw(flag_int(1, max(n, 1))))
+        flags.update(synth=f"{n},{d},{noise}", k=draw(flag_k(n)))
     if command in ("newton-sweep", "newton-converge"):
         flags.update(loss=draw(st.sampled_from(["square", "logistic"])),
                      scheme=draw(st.sampled_from(SCHEMES)),
-                     **{"lambda": draw(st.sampled_from(["auto", *SCALARS]))})
+                     **{"lambda": draw(st.sampled_from(["auto", *RIDGES]))})
     if command == "newton-sweep":
         flags.update(m=draw(M_LISTS), trials=draw(flag_int(1, 2, [HUGE_COUNT])))
     elif command == "uq-sweep":
         flags.update(m=draw(M_LISTS), trials=draw(flag_int(1, 2, [HUGE_COUNT])),
-                     eta=draw(st.sampled_from(SCALARS)),
+                     eta=draw(st.sampled_from(RIDGES)),
                      statistic=draw(st.sampled_from(["trace", "diagonal"])))
     elif command == "newton-converge":
         flags.update(m=draw(flag_int(1, 8)), iters=draw(flag_int(1, 2, [HUGE_COUNT])))
@@ -630,7 +656,8 @@ def assert_exit_contract(tmp, argv):
     """Exit 0, 1 or 2; no exception escapes; a failure is one stderr line;
     a written table holds only finite numbers; a machine that a failure
     names fails the same way when replayed on its own (a newton-converge
-    machine only at trial 0, whose iterate is w = 0)."""
+    machine only at trial 0, whose iterate is w = 0).  Returns the exit code
+    and the standard error."""
     out = tmp / "o.csv"
     if argv[0] != "verify-identities":
         argv = [*argv, f"--out={out}"]
@@ -655,6 +682,7 @@ def assert_exit_contract(tmp, argv):
                     except ValueError:
                         continue  # scheme or statistic name
                     assert math.isfinite(value), (row, argv)
+    return code, err.getvalue()
 
 
 @settings(max_examples=300, deadline=None)

@@ -16,7 +16,6 @@ from detavg.oracle import (
     RandomRankOneSum,
     _det_times_inverse,
     _expect_each,
-    _rel_dev,
     expect_adjugate,
     expect_det,
     expect_inverse,
@@ -313,7 +312,7 @@ SUITE_FS = (linalg.det_cofactor, linalg.adjugate_cofactor, _det_times_inverse)
 
 def expect_alone(model, *fs):
     """Reference: each E[f(A)] of one model alone, summed chunk by chunk."""
-    return [sum(np.tensordot(p, f(A), axes=1) for p, A in model.outcome_blocks()) for f in fs]
+    return [sum(np.einsum("b,b...->...", p, f(A)) for p, A in model.outcome_blocks()) for f in fs]
 
 
 def assert_same_bits(got, want):
@@ -354,6 +353,13 @@ def test_stacked_pass_with_a_model_across_stacks():
         assert_same_bits(row, expect_alone(model, *SUITE_FS))
 
 
+def rel_dev(lhs, rhs):
+    """One model's deviation, |lhs - rhs|_max / max(1, |rhs|_max)."""
+    lhs = np.atleast_2d(np.asarray(lhs, dtype=float))
+    rhs = np.atleast_2d(np.asarray(rhs, dtype=float))
+    return float(np.abs(lhs - rhs).max() / max(1.0, np.abs(rhs).max()))
+
+
 def identity_suite_alone(models, max_n, max_d, seed):
     """Reference for identity_suite: one model at a time, through expect_alone."""
     rng = np.random.default_rng(seed)
@@ -362,14 +368,14 @@ def identity_suite_alone(models, max_n, max_d, seed):
         model = random_model(rng, max_n=max_n, max_d=max_d)
         mean = model.mean()
         e_det, e_adj, e_det_inv = expect_alone(model, *SUITE_FS)
-        dev_det = max(dev_det, _rel_dev(e_det, linalg.det_cofactor(mean)))
-        dev_adj = max(dev_adj, _rel_dev(e_adj, linalg.adjugate_cofactor(mean)))
-        dev_winv = max(dev_winv, _rel_dev(e_det_inv / e_det, np.linalg.inv(mean)))
+        dev_det = max(dev_det, rel_dev(e_det, linalg.det_cofactor(mean)))
+        dev_adj = max(dev_adj, rel_dev(e_adj, linalg.adjugate_cofactor(mean)))
+        dev_winv = max(dev_winv, rel_dev(e_det_inv / e_det, np.linalg.inv(mean)))
     hand = hand_checked_instance()
     hand_det, hand_adj = expect_alone(hand, linalg.det_cofactor, linalg.adjugate_cofactor)
-    hand_dev = max(_rel_dev(hand_det, 0.75), _rel_dev(hand_adj, [[1.0, -0.5], [-0.5, 1.0]]))
-    dev_det = max(dev_det, _rel_dev(hand_det, linalg.det_cofactor(hand.mean())))
-    dev_adj = max(dev_adj, _rel_dev(hand_adj, linalg.adjugate_cofactor(hand.mean())))
+    hand_dev = max(rel_dev(hand_det, 0.75), rel_dev(hand_adj, [[1.0, -0.5], [-0.5, 1.0]]))
+    dev_det = max(dev_det, rel_dev(hand_det, linalg.det_cofactor(hand.mean())))
+    dev_adj = max(dev_adj, rel_dev(hand_adj, linalg.adjugate_cofactor(hand.mean())))
     counter = rank_two_counterexample()
     (counter_det,) = expect_alone(counter, linalg.det_cofactor)
     gap = abs(counter_det - linalg.det_cofactor(counter.mean()))

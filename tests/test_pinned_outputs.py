@@ -1,13 +1,18 @@
 """scripts/pinned_outputs.py: its runs parse, what --compare reports for each
-file, and the bytes of every output against the committed digests.
+file, and the bytes of every output against the committed digests, at 1
+and at 2 BLAS threads.
 
 ``pinned_digests.json`` holds the sha256 of each output and the environment
-it was written in.  A change that moves bits on purpose re-records it with::
+it was written in, and no thread count: every output has the same bytes at
+1 and at 2 BLAS threads.  The digest test checks that on the pinned outputs,
+and the thread probe on sums far longer than they reach.  A change that
+moves bits on purpose re-records the file with::
 
     PYTHONPATH=src python tests/test_pinned_outputs.py
 
-which runs the script at the recorded BLAS thread count and rewrites the
-file; the change then names the moved files, and why, in CHANGES.md.
+which runs the script at 1 and at 2 BLAS threads and rewrites the file only
+if both runs agree; the change then names the moved files, and why, in
+CHANGES.md.
 """
 
 import hashlib
@@ -107,18 +112,31 @@ def environment() -> dict:
     }
 
 
+# the BLAS thread counts every output must keep its bytes at
+THREADS = (1, 2)
+
+
+def blas_env(threads: int) -> dict[str, str]:
+    """The environment of a fresh process at ``threads`` BLAS threads that
+    imports detavg from this tree."""
+    return {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads),
+            "PYTHONPATH": os.pathsep.join(
+                p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)}
+
+
 def pinned_run(outdir: Path, threads: int) -> dict[str, str]:
     """sha256 of every file the script writes into ``outdir``, run in a
-    fresh process at ``threads`` BLAS threads: a long dot product's last
-    bits follow how BLAS splits it across threads."""
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads),
-           "PYTHONPATH": os.pathsep.join(
-               p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run([sys.executable, str(SCRIPT), str(outdir)], env=env,
+    fresh process at ``threads`` BLAS threads."""
+    proc = subprocess.run([sys.executable, str(SCRIPT), str(outdir)], env=blas_env(threads),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted(outdir.iterdir())}
+
+
+def differing(a: dict[str, str], b: dict[str, str]) -> list[str]:
+    """The names whose digests differ, or that only one of ``a``, ``b`` has."""
+    return sorted(name for name in a.keys() | b.keys() if a.get(name) != b.get(name))
 
 
 def test_outputs_keep_their_pinned_digests(tmp_path):
@@ -128,16 +146,51 @@ def test_outputs_keep_their_pinned_digests(tmp_path):
     for field, value in here.items():
         if value != recorded[field]:
             pytest.skip(f"digests recorded with {field} {recorded[field]!r}, here {value!r}")
-    found = pinned_run(tmp_path, recorded["blas_threads"])
-    moved = sorted(name for name in pinned["sha256"].keys() | found.keys()
-                   if pinned["sha256"].get(name) != found.get(name))
-    assert moved == [], f"outputs whose bytes moved, are missing or are new: {moved}"
+    for threads in THREADS:
+        moved = differing(pinned["sha256"], pinned_run(tmp_path / str(threads), threads))
+        assert moved == [], (f"at {threads} BLAS threads, outputs whose bytes moved, "
+                             f"are missing or are new: {moved}")
+
+
+# sums over n = 200,000 rows and m = 100,000 machines, long enough that
+# OpenBLAS splits a gemv across threads; the pinned outputs stop at n = 2000
+THREAD_PROBE = """
+import hashlib, json
+import numpy as np
+from detavg.averaging import weighted_means
+from detavg.dataio import synth_regression
+from detavg.objective import Dataset, LossKind, Objective
+
+data = synth_regression(200000, 10, 1.0, seed=3)
+w = np.full(10, 0.1)
+rng = np.random.default_rng(5)
+values = {
+    "square gradient": Objective(data).gradient(w),
+    "logistic gradient": Objective(Dataset(data.X, (data.y > 0).astype(float)),
+                                   LossKind.LOGISTIC).gradient(w),
+    "weighted means": weighted_means(rng.standard_normal((100000, 10)),
+                                     rng.standard_normal(100000), [1000, 100000]),
+}
+print(json.dumps({name: hashlib.sha256(v.tobytes()).hexdigest() for name, v in values.items()}))
+"""
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU: BLAS does not split a sum")
+def test_long_sums_keep_their_bits_at_any_thread_count():
+    found = []
+    for threads in THREADS:
+        proc = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=blas_env(threads),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        found.append(json.loads(proc.stdout))
+    assert differing(*found) == [], "sums whose bits move between 1 and 2 BLAS threads"
 
 
 if __name__ == "__main__":
-    threads = (json.loads(DIGESTS.read_text(encoding="utf-8"))["environment"]["blas_threads"]
-               if DIGESTS.exists() else 1)
     with tempfile.TemporaryDirectory() as outdir:
-        record = {"environment": {**environment(), "blas_threads": threads},
-                  "sha256": pinned_run(Path(outdir), threads)}
+        runs = [pinned_run(Path(outdir) / str(threads), threads) for threads in THREADS]
+    if differing(*runs):
+        sys.exit(f"not re-recorded: outputs whose bytes differ between {THREADS[0]} and "
+                 f"{THREADS[1]} BLAS threads: {', '.join(differing(*runs))}")
+    record = {"environment": environment(), "sha256": runs[0]}
     DIGESTS.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
