@@ -18,7 +18,10 @@ and the oracle's over each chunk's outcomes, are ``np.einsum`` calls, which
 never call BLAS.  The sums left on BLAS read the same bits at both counts
 where measured: the Gram matrix and ``X @ w`` up to n = 200,000 at d = 65,
 ``u^T M u`` up to d = 3,000, and a 1-D norm up to 10,000 entries, past
-which OpenBLAS splits its dot product.  Tier-1 checks the 29 pinned outputs
+which OpenBLAS splits its dot product.  Every norm is of a d-vector, and
+the (d, d) cap of :func:`load_data` bounds d at 11,585, so only a norm at
+d in (10,000, 11,585] lies past the measured range; ``u^T M u`` is
+unmeasured at d in (3,000, 11,585].  Tier-1 checks the 29 pinned outputs
 at both counts, and the three einsum sums at n = 200,000 and m = 100,000.
 Trials run one after another in this process; ``--threads`` is still
 accepted by the three data subcommands so older command lines keep
@@ -126,13 +129,24 @@ def check_table_size(flag: str, value: int, cells: int) -> None:
                          f"{dataio.MAX_ENTRIES}")
 
 
+def _check_width(d: int) -> None:
+    """Refuse d past 11,585, whose (d, d) matrices, which every data
+    subcommand builds, would hold more than ``dataio.MAX_ENTRIES`` entries;
+    :func:`load_data` checks a synthetic d before its design is drawn."""
+    if d > math.isqrt(dataio.MAX_ENTRIES):
+        raise ValueError(f"d={d} features would make {d}x{d} matrices, more than "
+                         f"{dataio.MAX_ENTRIES} entries")
+
+
 def load_data(args, seed: int) -> tuple[Dataset, dict]:
     if (args.dataset is None) == (args.synth is None):
         raise ValueError("exactly one of --dataset or --synth is required")
     if args.dataset is not None:
         data = dataio.load_libsvm(args.dataset)
+        _check_width(data.d)
         return data, {"dataset": args.dataset}
     n, d, noise = parse_synth(args.synth)
+    _check_width(d)
     data = dataio.synth_regression(n, d, noise, seed=seed)
     return data, {"synth": {"n": n, "d": d, "noise_sd": noise}}
 

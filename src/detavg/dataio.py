@@ -29,7 +29,9 @@ from .errors import EmptyDataset, ParseError
 Source = Union[str, TextIO, Iterable[str]]
 
 # Most entries of an array sized from user input, checked before allocating:
-# a parsed dense matrix here, a fleet's outputs in sketch.local_fleet.  2^27
+# a parsed dense matrix and a synthetic design here, the d x d matrices of
+# every data subcommand in cli.load_data (so d <= 11,585), a fleet's outputs
+# in sketch.local_fleet and an output table in cli.check_table_size.  2^27
 # float64 entries are 1 GiB.
 MAX_ENTRIES = 1 << 27
 
@@ -346,24 +348,21 @@ def standardize(data: Dataset) -> Dataset:
     return Dataset(X=Z, y=data.y)
 
 
-def synth_regression(
-    n: int, d: int, noise_sd: float, seed: int, return_planted: bool = False
-):
-    """Gaussian design with labels from a planted linear model.
+def synth_regression(n: int, d: int, noise_sd: float, seed: int) -> Dataset:
+    """Gaussian design with labels from a planted linear model, plus label
+    noise of standard deviation ``noise_sd`` (may be zero).
 
     Draws, in a fixed order from one seeded generator: the planted weight
-    vector, the n-by-d design, and the label noise.  The same seed always
-    yields the same instance.
-
-    Parameters
-    ----------
-    noise_sd : float
-        Standard deviation of the additive label noise, may be zero.
-    return_planted : bool
-        Also return the planted weight vector.
+    vector, ``default_rng(seed).standard_normal(d)``, then the n-by-d
+    design, then the label noise.  The same seed always yields the same
+    instance.  A design of more than ``MAX_ENTRIES`` entries is refused
+    with a ValueError before the first draw.
     """
     if n < 1 or d < 1:
         raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
+    if n * d > MAX_ENTRIES:
+        raise ValueError(f"a synthetic design of n={n} rows and d={d} columns would hold "
+                         f"{n * d} entries, more than {MAX_ENTRIES}")
     if noise_sd < 0:
         raise ValueError(f"noise_sd must be nonnegative, got {noise_sd}")
     rng = np.random.default_rng(seed)
@@ -371,5 +370,4 @@ def synth_regression(
     X = rng.standard_normal((n, d))
     with np.errstate(over="ignore"):  # a non-finite label is refused by Dataset
         y = X @ w_planted + noise_sd * rng.standard_normal(n)
-    data = Dataset(X=X, y=y)
-    return (data, w_planted) if return_planted else data
+    return Dataset(X=X, y=y)

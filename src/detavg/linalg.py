@@ -285,23 +285,15 @@ def _scaled_back(f, v: np.ndarray):
     return result
 
 
-def norm(v: np.ndarray) -> float | np.ndarray:
-    """Euclidean norm of a vector ``v``, or of each row of a matrix ``v``.
+def norm(v: np.ndarray) -> float:
+    """Euclidean norm of a vector ``v``.
 
-    The plain form is ``np.linalg.norm``'s: ``dot`` for a vector, a sum of
-    squares per row for a matrix (the two can differ in the last bit).  A
-    norm past sqrt(float max), about 1.34e154, overflows it and is recomputed
-    as :func:`_scaled_back` says, so a norm that fits in a float reads
-    finite; past float max it reads inf, without a warning.
+    The plain form is ``np.linalg.norm``'s ``dot``.  A norm past sqrt(float
+    max), about 1.34e154, overflows it and is recomputed as
+    :func:`_scaled_back` says, so a norm that fits in a float reads finite;
+    past float max it reads inf, without a warning.
     """
-    v = np.asarray(v, dtype=float)
-    if v.ndim == 1:
-        return float(_scaled_back(np.linalg.norm, v))
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.linalg.norm(v, axis=1)
-    for i in np.flatnonzero(norms == math.inf):
-        norms[i] = _scaled_back(np.linalg.norm, v[i])
-    return norms
+    return float(_scaled_back(np.linalg.norm, np.asarray(v, dtype=float)))
 
 
 def mahalanobis_norm(v: np.ndarray, M: np.ndarray) -> float:

@@ -77,9 +77,9 @@ class SweepRow:
 class Trajectory:
     """Iterates of a distributed Newton run with reference quantities.
 
-    ``dist_to_opt[i]`` is the Euclidean distance of iterate i from the
-    minimizer found by exact Newton iteration, ``losses[i]`` the objective
-    value there.
+    ``dist_to_opt[i]`` is ``linalg.norm(iterates[i] - w_star)``, the distance
+    of iterate i from the minimizer found by exact Newton iteration, and
+    ``losses[i]`` the objective value there.
     """
 
     scheme: str
@@ -255,7 +255,7 @@ def run_distributed_newton(
         w = w - merged[cfg.scheme][0]
         iterates.append(w.copy())
     iterates = np.array(iterates)
-    dists = linalg.norm(iterates - w_star)
+    dists = np.array([linalg.norm(wi - w_star) for wi in iterates])
     losses = np.array([obj.loss_value(wi) for wi in iterates])
     return Trajectory(
         scheme=cfg.scheme.value,

@@ -130,16 +130,16 @@ def gram(out: np.ndarray, Z: np.ndarray) -> np.ndarray:
     return np.matmul(Z.T, Z, out=out)
 
 
-def gram_tail(G: np.ndarray, scale: float, ridge: float | None = None) -> np.ndarray:
+def gram_tail(G: np.ndarray, scale: float, ridge: float = 0.0) -> np.ndarray:
     """Overwrite G with G/scale + ridge I and return it, for one exactly
     symmetric product G of shape (d, d) or a stack of them, (b, d, d).
 
     One in-place division, then ``ridge`` added to the diagonal of each
-    matrix through a writeable view; without a ridge nothing is added."""
+    matrix through a writeable view.  The default 0.0 leaves every bit of
+    G / scale: a Gram diagonal is a sum of squares, never -0.0."""
     np.divide(G, scale, out=G)
-    if ridge is not None:
-        diagonal = np.einsum("...ii->...i", G)  # a writeable view of G, never a copy
-        diagonal += ridge
+    diagonal = np.einsum("...ii->...i", G)  # a writeable view of G, never a copy
+    diagonal += ridge
     return G
 
 

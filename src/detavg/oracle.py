@@ -189,23 +189,24 @@ class RandomRankOneSum:
 def _expect_each(
     models: Sequence[RandomRankOneSum], *fs: Callable[[np.ndarray], np.ndarray]
 ) -> list:
-    """``[[E[f(A)] for f in fs] for model in models]`` in one pass.
+    """``[[E[f(A)] for f in fs] for model in models]`` in one pass, for models
+    of one dimension d.
 
     ``f`` maps a stack (b, d, d) to (b, ...) slice by slice.  The chunks of
-    :meth:`RandomRankOneSum.outcome_blocks` queue up per dimension d, and a
-    queue is concatenated into one stack when the next chunk would take it
-    past ``block_size(d * d, _CHUNK_BYTES)`` outcomes, and at the end, and
-    every ``f`` runs on that stack.  A chunk holds at most that many
-    outcomes, so none is split.  Each chunk still gets its own product, in
-    the model's chunk order: one ``np.einsum`` of ``p`` with its rows of
-    ``f``'s value, which keeps every sum bit-identical to enumerating its
-    model alone, at any BLAS thread count.
+    :meth:`RandomRankOneSum.outcome_blocks` queue up, and the queue is
+    concatenated into one stack when the next chunk would take it past
+    ``block_size(d * d, _CHUNK_BYTES)`` outcomes, and at the end, and every
+    ``f`` runs on that stack.  A chunk holds at most that many outcomes, so
+    none is split.  Each chunk still gets its own product, in the model's
+    chunk order: one ``np.einsum`` of ``p`` with its rows of ``f``'s value,
+    which keeps every sum bit-identical to enumerating its model alone, at
+    any BLAS thread count.
     """
     totals = [[0.0] * len(fs) for _ in models]
-    queues: dict[int, list[tuple[int, np.ndarray, np.ndarray]]] = {}
-    held: dict[int, int] = {}
+    queue: list[tuple[int, np.ndarray, np.ndarray]] = []
+    cap = block_size(models[0].dim ** 2, _CHUNK_BYTES)
 
-    def evaluate(queue):
+    def evaluate():
         stack = np.concatenate([A for _, _, A in queue])
         values = [f(stack) for f in fs]
         start = 0
@@ -217,18 +218,15 @@ def _expect_each(
             start = stop
         queue.clear()
 
+    held = 0
     for owner, model in enumerate(models):
-        d = model.dim
-        queue = queues.setdefault(d, [])
         for p, A in model.outcome_blocks():
-            if held.get(d, 0) + len(p) > block_size(d * d, _CHUNK_BYTES):
-                evaluate(queue)
-                held[d] = 0
+            if held + len(p) > cap:
+                evaluate()
+                held = 0
             queue.append((owner, p, A))
-            held[d] = held.get(d, 0) + len(p)
-    for queue in queues.values():
-        if queue:
-            evaluate(queue)
+            held += len(p)
+    evaluate()  # the last chunk is always queued
     return totals
 
 
@@ -377,14 +375,13 @@ def identity_suite(models: int = 50, max_n: int = 8, max_d: int = 3, seed: int =
     Models are drawn from ``default_rng(seed)`` in order, in groups that
     close once they hold ``block_size(max_d * max_d, _CHUNK_BYTES)``
     outcomes, and each group is evaluated, one :func:`_expect_each` pass
-    and the det, adjugate and inverse of each dimension's stack of means,
-    before the next is drawn, so memory stays bounded whatever ``models``
-    is.  The deviations
-    are folded per stack of one dimension: ``|lhs - rhs|`` max and
-    ``max(1, |rhs|)`` max per model, their quotient, and its max over the
-    models.  ``abs`` and ``max`` are exact and each quotient is the same
-    division, so every deviation is bit-identical to evaluating the models
-    one at a time.
+    per dimension and the det, adjugate and inverse of that dimension's
+    stack of means, before the next is drawn, so memory stays bounded
+    whatever ``models`` is.  The deviations are folded per stack of one
+    dimension: ``|lhs - rhs|`` max and ``max(1, |rhs|)`` max per model, their
+    quotient, and its max over the models.  ``abs`` and ``max`` are exact and
+    each quotient is the same division, so every deviation is bit-identical
+    to evaluating the models one at a time.
 
     ``max_d`` and ``max_n`` bound each model's dimension and component
     count; both are checked before any model is drawn.  ``max_d`` is at
@@ -415,13 +412,11 @@ def identity_suite(models: int = 50, max_n: int = 8, max_d: int = 3, seed: int =
             group.append(random_model(rng, max_n=max_n, max_d=max_d))
             outcomes += group[-1].n_outcomes
             drawn += 1
-        expectations = _expect_each(
-            group, linalg.det_cofactor, linalg.adjugate_cofactor, _det_times_inverse
-        )
         for d in {model.dim for model in group}:
-            at = [i for i, model in enumerate(group) if model.dim == d]
-            mean = np.stack([group[i].mean() for i in at])
-            e_det, e_adj, e_det_inv = (np.stack(e) for e in zip(*(expectations[i] for i in at)))
+            at = [model for model in group if model.dim == d]
+            mean = np.stack([model.mean() for model in at])
+            e_det, e_adj, e_det_inv = (np.stack(e) for e in zip(*_expect_each(
+                at, linalg.det_cofactor, linalg.adjugate_cofactor, _det_times_inverse)))
             dev_det = max(dev_det, _max_rel_dev(e_det, linalg.det_cofactor(mean)))
             dev_adj = max(dev_adj, _max_rel_dev(e_adj, linalg.adjugate_cofactor(mean)))
             dev_winv = max(dev_winv, _max_rel_dev(e_det_inv / e_det[:, None, None],

@@ -226,7 +226,7 @@ def block_size(width: int, stack_bytes: int = _STACK_BYTES) -> int:
 
 
 def local_fleet(
-    Z: np.ndarray, f: float, ridge: float | None,
+    Z: np.ndarray, f: float, ridge: float,
     decompose: Callable[[np.ndarray], tuple[np.ndarray, ...]],
     k: int, m: int, seed: int, trial: int,
 ) -> tuple[np.ndarray, ...]:
@@ -237,8 +237,8 @@ def local_fleet(
     Machine t draws its inclusion mask over the n rows from the stream keyed
     by (seed, trial, t), bit-identical to :func:`draw_mask`'s, and its local
     matrix is ``(1/k) f Z_t^T Z_t + ridge I`` over its rows Z_t (a scalar
-    ridge; None adds nothing), made by the calls of :func:`local_hessian` and
-    :func:`local_covariance`, so it is bit-identical to theirs.
+    ridge, 0.0 for a covariance), made by the calls of :func:`local_hessian`
+    and :func:`local_covariance`, so it is bit-identical to theirs.
     ``decompose(stack)`` maps a stack of at most :func:`block_size` finished
     matrices to a tuple of arrays with one row per matrix; it may overwrite
     the stack, since each stack's outputs are copied out before the next is

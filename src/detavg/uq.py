@@ -173,7 +173,7 @@ def _local_spectra(
     are :func:`sketch.local_covariance`'s bit for bit.  A failing machine is
     named by its triple, so the others hold in every fleet of at most m."""
     ridge = eta / np.sqrt(m)
-    return local_fleet(data.X, 1.0, None, lambda C: _spectra(C, ridge, statistic), k, m, seed,
+    return local_fleet(data.X, 1.0, 0.0, lambda C: _spectra(C, ridge, statistic), k, m, seed,
                        trial)
 
 

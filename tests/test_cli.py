@@ -7,10 +7,12 @@ import json
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
 import time
 import tracemalloc
+from argparse import Namespace
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -547,6 +549,55 @@ class TestFleetBoundary:
         assert_one_line(capsys.readouterr().err, f"error: {flag} {HUGE_COUNT} would make a table")
         assert elapsed < 0.5
         assert not out.exists()
+
+
+# a two-line file whose parsed matrix, 2 x 100,000 entries, passes the parse
+# cap, while each of its (d, d) matrices would be 10^10 entries, 74.5 GiB
+WIDE_FILE = "0 100000:1\n1 3:2\n"
+DATA_COMMANDS = [["newton-sweep", "--trials", "1"], ["uq-sweep", "--trials", "1"],
+                 ["newton-converge", "--iters", "1"]]
+
+
+def run_capped(cwd, argv):
+    """``python -m detavg.cli argv`` in a child process with 4 GiB of address
+    space and one BLAS thread, so that an allocation past the caps fails at
+    once instead of filling memory."""
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+    src = str(Path(detavg.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-m", "detavg.cli", *argv], cwd=cwd, env=env,
+                          preexec_fn=cap_address_space, capture_output=True, text=True,
+                          timeout=120)
+
+
+class TestWideData:
+    @pytest.mark.parametrize("data", [
+        ["--dataset", "wide.svm"],
+        ["--synth", "1000000000,1000,1.0"],  # a 7.28 TiB design
+        ["--synth", "100,30000,1.0"],  # a 24 MB design, 6.7 GiB (d, d) matrices
+    ], ids=["wide-file", "long-synth", "wide-synth"])
+    @pytest.mark.parametrize("command", DATA_COMMANDS, ids=lambda argv: argv[0])
+    def test_refused_in_one_line_before_allocating(self, tmp_path, command, data):
+        (tmp_path / "wide.svm").write_text(WIDE_FILE)
+        proc = run_capped(tmp_path, [*command, *data, "--k", "1", "--m", "2", "--out", "o.csv"])
+        assert proc.returncode == 1
+        assert_one_line(proc.stderr, "error: ")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["wide.svm"]
+
+    @pytest.mark.parametrize("d, accepted", [(11585, True), (11586, False)])
+    def test_widest_accepted_file_has_11585_features(self, tmp_path, d, accepted):
+        # 11,585^2 = 134,212,225 <= 2^27 < 11,586^2
+        path = tmp_path / "one.svm"
+        path.write_text(f"1 {d}:1\n")
+        args = Namespace(dataset=str(path), synth=None)
+        if accepted:
+            assert cli.load_data(args, 0)[0].d == d
+        else:
+            with pytest.raises(ValueError, match=f"d={d} features"):
+                cli.load_data(args, 0)
 
 
 SCALARS = ["0", "1", "-1", "inf", "-inf", "nan", "1e300", "-1e300", "1e-300", "1e-320"]

@@ -758,7 +758,8 @@ def test_synth_regression_deterministic_per_seed():
 
 
 def test_synth_regression_recovers_planted_weights():
-    data, w_true = synth_regression(5000, 5, 0.1, seed=3, return_planted=True)
+    data = synth_regression(5000, 5, 0.1, seed=3)
+    w_true = np.random.default_rng(3).standard_normal(5)  # the first draw
     G = data.X.T @ data.X
     w_hat = np.linalg.solve(G, data.X.T @ data.y)
     # classic normal-equations standard errors
@@ -767,7 +768,8 @@ def test_synth_regression_recovers_planted_weights():
 
 
 def test_synth_regression_noise_free():
-    data, w_true = synth_regression(40, 3, 0.0, seed=4, return_planted=True)
+    data = synth_regression(40, 3, 0.0, seed=4)
+    w_true = np.random.default_rng(4).standard_normal(3)  # the first draw
     assert np.allclose(data.y, data.X @ w_true, atol=1e-14)
 
 
@@ -778,3 +780,6 @@ def test_synth_regression_validation():
         synth_regression(5, 0, 0.1, seed=0)
     with pytest.raises(ValueError):
         synth_regression(5, 3, -0.1, seed=0)
+    # a design past MAX_ENTRIES is refused before the first draw
+    with pytest.raises(ValueError, match="more than"):
+        synth_regression(10**9, 1000, 1.0, seed=0)

@@ -8,7 +8,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from detavg import linalg, newton, sketch
+from detavg import cli, linalg, newton, sketch
 from detavg.dataio import synth_regression
 from detavg.errors import NonFiniteResult, NotPositiveDefinite
 from detavg.newton import (
@@ -263,6 +263,22 @@ def test_distributed_trajectory_approaches_optimum():
     traj = run_distributed_newton(obj, np.zeros(4), 6, cfg, seed=2)
     assert traj.dist_to_opt[-1] <= 1e-2 * traj.dist_to_opt[0]
     assert traj.scheme == "determinantal"
+
+
+def test_distances_are_the_norms_of_each_iterate():
+    # the converge_det.csv run of scripts/pinned_outputs.py, where a sum of
+    # squares per row read another last bit than the vector norm in 3 of 11
+    # distances
+    args = cli.build_parser().parse_args([
+        "newton-converge", "--synth", "2000,10,1.0", "--loss", "logistic", "--lambda", "auto",
+        "--k", "200", "--m", "256", "--iters", "10", "--scheme", "determinantal", "--seed", "0",
+        "--out", "unused.csv"])
+    obj, _ = cli.make_objective(args, cli.load_data(args, 0)[0])
+    cfg = MachineConfig(m=256, k=200, scheme=Scheme.DETERMINANTAL)
+    traj = run_distributed_newton(obj, np.zeros(obj.d), 10, cfg, seed=0)
+    assert len(traj.dist_to_opt) == 11
+    for wi, dist in zip(traj.iterates, traj.dist_to_opt):
+        assert dist.tobytes() == np.float64(linalg.norm(wi - traj.w_star)).tobytes()
 
 
 def test_coherence_hand_value_and_zero_case():

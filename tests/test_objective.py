@@ -194,19 +194,21 @@ def test_gram_tail_in_place_equals_a_separate_buffer(shape, with_ridge):
     # scalar ridge to each diagonal through a view: it returns G itself, with
     # the bytes of G / scale plus the ridge on the diagonal of a separate
     # buffer, for one matrix and for stacks past numpy's ufunc buffer (8192
-    # elements).  An off-diagonal -0.0 stays -0.0.
+    # elements).  The default ridge 0.0 leaves the bytes of G / scale, and an
+    # off-diagonal -0.0 stays -0.0.
     rng = np.random.default_rng(sum(shape))
     A = rng.standard_normal(shape) * 1e3
     raw = A + np.swapaxes(A, -1, -2)
     d = shape[-1]
     if d > 1:
         raw[..., 0, 1] = raw[..., 1, 0] = -0.0
-    ridge = 0.3 if with_ridge else None
     want = raw / 7
-    if with_ridge:
-        want[..., np.arange(d), np.arange(d)] += ridge
     G = raw.copy()
-    assert gram_tail(G, 7, ridge) is G
+    if with_ridge:
+        want[..., np.arange(d), np.arange(d)] += 0.3
+        assert gram_tail(G, 7, 0.3) is G
+    else:
+        assert gram_tail(G, 7) is G
     assert G.tobytes() == want.tobytes()
 
 

@@ -249,7 +249,7 @@ def test_fleet_kernels_equal_the_seed_formulas(d, loss, k, seed, trial):
     Z, f = hessian_rows(loss, data.X, w)
     curv = loss.d2value(data.X @ w)
     hessians, = local_fleet(Z, f, obj.lam, lambda H: (H,), k, m, seed, trial)
-    covariances, = local_fleet(data.X, 1.0, None, lambda C: (C,), k, m, seed, trial)
+    covariances, = local_fleet(data.X, 1.0, 0.0, lambda C: (C,), k, m, seed, trial)
     for t in range(m):
         include = seed_mask(n, k, seed, trial, t)
         mask = draw_mask(n, k, SeedSpec(seed, trial, t))
@@ -321,7 +321,7 @@ def test_fleet_masks_cross_blocks_bit_for_bit(seed, trial, m, d, rate):
     Z = np.zeros((n, d))
     Z[:, :n] = np.eye(n)
     diagonals, counts = local_fleet(
-        Z, k, None, lambda stack: (np.diagonal(stack, axis1=1, axis2=2)[:, :n].copy(),
+        Z, k, 0.0, lambda stack: (np.diagonal(stack, axis1=1, axis2=2)[:, :n].copy(),
                                    stack.sum(axis=(1, 2))), k, m, seed, trial)
     assert len(diagonals) == m
     for t, diagonal in enumerate(diagonals):
@@ -375,7 +375,7 @@ def test_local_fleet_builds_one_generator_per_fleet(monkeypatch):
         counting(np.random, name)
     m, n, k = 1024, 50, 5
     # rows of ones at factor k: each machine's 1x1 matrix is its row count
-    counts, = local_fleet(np.ones((n, 1)), k, None, lambda stack: (stack.copy(),), k, m, 3, 2)
+    counts, = local_fleet(np.ones((n, 1)), k, 0.0, lambda stack: (stack.copy(),), k, m, 3, 2)
     assert "Philox" in built and all(count <= 1 for count in built.values()), built
     assert np.array_equal(counts.ravel(), [_include(n, k / n, 3, 2, t).sum() for t in range(m)])
 
