@@ -19,10 +19,11 @@ never call BLAS.  The sums left on BLAS read the same bits at both counts
 where measured: the Gram matrix and ``X @ w`` up to n = 200,000 at d = 65,
 ``u^T M u`` up to d = 3,000, and a 1-D norm up to 10,000 entries, past
 which OpenBLAS splits its dot product.  Every norm is of a d-vector, and
-the (d, d) cap of :func:`load_data` bounds d at 11,585, so only a norm at
-d in (10,000, 11,585] lies past the measured range; ``u^T M u`` is
-unmeasured at d in (3,000, 11,585].  Tier-1 checks the 29 pinned outputs
-at both counts, and the three einsum sums at n = 200,000 and m = 100,000.
+:func:`load_data` refuses (d, d) matrices past
+:func:`dataio.refuse_above_cap`, so d <= 11,585 and only a norm at d in
+(10,000, 11,585] lies past the measured range; ``u^T M u`` is unmeasured at
+d in (3,000, 11,585].  Tier-1 checks the 29 pinned outputs at both counts,
+and the three einsum sums at n = 200,000 and m = 100,000.
 Trials run one after another in this process; ``--threads`` is still
 accepted by the three data subcommands so older command lines keep
 working, but it has no effect.
@@ -120,33 +121,16 @@ def parse_synth(text: str) -> tuple[int, int, float]:
         raise ValueError(f"--synth expects N,D,NOISE, got {text!r}") from None
 
 
-def check_table_size(flag: str, value: int, cells: int) -> None:
-    """Refuse a run whose output table would hold more than
-    ``dataio.MAX_ENTRIES`` cells, naming the count flag that makes it so;
-    called before the first trial or iteration."""
-    if cells > dataio.MAX_ENTRIES:
-        raise ValueError(f"{flag} {value} would make a table of {cells} cells, more than "
-                         f"{dataio.MAX_ENTRIES}")
-
-
-def _check_width(d: int) -> None:
-    """Refuse d past 11,585, whose (d, d) matrices, which every data
-    subcommand builds, would hold more than ``dataio.MAX_ENTRIES`` entries;
-    :func:`load_data` checks a synthetic d before its design is drawn."""
-    if d > math.isqrt(dataio.MAX_ENTRIES):
-        raise ValueError(f"d={d} features would make {d}x{d} matrices, more than "
-                         f"{dataio.MAX_ENTRIES} entries")
-
-
 def load_data(args, seed: int) -> tuple[Dataset, dict]:
     if (args.dataset is None) == (args.synth is None):
         raise ValueError("exactly one of --dataset or --synth is required")
     if args.dataset is not None:
         data = dataio.load_libsvm(args.dataset)
-        _check_width(data.d)
+        dataio.refuse_above_cap(data.d ** 2, f"d={data.d} features: a {data.d}x{data.d} matrix")
         return data, {"dataset": args.dataset}
     n, d, noise = parse_synth(args.synth)
-    _check_width(d)
+    # a d below 1 makes no matrix; synth_regression refuses it by name
+    dataio.refuse_above_cap(max(d, 0) ** 2, f"d={d} features: a {d}x{d} matrix")
     data = dataio.synth_regression(n, d, noise, seed=seed)
     return data, {"synth": {"n": n, "d": d, "noise_sd": noise}}
 
@@ -179,8 +163,8 @@ def cmd_newton_sweep(args) -> int:
     obj, obj_meta = make_objective(args, data)
     m_list = parse_m_list(args.m)
     schemes = _schemes(args.scheme)
-    check_table_size("--trials", args.trials,
-                     len(schemes) * len(m_list) * args.trials * len(NEWTON_SWEEP_HEADER))
+    dataio.refuse_above_cap(len(schemes) * len(m_list) * args.trials * len(NEWTON_SWEEP_HEADER),
+                            f"the table of --trials {args.trials}")
     w0 = np.zeros(obj.d)
     rows = error_sweep(obj, w0, args.k, m_list, args.trials, schemes, seed)
     H = obj.hessian(w0)
@@ -205,9 +189,13 @@ def cmd_newton_sweep(args) -> int:
     }
     out = Path(args.out)
     write_csv(out, NEWTON_SWEEP_HEADER, map(astuple, rows))
-    with open(out.with_suffix(".meta.json"), "w", encoding="utf-8") as f:
-        json.dump(meta, f, indent=2, sort_keys=True)
-        f.write("\n")
+    try:
+        with open(out.with_suffix(".meta.json"), "w", encoding="utf-8") as f:
+            json.dump(meta, f, indent=2, sort_keys=True)
+            f.write("\n")
+    except OSError:
+        out.unlink()  # a table without its sidecar is not a result
+        raise
     return 0
 
 
@@ -215,7 +203,8 @@ def cmd_uq_sweep(args) -> int:
     seed = resolve_seed(args)
     data, _ = load_data(args, seed)
     m_list = parse_m_list(args.m)
-    check_table_size("--trials", args.trials, len(m_list) * args.trials * len(UQ_SWEEP_HEADER))
+    dataio.refuse_above_cap(len(m_list) * args.trials * len(UQ_SWEEP_HEADER),
+                            f"the table of --trials {args.trials}")
     rows = uq_sweep(data, args.k, args.eta, m_list, args.trials, Statistic(args.statistic), seed)
     write_csv(Path(args.out), UQ_SWEEP_HEADER, map(astuple, rows))
     return 0
@@ -229,8 +218,8 @@ def cmd_newton_converge(args) -> int:
     if len(m_list) != 1:
         raise ValueError(f"newton-converge uses a single machine count, got --m {args.m!r}")
     schemes = _schemes(args.scheme)
-    check_table_size("--iters", args.iters,
-                     len(schemes) * (args.iters + 1) * len(CONVERGE_HEADER))
+    dataio.refuse_above_cap(len(schemes) * (args.iters + 1) * len(CONVERGE_HEADER),
+                            f"the table of --iters {args.iters}")
     w0 = np.zeros(obj.d)
     rows = []
     for scheme in schemes:

@@ -28,11 +28,11 @@ from .errors import EmptyDataset, ParseError
 
 Source = Union[str, TextIO, Iterable[str]]
 
-# Most entries of an array sized from user input, checked before allocating:
-# a parsed dense matrix and a synthetic design here, the d x d matrices of
-# every data subcommand in cli.load_data (so d <= 11,585), a fleet's outputs
-# in sketch.local_fleet and an output table in cli.check_table_size.  2^27
-# float64 entries are 1 GiB.
+# Most entries of an array sized from user input, checked before allocating
+# by refuse_above_cap (parse_libsvm's own ParseError names the line): a
+# synthetic design, the d x d matrices of every data subcommand (so d <=
+# 11,585), a fleet's outputs and an output table.  2^27 float64 entries are
+# 1 GiB.
 MAX_ENTRIES = 1 << 27
 
 # Lines per block of parse_libsvm.  A block of plain lines is converted at
@@ -45,6 +45,13 @@ BLOCK_LINES = 256
 _TOKEN_BYTES = bytes(c for c in range(0x21, 0x7F) if chr(c) not in ":#")
 # What the "surrogateescape" error handler makes of a byte that is not UTF-8
 _ESCAPED = re.compile("[\udc80-\udcff]")
+
+
+def refuse_above_cap(count: int, what: str) -> None:
+    """Raise ValueError naming ``what`` if it would hold more than
+    ``MAX_ENTRIES`` values; called before ``what`` is allocated."""
+    if count > MAX_ENTRIES:
+        raise ValueError(f"{what} would hold {count} values, more than {MAX_ENTRIES}")
 
 
 def _iter_lines(source: Source) -> Iterable[str]:
@@ -355,16 +362,15 @@ def synth_regression(n: int, d: int, noise_sd: float, seed: int) -> Dataset:
     Draws, in a fixed order from one seeded generator: the planted weight
     vector, ``default_rng(seed).standard_normal(d)``, then the n-by-d
     design, then the label noise.  The same seed always yields the same
-    instance.  A design of more than ``MAX_ENTRIES`` entries is refused
-    with a ValueError before the first draw.
+    instance.  A design past :func:`refuse_above_cap`, or a noise_sd that
+    is negative or not finite, is refused with a ValueError before the first
+    draw.
     """
     if n < 1 or d < 1:
         raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
-    if n * d > MAX_ENTRIES:
-        raise ValueError(f"a synthetic design of n={n} rows and d={d} columns would hold "
-                         f"{n * d} entries, more than {MAX_ENTRIES}")
-    if noise_sd < 0:
-        raise ValueError(f"noise_sd must be nonnegative, got {noise_sd}")
+    refuse_above_cap(n * d, f"a synthetic design of n={n} rows and d={d} columns")
+    if not 0 <= noise_sd < math.inf:
+        raise ValueError(f"noise_sd must be finite and nonnegative, got {noise_sd}")
     rng = np.random.default_rng(seed)
     w_planted = rng.standard_normal(d)
     X = rng.standard_normal((n, d))

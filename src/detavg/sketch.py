@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dataio import MAX_ENTRIES
+from .dataio import refuse_above_cap
 from .errors import InvalidSampleSize, NonFiniteResult, NotPositiveDefinite
 from .objective import Dataset, Objective, gram, gram_tail, hessian_rows
 
@@ -118,7 +118,7 @@ def _stream_keys(prefix: tuple[list[int], int], start: int, stop: int) -> np.nda
     Each pool word mixes in the hashed machine index and goes through the
     output hash, by the scalar formulas run on a uint32 array of machine
     indices.  A machine index is one 32-bit word, since a fleet holds at
-    most ``MAX_ENTRIES`` < 2^32 machines.
+    most ``dataio.MAX_ENTRIES`` < 2^32 machines.
     """
     pool, hash_const = prefix
     machines = np.arange(start, stop, dtype=np.uint32)
@@ -245,25 +245,20 @@ def local_fleet(
     built.  Returns those arrays for the whole fleet, row t for machine t,
     so the first m machines are the same whatever m is.
 
-    Raises InvalidSampleSize unless 1 <= k <= n, and ValueError naming m,
-    before the arrays are allocated, if they would hold more than
-    ``MAX_ENTRIES`` values (an m above it is refused before any draw).  A
-    ``NotPositiveDefinite`` from ``decompose``, or an output row that is not
-    finite (``NonFiniteResult``), names the (seed, trial, machine) triple
-    that replays the machine; an overflow on the way there raises no warning.
+    Raises InvalidSampleSize unless 1 <= k <= n, and the ValueError of
+    :func:`dataio.refuse_above_cap` naming m before the arrays are allocated
+    (an m past the cap before any draw).  A ``NotPositiveDefinite`` from
+    ``decompose``, or an output row that is not finite
+    (``NonFiniteResult``), names the (seed, trial, machine) triple that
+    replays the machine; an overflow on the way there raises no warning.
     A negative seed or trial raises ValueError before any draw, as
     ``SeedSequence`` does.
     """
     def where(t: int) -> str:
         return f"local matrix of (seed, trial, machine) = ({seed}, {trial}, {t})"
 
-    def refuse_above_cap(entries: int) -> None:
-        if entries > MAX_ENTRIES:
-            raise ValueError(f"a fleet of m={m} machines would store at least {entries} "
-                             f"values, more than {MAX_ENTRIES}")
-
     n, d = Z.shape
-    refuse_above_cap(m)
+    refuse_above_cap(m, f"a fleet of m={m} machines")
     threshold = _threshold(_rate(n, k))
     prefix = _stream_prefix(seed, trial)
     block = block_size(d * d)
@@ -291,7 +286,8 @@ def local_fleet(
                 raise NotPositiveDefinite(f"{where(t)} is not positive definite",
                                           index=t) from exc
             if not fleet:
-                refuse_above_cap(m * sum(out[0].size for out in outputs))
+                refuse_above_cap(m * sum(out[0].size for out in outputs),
+                                 f"a fleet of m={m} machines")
                 fleet = tuple(np.empty((m, *out.shape[1:])) for out in outputs)
             finite = np.ones(stop - start, dtype=bool)
             for whole, out in zip(fleet, outputs):

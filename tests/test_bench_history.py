@@ -34,3 +34,16 @@ def test_history_names_every_record_and_keeps_the_pair_summaries(capsys):
     names = [row["file"] for row in script.history(script.committed_files())]
     assert names == sorted(names, key=lambda name: int(name[6:-5]))
     assert {row["file"] for row in script.history(files)} == {path.name for path in files}
+
+
+# the keys every record from BENCH_25 on holds; extra keys are allowed
+RECORD_KEYS = {"what", "how", "claim", "env", "alternating_pairs", "verdicts", "workload_all"}
+
+
+def test_records_from_25_on_share_one_layout():
+    script = load_script()
+    recent = [path for path in script.committed_files() if script.pr_number(path) >= 25]
+    assert recent
+    for path in recent:
+        record = json.loads(path.read_text(encoding="utf-8"))
+        assert RECORD_KEYS <= record.keys(), (path.name, sorted(RECORD_KEYS - record.keys()))

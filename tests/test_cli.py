@@ -118,6 +118,14 @@ class TestNewtonSweep:
         assert meta["lambda"] == pytest.approx(1.0 / 120)  # auto default
         assert "threads" not in meta
 
+    def test_failed_sidecar_leaves_no_table(self, tmp_path, capsys):
+        (tmp_path / "o.meta.json").mkdir()
+        code, out = run(tmp_path, "o.csv", "newton-sweep", "--synth", "50,3,1.0", "--k", "10",
+                        "--m", "4", "--trials", "1")
+        assert code == 1
+        assert_one_line(capsys.readouterr().err, "error: ")
+        assert not out.exists()
+
     def test_single_scheme_filter(self, tmp_path):
         code, out = run(tmp_path, "u.csv", *sweep_args(scheme="uniform"))
         assert code == 0
@@ -465,6 +473,17 @@ class TestExitCodes:
         code, _ = run(tmp_path, "x.csv", *sweep_args(synth=None, dataset=str(tmp_path / "no.txt")))
         assert code == 1
 
+    @pytest.mark.parametrize("synth, message", [
+        ("50,3,nan", "noise_sd must be finite and nonnegative, got nan"),
+        ("50,3,inf", "noise_sd must be finite and nonnegative, got inf"),
+        ("5,-20000,1.0", "need n >= 1 and d >= 1, got n=5, d=-20000"),
+    ])
+    def test_bad_synth_is_refused_by_name(self, tmp_path, capsys, synth, message):
+        code, out = run(tmp_path, "x.csv", *sweep_args(synth=synth))
+        assert code == 1
+        assert_one_line(capsys.readouterr().err, f"error: {message}")
+        assert not out.exists()
+
     def test_malformed_dataset_reports_line(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
         path.write_text("1 1:1\noops\n")
@@ -546,7 +565,8 @@ class TestFleetBoundary:
         code = main(argv)
         elapsed = time.perf_counter() - t0
         assert code == 1
-        assert_one_line(capsys.readouterr().err, f"error: {flag} {HUGE_COUNT} would make a table")
+        assert_one_line(capsys.readouterr().err,
+                        f"error: the table of {flag} {HUGE_COUNT} would hold")
         assert elapsed < 0.5
         assert not out.exists()
 

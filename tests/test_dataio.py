@@ -778,8 +778,9 @@ def test_synth_regression_validation():
         synth_regression(0, 3, 0.1, seed=0)
     with pytest.raises(ValueError):
         synth_regression(5, 0, 0.1, seed=0)
-    with pytest.raises(ValueError):
-        synth_regression(5, 3, -0.1, seed=0)
+    for noise in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="noise_sd must be finite and nonnegative"):
+            synth_regression(5, 3, noise, seed=0)
     # a design past MAX_ENTRIES is refused before the first draw
     with pytest.raises(ValueError, match="more than"):
         synth_regression(10**9, 1000, 1.0, seed=0)

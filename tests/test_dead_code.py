@@ -1,11 +1,12 @@
-"""Dead-code guard: every function, method and class the package defines is used.
+"""Dead-code guard: every function, method, class and module-level name the
+package defines is used.
 
-A definition under ``src/detavg`` counts as used when its name appears
+A definition under ``src/detavg`` counts as used when its name is read
 somewhere in ``src/``, ``tests/``, ``demos/`` or ``bench/`` as a name, an
-attribute or an imported name, other than at the definition itself.  The
+attribute or an imported name; assigning a name is not a read.  The
 console scripts of ``pyproject.toml`` count as uses of their functions.
-Names are matched bare, so the guard reads the syntax tree only and never
-imports the package.
+``__all__`` and ``__version__`` are exempt.  Names are matched bare, so
+the guard reads the syntax tree only and never imports the package.
 """
 
 import ast
@@ -39,6 +40,25 @@ def definitions():
     return found
 
 
+def module_names():
+    """(file, name) of every name assigned at the top level of a module,
+    other than ``__all__`` and ``__version__``."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in parse(path).body:
+            if isinstance(stmt, ast.Assign):
+                targets = stmt.targets
+            elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
+                targets = [stmt.target]
+            else:
+                continue
+            for target in targets:
+                for node in ast.walk(target):
+                    if isinstance(node, ast.Name) and node.id not in ("__all__", "__version__"):
+                        found.append((path.name, node.id))
+    return found
+
+
 def script_targets():
     """Function names that ``[project.scripts]`` of pyproject.toml points at."""
     names, inside = set(), False
@@ -56,7 +76,7 @@ def used_names():
     for top in SEARCHED:
         for path in sorted((ROOT / top).rglob("*.py")):
             for node in ast.walk(parse(path)):
-                if isinstance(node, ast.Name):
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                     names.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     names.add(node.attr)
@@ -74,3 +94,9 @@ def test_every_definition_is_used():
     unused = [f"{file}: {qualified}" for file, qualified, name in definitions()
               if name not in used]
     assert unused == [], "defined under src/detavg but used nowhere:\n" + "\n".join(unused)
+
+
+def test_every_module_name_is_read():
+    used = used_names()
+    unread = [f"{file}: {name}" for file, name in module_names() if name not in used]
+    assert unread == [], "assigned under src/detavg but read nowhere:\n" + "\n".join(unread)
