@@ -8,7 +8,9 @@ Usage::
 Runs a fixed list of argv through ``detavg.cli.main`` from inside OUTDIR,
 so every CSV, every ``newton-sweep`` sidecar and the two data files they
 read (a dense d=65 file and a sparse one with comments, a blank line and
-tabs) land there, and the sidecars record relative paths only.  The
+tabs) land there, and the sidecars record relative paths only.  The parse
+cache that the CLI writes there beside the d=65 file is no output, and
+neither ``--compare`` nor the digest test reads it.  The
 ``verify-identities`` runs print their report instead, and each one's
 standard output is written to a ``.txt`` file there.  It takes a few
 seconds on one core.  Run it at two commits into two directories, then
@@ -32,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from detavg import dataio
-from detavg.cli import main
+from detavg.cli import cache_path, main
 from detavg.objective import Dataset
 
 DESK = "2000,10,1.0"  # the acceptance instance: n=2000, d=10, unit noise
@@ -154,8 +156,17 @@ def describe(old: Path, new: Path) -> str:
             f"largest relative move {max(moves, default=0.0):.2g}")
 
 
+def outputs(outdir: Path) -> list[Path]:
+    """The files in ``outdir``, sorted, but for the parse cache that the CLI
+    writes beside a --dataset file (see ``detavg.cli.cache_path``), which is
+    no output."""
+    files = sorted(outdir.iterdir())
+    caches = {cache_path(path) for path in files}
+    return [path for path in files if path not in caches]
+
+
 def compare(old_dir: Path, new_dir: Path) -> int:
-    names = sorted({p.name for p in old_dir.iterdir()} | {p.name for p in new_dir.iterdir()})
+    names = sorted({p.name for p in outputs(old_dir)} | {p.name for p in outputs(new_dir)})
     lines = [(name, describe(old_dir / name, new_dir / name)) for name in names]
     width = max(len(name) for name in names)
     for name, line in lines:

@@ -27,6 +27,8 @@ and the three einsum sums at n = 200,000 and m = 100,000.
 Trials run one after another in this process; ``--threads`` is still
 accepted by the three data subcommands so older command lines keep
 working, but it has no effect.
+A ``--dataset`` FILE's parse is cached beside it as ``.FILE.detavg-cache``
+and read back only for the same bytes of FILE and of ``dataio.py``.
 Exit codes: 0 on success, 1 for validation problems, 2 for numerical
 failures.
 """
@@ -121,12 +123,106 @@ def parse_synth(text: str) -> tuple[int, int, float]:
         raise ValueError(f"--synth expects N,D,NOISE, got {text!r}") from None
 
 
+def _sha256(path) -> bytes:
+    import hashlib  # here, not at the top: it adds 1.9 ms to every import
+
+    h = hashlib.sha256()
+    with open(path, "rb") as f:
+        for chunk in iter(lambda: f.read(1 << 20), b""):
+            h.update(chunk)
+    return h.digest()
+
+
+# A parse of --dataset FILE is cached beside it as .FILE.detavg-cache: this
+# magic, the sha256 of FILE's bytes and of dataio.py's, n and d as 8-byte
+# little-endian integers, then y and X as little-endian float64
+CACHE_MAGIC = b"detavg parse v1\n"
+_KEY_BYTES = len(CACHE_MAGIC) + 64
+_HEADER_BYTES = _KEY_BYTES + 16
+
+
+def _cache_key(path) -> bytes:
+    return CACHE_MAGIC + _sha256(path) + _sha256(dataio.__file__)
+
+
+def cache_path(path) -> Path:
+    """Where the parse of the --dataset file ``path`` is cached."""
+    return Path(path).with_name(f".{Path(path).name}.detavg-cache")
+
+
+def _cache_of(path: str) -> tuple[Path, bytes] | None:
+    """The cache path of a regular file and the key its header must start
+    with, or None, having hashed nothing, for any other path: a FIFO, a
+    missing file, or a name under /dev or /proc (``/dev/stdin``), which is a
+    stream however it stats."""
+    if (Path(os.path.abspath(path)).parts[1:2] in (("dev",), ("proc",))
+            or not os.path.isfile(path)):
+        return None
+    return cache_path(path), _cache_key(path)
+
+
+def _read_cache(name: Path, key: bytes) -> Dataset | None:
+    """The cached parse, or None unless ``name`` is a regular file whose
+    header starts with ``key`` and whose payload holds exactly the n (d + 1)
+    values that its header gives."""
+    try:
+        if not os.path.isfile(name):
+            return None
+        with open(name, "rb") as f:
+            head = f.read(_HEADER_BYTES)
+            if len(head) != _HEADER_BYTES or head[:_KEY_BYTES] != key:
+                return None
+            values = np.fromfile(f, dtype="<f8")
+    except OSError:
+        return None
+    n, d = (int.from_bytes(head[i:i + 8], "little") for i in (_KEY_BYTES, _KEY_BYTES + 8))
+    if values.size != n * (d + 1):
+        return None
+    return Dataset(X=values[n:].reshape(n, d), y=values[:n])
+
+
+def _write_cache(path: str, name: Path, key: bytes, data: Dataset) -> None:
+    """Cache the parse ``data`` of ``path`` as ``name``, if the file still
+    has the key it was parsed with and the cache is no larger than the
+    file.  It is written to a temporary file beside ``name``, then renamed
+    over it or removed; an OSError, as in a read-only directory, skips it."""
+    import tempfile
+
+    n, d = data.X.shape
+    try:
+        if _HEADER_BYTES + 8 * n * (d + 1) > os.path.getsize(path) or _cache_key(path) != key:
+            return
+        fd, tmp = tempfile.mkstemp(prefix=f"{name.name}.", dir=name.parent)
+        try:
+            with open(fd, "wb") as f:
+                f.write(key + n.to_bytes(8, "little") + d.to_bytes(8, "little"))
+                f.write(data.y.astype("<f8", copy=False))
+                f.write(data.X.astype("<f8", copy=False))
+            os.replace(tmp, name)
+        finally:
+            if os.path.lexists(tmp):
+                os.unlink(tmp)
+    except OSError:
+        pass
+
+
 def load_data(args, seed: int) -> tuple[Dataset, dict]:
+    """The data of a data subcommand and its source for the sidecar.  A
+    --dataset file is read from its parse cache when that holds a parse of
+    the same bytes by the same parser (see :func:`_read_cache`), and parsed
+    otherwise; either way its d x d matrices are refused past the cap, and
+    a parse is cached only after that check."""
     if (args.dataset is None) == (args.synth is None):
         raise ValueError("exactly one of --dataset or --synth is required")
     if args.dataset is not None:
-        data = dataio.load_libsvm(args.dataset)
+        cache = _cache_of(args.dataset)
+        data = _read_cache(*cache) if cache else None
+        parsed = data is None
+        if parsed:
+            data = dataio.load_libsvm(args.dataset)
         dataio.refuse_above_cap(data.d ** 2, f"d={data.d} features: a {data.d}x{data.d} matrix")
+        if cache and parsed:
+            _write_cache(args.dataset, *cache, data)
         return data, {"dataset": args.dataset}
     n, d, noise = parse_synth(args.synth)
     # a d below 1 makes no matrix; synth_regression refuses it by name
@@ -222,9 +318,11 @@ def cmd_newton_converge(args) -> int:
                             f"the table of --iters {args.iters}")
     w0 = np.zeros(obj.d)
     rows = []
+    w_star = None  # the first scheme's run finds it for every scheme
     for scheme in schemes:
         cfg = MachineConfig(m=m_list[0], k=args.k, scheme=scheme)
-        traj = run_distributed_newton(obj, w0, args.iters, cfg, seed)
+        traj = run_distributed_newton(obj, w0, args.iters, cfg, seed, w_star=w_star)
+        w_star = traj.w_star
         for i in range(len(traj.dist_to_opt)):
             rows.append((i, float(traj.dist_to_opt[i]), float(traj.losses[i]), traj.scheme))
     write_csv(Path(args.out), CONVERGE_HEADER, rows)

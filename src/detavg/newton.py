@@ -235,19 +235,22 @@ def run_distributed_newton(
     iters: int,
     cfg: MachineConfig,
     seed: int,
+    w_star: np.ndarray | None = None,
 ) -> Trajectory:
     """Iterate w <- w - (merged step of cfg.m machines) for ``iters`` rounds.
 
     Iteration i draws fresh masks from streams keyed by (seed, i, machine),
     so its step is :func:`merged_step`'s at trial i, without the exact step
     and the errors that :func:`merged_step` computes against it.
-    Distances are measured to the minimizer found by exact Newton iteration
-    driven to gradient norm 1e-12 relative to the first (see
-    :func:`exact_minimizer`).
+    Distances are measured to ``w_star``, by default the minimizer found by
+    exact Newton iteration driven to gradient norm 1e-12 relative to the
+    first (see :func:`exact_minimizer`); a caller that has it from an
+    earlier run on ``obj`` passes it in.
     """
     if iters < 1:
         raise ValueError(f"need at least one iteration, got {iters}")
-    w_star = exact_minimizer(obj)
+    if w_star is None:
+        w_star = exact_minimizer(obj)
     w = np.asarray(w0, dtype=float).copy()
     iterates = [w.copy()]
     for i in range(iters):

@@ -1,6 +1,7 @@
 """Command-line interface: output contracts, determinism, exit codes."""
 
 import csv
+import errno
 import gc
 import io
 import json
@@ -10,6 +11,8 @@ import re
 import resource
 import subprocess
 import sys
+import tempfile
+import threading
 import time
 import tracemalloc
 from argparse import Namespace
@@ -22,9 +25,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import detavg
-from detavg import cli
+from detavg import cli, newton
 from detavg.cli import main, write_csv
-from detavg.dataio import serialize_libsvm, synth_regression
+from detavg.dataio import (
+    expand_degree2,
+    parse_libsvm,
+    serialize_libsvm,
+    standardize,
+    synth_regression,
+)
 from detavg.errors import NonFiniteResult, NotPositiveDefinite
 from detavg.newton import local_newton_estimate
 from detavg.objective import Dataset, LossKind, Objective
@@ -240,15 +249,23 @@ ACYCLIC_ARGV = [
     ["verify-identities", "--models", "3", "--max-n", "3", "--max-d", "2"],
     ["uq-sweep", "--synth", "40,2,1.0", "--k", "10", "--m", "2,4", "--trials", "2"],
     ["newton-converge", "--synth", "40,2,1.0", "--k", "10", "--m", "4", "--iters", "2"],
+    # the first call parses and caches data.svm, so the second reads the cache
+    ["newton-converge", "--dataset", "data.svm", "--k", "10", "--m", "4", "--iters", "2"],
 ]
 
 
-@pytest.mark.parametrize("argv", ACYCLIC_ARGV, ids=lambda argv: argv[0])
-def test_a_call_leaves_no_cyclic_garbage(tmp_path, capsys, argv):
+@pytest.mark.parametrize("argv", ACYCLIC_ARGV,
+                         ids=lambda argv: argv[0] + ("-dataset" if "--dataset" in argv else ""))
+def test_a_call_leaves_no_cyclic_garbage(tmp_path, capsys, monkeypatch, argv):
     # the parser is built once per process, so a warm call makes no cycle
     if argv[0] != "verify-identities":
         argv = [*argv, "--out", str(tmp_path / "o.csv")]
+    if "--dataset" in argv:
+        monkeypatch.chdir(tmp_path)
+        small_file(tmp_path / "data.svm", n=40, d=2)
     assert main(argv) == 0
+    if "--dataset" in argv:
+        assert cli.cache_path("data.svm").exists()
     enabled = gc.isenabled()
     gc.collect()
     gc.disable()
@@ -416,6 +433,24 @@ class TestNewtonConverge:
         ])
         assert code == 0
         assert len(out.read_text().splitlines()) == 1 + 4
+
+    def test_both_schemes_share_one_exact_minimizer(self, tmp_path, monkeypatch):
+        calls = []
+        exact_minimizer = newton.exact_minimizer
+        monkeypatch.setattr(newton, "exact_minimizer",
+                            lambda obj: calls.append(obj) or exact_minimizer(obj))
+        argv = ["newton-converge", "--synth", "150,3,0.5", "--loss", "logistic", "--k", "50",
+                "--m", "8", "--iters", "3", "--seed", "2"]
+        tables = {}
+        for scheme in ("both", "determinantal", "uniform"):
+            code, out = run(tmp_path, f"{scheme}.csv", *argv, "--scheme", scheme)
+            assert code == 0
+            tables[scheme] = out.read_text().splitlines()
+            if scheme == "both":
+                assert len(calls) == 1
+        # the rows of the two one-scheme runs, one after the other
+        header, *det = tables["determinantal"]
+        assert tables["both"] == [header, *det, *tables["uniform"][1:]]
 
     def test_multiple_m_rejected(self, tmp_path):
         code = main([
@@ -618,6 +653,193 @@ class TestWideData:
         else:
             with pytest.raises(ValueError, match=f"d={d} features"):
                 cli.load_data(args, 0)
+
+
+def small_file(path, seed=0, n=20, d=3):
+    """A dense file of n standard normal rows in d columns, whose text (about
+    20 characters an entry) is larger than its parse cache (8 bytes an
+    entry and a 96-byte header)."""
+    rng = np.random.default_rng(seed)
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(serialize_libsvm(Dataset(X=rng.standard_normal((n, d)),
+                                             y=rng.standard_normal(n))))
+    return path
+
+
+def load(path):
+    return cli.load_data(Namespace(dataset=str(path), synth=None), 0)[0]
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The paths that load_data parses, in order."""
+    calls = []
+    load_libsvm = cli.dataio.load_libsvm
+    monkeypatch.setattr(cli.dataio, "load_libsvm",
+                        lambda path: calls.append(path) or load_libsvm(path))
+    return calls
+
+
+def names(directory):
+    return sorted(path.name for path in directory.iterdir())
+
+
+class TestParseCache:
+    @pytest.mark.parametrize("command", [
+        ["newton-sweep", "--k", "100", "--m", "4,8", "--trials", "2"],
+        ["uq-sweep", "--k", "150", "--m", "4,8", "--trials", "2"],
+        ["newton-converge", "--loss", "logistic", "--k", "150", "--m", "8", "--iters", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_a_hit_writes_the_bytes_of_a_cold_parse(self, tmp_path, parses, command):
+        # a standardized degree-2 expansion, d = 65, as the benchmark's file
+        base = synth_regression(300, 10, 1.0, seed=0)
+        path = tmp_path / "d65.svm"
+        path.write_text(serialize_libsvm(Dataset(X=standardize(expand_degree2(base)).X,
+                                                 y=base.y)))
+        outputs = []
+        for name in ("cold", "hit"):
+            (tmp_path / name).mkdir()
+            out = tmp_path / name / "o.csv"
+            assert main([*command, "--dataset", str(path), "--seed", "1", "--out", str(out)]) == 0
+            outputs.append([(p.name, p.read_bytes()) for p in sorted(out.parent.iterdir())])
+        assert len(parses) == 1 and cli.cache_path(path).exists()
+        assert outputs[0] == outputs[1]
+
+    def test_an_edit_that_keeps_size_and_mtime_is_reparsed(self, tmp_path, parses):
+        path = small_file(tmp_path / "s.svm")
+        before = load(path)
+        stat = path.stat()
+        text = path.read_text()
+        at = re.search("[1-9]", text).start()
+        edited = text[:at] + ("2" if text[at] == "1" else "1") + text[at + 1:]
+        path.write_text(edited)
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert path.stat().st_size == stat.st_size
+        after = load(path)
+        assert len(parses) == 2
+        assert not np.array_equal(after.X, before.X) or not np.array_equal(after.y, before.y)
+        want = parse_libsvm(edited)
+        assert np.array_equal(after.X, want.X) and np.array_equal(after.y, want.y)
+        load(path)
+        assert len(parses) == 2  # the edit's parse was cached
+
+    @pytest.mark.parametrize("keep", [-8, 50, 0], ids=["payload", "header", "empty"])
+    def test_a_truncated_cache_is_reparsed_and_rewritten(self, tmp_path, parses, keep):
+        path = small_file(tmp_path / "s.svm")
+        cold = load(path)
+        cache = cli.cache_path(path)
+        full = cache.read_bytes()
+        cache.write_bytes(full[:keep])
+        data = load(path)
+        assert len(parses) == 2
+        assert np.array_equal(data.X, cold.X) and np.array_equal(data.y, cold.y)
+        assert cache.read_bytes() == full
+        hit = load(path)
+        assert len(parses) == 2
+        assert np.array_equal(hit.X, cold.X) and np.array_equal(hit.y, cold.y)
+
+    def test_a_file_edited_during_its_parse_is_not_cached(self, tmp_path, monkeypatch):
+        path = small_file(tmp_path / "s.svm")
+        load_libsvm = cli.dataio.load_libsvm
+
+        def parse_then_edit(name):
+            data = load_libsvm(name)
+            small_file(path, seed=1)
+            return data
+
+        monkeypatch.setattr(cli.dataio, "load_libsvm", parse_then_edit)
+        load(path)
+        assert names(tmp_path) == ["s.svm"]
+
+    def test_a_cache_of_another_parser_is_a_miss(self, tmp_path, parses):
+        path = small_file(tmp_path / "s.svm")
+        load(path)
+        cache = cli.cache_path(path)
+        full = cache.read_bytes()
+        at = len(cli.CACHE_MAGIC) + 32  # the parser's digest follows the file's
+        cache.write_bytes(full[:at] + bytes(32) + full[at + 32:])
+        load(path)
+        assert len(parses) == 2
+        assert cache.read_bytes() == full
+
+    @pytest.mark.parametrize("fault", ["mkstemp", "replace"])
+    def test_a_directory_that_cannot_be_written_runs_without_a_cache(self, tmp_path,
+                                                                      monkeypatch, fault):
+        # a read-only directory refuses the temporary file, as it would
+        # whatever the user (root writes there anyway); a failed rename
+        # must not leave the temporary file behind
+        def refuse(*args, **kwargs):
+            raise PermissionError(errno.EACCES, "Permission denied")
+
+        monkeypatch.setattr(tempfile if fault == "mkstemp" else os, fault, refuse)
+        path = small_file(tmp_path / "data" / "s.svm")
+        assert main(["uq-sweep", "--dataset", str(path), "--k", "10", "--m", "2",
+                     "--trials", "1", "--out", str(tmp_path / "o.csv")]) == 0
+        assert names(path.parent) == ["s.svm"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
+    def test_a_fifo_is_parsed_and_never_hashed(self, tmp_path, monkeypatch):
+        def hash_nothing(path):
+            raise AssertionError(f"hashed {path}")
+
+        monkeypatch.setattr(cli, "_sha256", hash_nothing)
+        text = small_file(tmp_path / "s.svm").read_text()
+        fifo = tmp_path / "stream"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+        writer.start()
+        data = load(fifo)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        want = parse_libsvm(text)
+        assert np.array_equal(data.X, want.X) and np.array_equal(data.y, want.y)
+        assert names(tmp_path) == ["s.svm", "stream"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin here")
+    def test_dev_stdin_is_parsed_and_never_hashed(self, tmp_path):
+        # redirected from a regular file, /dev/stdin stats as one
+        path = small_file(tmp_path / "s.svm")
+        script = ("import sys; from detavg import cli; cli._sha256 = None; "
+                  "sys.exit(cli.main(sys.argv[1:]))")
+        src = str(Path(detavg.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        with open(path) as stdin:
+            proc = subprocess.run(
+                [sys.executable, "-c", script, "uq-sweep", "--dataset", "/dev/stdin", "--k", "10",
+                 "--m", "2", "--trials", "1", "--out", "o.csv"],
+                stdin=stdin, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert names(tmp_path) == ["o.csv", "s.svm"]
+
+    def test_a_file_that_fails_to_parse_leaves_no_cache(self, tmp_path, capsys):
+        path = small_file(tmp_path / "s.svm")
+        path.write_text(path.read_text() + "1 1:x\n")
+        assert main(["uq-sweep", "--dataset", str(path), "--k", "1", "--m", "2",
+                     "--out", str(tmp_path / "o.csv")]) == 1
+        assert_one_line(capsys.readouterr().err, "error: line 21: bad pair '1:x'")
+        assert names(tmp_path) == ["s.svm"]
+
+    def test_the_d2_cap_refuses_a_hit_as_it_refuses_a_parse(self, tmp_path, monkeypatch,
+                                                            parses, capsys):
+        # a cap of 20 parses 2 x 8 entries and refuses the 8 x 8 matrices
+        path = small_file(tmp_path / "w.svm", n=2, d=8)
+        cap = cli.dataio.MAX_ENTRIES
+        monkeypatch.setattr(cli.dataio, "MAX_ENTRIES", 20)
+        with pytest.raises(ValueError, match="d=8 features") as cold:
+            load(path)
+        assert names(tmp_path) == ["w.svm"]
+        monkeypatch.setattr(cli.dataio, "MAX_ENTRIES", cap)
+        load(path)
+        assert cli.cache_path(path).exists()
+        monkeypatch.setattr(cli.dataio, "MAX_ENTRIES", 20)
+        with pytest.raises(ValueError) as hit:
+            load(path)
+        assert len(parses) == 2 and str(hit.value) == str(cold.value)
+        assert main(["uq-sweep", "--dataset", str(path), "--k", "1", "--m", "2",
+                     "--out", str(tmp_path / "o.csv")]) == 1
+        assert len(parses) == 2
+        assert_one_line(capsys.readouterr().err, f"error: {cold.value}")
 
 
 SCALARS = ["0", "1", "-1", "inf", "-inf", "nan", "1e300", "-1e300", "1e-300", "1e-320"]

@@ -784,3 +784,22 @@ def test_synth_regression_validation():
     # a design past MAX_ENTRIES is refused before the first draw
     with pytest.raises(ValueError, match="more than"):
         synth_regression(10**9, 1000, 1.0, seed=0)
+
+
+def test_a_count_at_the_cap_passes_and_one_past_it_is_refused():
+    # "more than 2^27 values": a count of exactly MAX_ENTRIES is allowed
+    dataio.refuse_above_cap(MAX_ENTRIES, "a table")
+    with pytest.raises(ValueError, match=f"a table would hold {MAX_ENTRIES + 1} values"):
+        dataio.refuse_above_cap(MAX_ENTRIES + 1, "a table")
+
+
+def test_parse_accepts_a_matrix_at_the_cap_and_refuses_one_entry_past_it(monkeypatch):
+    # both checks read the module global at call time, so a cap of 12
+    # stands in for 2^27: 3 labels x width 4 is exactly at it
+    text = "1 1:1\n2 4:2\n3 2:3\n"
+    monkeypatch.setattr(dataio, "MAX_ENTRIES", 12)
+    data = parse_libsvm(text)
+    assert (data.n, data.d) == (3, 4)
+    monkeypatch.setattr(dataio, "MAX_ENTRIES", 11)
+    with pytest.raises(ParseError, match="line 2: index 4 makes a 3 x 4 matrix, over the cap"):
+        parse_libsvm(text)

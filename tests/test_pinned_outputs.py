@@ -23,12 +23,13 @@ import platform
 import subprocess
 import sys
 import tempfile
+from argparse import Namespace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from detavg.cli import build_parser
+from detavg.cli import build_parser, cache_path, load_data
 from detavg.oracle import random_model
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -67,6 +68,23 @@ def test_compare_reports_identical_moved_and_missing_files(tmp_path, capsys):
     for name in ("moved.csv", "side.json"):
         (new / name).write_bytes((old / name).read_bytes())
     assert script.run(["--compare", str(old), str(new)]) == 0
+
+
+def test_outputs_leave_out_exactly_the_parse_cache_of_a_data_file(tmp_path):
+    for name in ("d65.svm", ".d65.svm.detavg-cache", ".gone.svm.detavg-cache", "o.csv"):
+        (tmp_path / name).write_text("")
+    assert cache_path(tmp_path / "d65.svm") == tmp_path / ".d65.svm.detavg-cache"
+    assert [path.name for path in load_script().outputs(tmp_path)] == [
+        ".gone.svm.detavg-cache", "d65.svm", "o.csv"]
+
+
+def test_the_sparse_file_is_never_cached(tmp_path):
+    # its dense matrix, 700 x 40 float64 entries, is larger than its text
+    path = tmp_path / "sparse.svm"
+    load_script().write_sparse(path)
+    data = load_data(Namespace(dataset=str(path), synth=None), 0)[0]
+    assert data.X.nbytes > path.stat().st_size
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sparse.svm"]
 
 
 def test_every_run_parses_under_the_cli(capsys):
@@ -125,13 +143,15 @@ def blas_env(threads: int) -> dict[str, str]:
 
 
 def pinned_run(outdir: Path, threads: int) -> dict[str, str]:
-    """sha256 of every file the script writes into ``outdir``, run in a
-    fresh process at ``threads`` BLAS threads."""
+    """sha256 of every output the script writes into ``outdir``, run in a
+    fresh process at ``threads`` BLAS threads: every file there but the
+    parse cache of a data file, whose header holds the digest of
+    ``dataio.py`` and so moves with any edit of the parser."""
     proc = subprocess.run([sys.executable, str(SCRIPT), str(outdir)], env=blas_env(threads),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in sorted(outdir.iterdir())}
+            for path in load_script().outputs(outdir)}
 
 
 def differing(a: dict[str, str], b: dict[str, str]) -> list[str]:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detavg import sketch
+from detavg import sketch, uq
 from detavg.averaging import LocalEstimate, combine_determinantal
 from detavg.cli import main
 from detavg.dataio import synth_regression
@@ -21,6 +21,7 @@ from detavg.uq import (
     _estimates,
     _fleet_estimate,
     _local_spectra,
+    _spectra,
     _statistic_of_inverse,
     estimate_precision_statistic,
     exact_statistic,
@@ -219,6 +220,40 @@ def test_non_positive_ridged_eigenvalue_names_the_machine():
     spectra = _local_spectra(data, 2, 1.0, 8, 5, 2, Statistic.TRACE)
     first_bad = [t for t in range(8) if spectra[0][t].min() + 1e-300 / np.sqrt(8) <= 0]
     assert machine == first_bad[0]
+
+
+@pytest.mark.parametrize("statistic", list(Statistic))
+def test_precision_floor_refuses_at_d_over_float_max_and_accepts_just_above(statistic):
+    # machine 1 has the exact smallest eigenvalue 0, so its ridged one is
+    # the ridge itself; a ridge at the floor d / float max is refused, the
+    # next float up is accepted and gives a finite value
+    floor = 2 / np.finfo(float).max
+    stack = np.array([np.eye(2), np.diag([0.0, 1.0]), np.eye(2)])
+    with pytest.raises(NotPositiveDefinite) as info:
+        _spectra(stack.copy(), floor, statistic)
+    assert info.value.index == 1
+    above = np.nextafter(floor, np.inf)
+    values, log_dets = _estimates(_spectra(stack.copy(), above, statistic), above, statistic)
+    assert np.isfinite(values).all() and np.isfinite(log_dets).all()
+    assert np.max(values[1]) > 1e307  # 1 / ridge, about float max / 2
+
+
+@pytest.mark.parametrize("statistic", list(Statistic))
+def test_fleet_checks_the_floor_at_its_smallest_ridge_eta_over_sqrt_m(monkeypatch, statistic):
+    # planted covariances of 16 machines, machine 5's smallest eigenvalue
+    # -0.001: eta = 0.008 puts it between -eta/sqrt(m) = -0.002 and
+    # -eta/m = -0.0005, so the fleet's smallest ridge lifts it; eta = 0.002
+    # puts it below -eta/sqrt(m) = -0.0005, and machine 5 is refused
+    stack = np.array([np.eye(2)] * 16)
+    stack[5] = np.diag([-0.001, 1.0])
+    monkeypatch.setattr(uq, "local_fleet", lambda Z, f, ridge, decompose, k, m, seed, trial:
+                        decompose(stack.copy()))
+    data = gaussian_data(0, n=20, d=2)
+    spectra = _local_spectra(data, 5, 0.008, 16, 0, 0, statistic)
+    assert np.isfinite(_fleet_estimate(spectra, 16, 0.008, statistic)).all()
+    with pytest.raises(NotPositiveDefinite) as info:
+        _local_spectra(data, 5, 0.002, 16, 0, 0, statistic)
+    assert info.value.index == 5
 
 
 def test_machine_a_sweep_names_fails_the_same_way_on_replay(tmp_path, capsys):
