@@ -28,7 +28,8 @@ Trials run one after another in this process; ``--threads`` is still
 accepted by the three data subcommands so older command lines keep
 working, but it has no effect.
 A ``--dataset`` FILE's parse is cached beside it as ``.FILE.detavg-cache``
-and read back only for the same bytes of FILE and of ``dataio.py``.
+and read back only for the same bytes of FILE and of ``dataio.py``, and
+only if the user who runs owns the cache and no one else can write it.
 Exit codes: 0 on success, 1 for validation problems, 2 for numerical
 failures.
 """
@@ -135,8 +136,8 @@ def _sha256(path) -> bytes:
 
 # A parse of --dataset FILE is cached beside it as .FILE.detavg-cache: this
 # magic, the sha256 of FILE's bytes and of dataio.py's, n and d as 8-byte
-# little-endian integers, then y and X as little-endian float64
-CACHE_MAGIC = b"detavg parse v1\n"
+# little-endian integers, then X and y as little-endian float64
+CACHE_MAGIC = b"detavg parse v2\n"
 _KEY_BYTES = len(CACHE_MAGIC) + 64
 _HEADER_BYTES = _KEY_BYTES + 16
 
@@ -162,13 +163,20 @@ def _cache_of(path: str) -> tuple[Path, bytes] | None:
 
 
 def _read_cache(name: Path, key: bytes) -> Dataset | None:
-    """The cached parse, or None unless ``name`` is a regular file whose
-    header starts with ``key`` and whose payload holds exactly the n (d + 1)
-    values that its header gives."""
+    """The cached parse, or None unless ``name`` is a regular file that this
+    user owns and no one else can write, whose header starts with ``key``
+    and whose payload holds exactly the n (d + 1) values that its header
+    gives.  The key is computed from bytes anyone can read, so a cache that
+    another user could have written is never trusted."""
+    import stat
+
     try:
-        if not os.path.isfile(name):
-            return None
-        with open(name, "rb") as f:
+        # nonblocking, so that a FIFO under the name cannot stall the run
+        with open(os.open(name, os.O_RDONLY | os.O_NONBLOCK), "rb") as f:
+            st = os.fstat(f.fileno())
+            if (not stat.S_ISREG(st.st_mode) or st.st_uid != os.geteuid()
+                    or st.st_mode & (stat.S_IWGRP | stat.S_IWOTH)):
+                return None
             head = f.read(_HEADER_BYTES)
             if len(head) != _HEADER_BYTES or head[:_KEY_BYTES] != key:
                 return None
@@ -178,7 +186,9 @@ def _read_cache(name: Path, key: bytes) -> Dataset | None:
     n, d = (int.from_bytes(head[i:i + 8], "little") for i in (_KEY_BYTES, _KEY_BYTES + 8))
     if values.size != n * (d + 1):
         return None
-    return Dataset(X=values[n:].reshape(n, d), y=values[:n])
+    # X starts the fresh buffer and y is copied out, so each is allocated
+    # as a cold parse allocates it, whatever n and d
+    return Dataset(X=values[:n * d].reshape(n, d), y=values[n * d:].copy())
 
 
 def _write_cache(path: str, name: Path, key: bytes, data: Dataset) -> None:
@@ -196,8 +206,8 @@ def _write_cache(path: str, name: Path, key: bytes, data: Dataset) -> None:
         try:
             with open(fd, "wb") as f:
                 f.write(key + n.to_bytes(8, "little") + d.to_bytes(8, "little"))
-                f.write(data.y.astype("<f8", copy=False))
                 f.write(data.X.astype("<f8", copy=False))
+                f.write(data.y.astype("<f8", copy=False))
             os.replace(tmp, name)
         finally:
             if os.path.lexists(tmp):

@@ -690,9 +690,11 @@ class TestParseCache:
         ["uq-sweep", "--k", "150", "--m", "4,8", "--trials", "2"],
         ["newton-converge", "--loss", "logistic", "--k", "150", "--m", "8", "--iters", "2"],
     ], ids=lambda argv: argv[0])
-    def test_a_hit_writes_the_bytes_of_a_cold_parse(self, tmp_path, parses, command):
+    # an odd n puts y 8 bytes past a 16-byte boundary of the cache buffer
+    @pytest.mark.parametrize("n", [300, 301])
+    def test_a_hit_writes_the_bytes_of_a_cold_parse(self, tmp_path, parses, command, n):
         # a standardized degree-2 expansion, d = 65, as the benchmark's file
-        base = synth_regression(300, 10, 1.0, seed=0)
+        base = synth_regression(n, 10, 1.0, seed=0)
         path = tmp_path / "d65.svm"
         path.write_text(serialize_libsvm(Dataset(X=standardize(expand_degree2(base)).X,
                                                  y=base.y)))
@@ -761,6 +763,48 @@ class TestParseCache:
         load(path)
         assert len(parses) == 2
         assert cache.read_bytes() == full
+
+    @pytest.mark.parametrize("plant", ["owner", "group-writable", "world-writable"])
+    def test_a_cache_another_user_could_write_is_a_miss(self, tmp_path, monkeypatch, parses,
+                                                        plant):
+        # anyone can compute the key from the public bytes of the file and
+        # the parser, so only the owner's own cache, writable by no one
+        # else, is read; a cache of another user's is never read however
+        # often it is rewritten
+        path = small_file(tmp_path / "s.svm")
+        cold = load(path)
+        cache = cli.cache_path(path)
+        if plant == "owner":
+            uid = cache.stat().st_uid
+            monkeypatch.setattr(os, "geteuid", lambda: uid + 1)
+        else:
+            cache.chmod(0o620 if plant == "group-writable" else 0o606)
+        data = load(path)
+        assert len(parses) == 2
+        assert np.array_equal(data.X, cold.X) and np.array_equal(data.y, cold.y)
+        assert cache.stat().st_mode & 0o777 == 0o600
+        load(path)
+        assert len(parses) == (3 if plant == "owner" else 2)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
+    def test_a_fifo_under_the_cache_name_is_a_miss_that_does_not_block(self, tmp_path,
+                                                                       parses):
+        path = small_file(tmp_path / "s.svm")
+        cache = cli.cache_path(path)
+        os.mkfifo(cache)
+        loaded = []
+        reader = threading.Thread(target=lambda: loaded.append(load(path)), daemon=True)
+        reader.start()
+        reader.join(timeout=30)
+        if reader.is_alive():
+            os.close(os.open(cache, os.O_WRONLY | os.O_NONBLOCK))  # let the reader go
+            reader.join(timeout=30)
+            pytest.fail("opening the FIFO under the cache name stalled the run")
+        cold = loaded[0]
+        assert len(parses) == 1 and cache.is_file()
+        hit = load(path)
+        assert len(parses) == 1
+        assert np.array_equal(hit.X, cold.X) and np.array_equal(hit.y, cold.y)
 
     @pytest.mark.parametrize("fault", ["mkstemp", "replace"])
     def test_a_directory_that_cannot_be_written_runs_without_a_cache(self, tmp_path,
