@@ -195,11 +195,16 @@ def _write_cache(path: str, name: Path, key: bytes, data: Dataset) -> None:
     """Cache the parse ``data`` of ``path`` as ``name``, if the file still
     has the key it was parsed with and the cache is no larger than the
     file.  It is written to a temporary file beside ``name``, then renamed
-    over it or removed; an OSError, as in a read-only directory, skips it."""
+    over it or removed; an OSError, as in a read-only directory, skips it.
+    Another user's cache under ``name`` is left as it is, before any hash:
+    replacing it would make that user's next run miss, and in a sticky
+    directory the rename fails."""
     import tempfile
 
     n, d = data.X.shape
     try:
+        if os.path.lexists(name) and os.lstat(name).st_uid != os.geteuid():
+            return
         if _HEADER_BYTES + 8 * n * (d + 1) > os.path.getsize(path) or _cache_key(path) != key:
             return
         fd, tmp = tempfile.mkstemp(prefix=f"{name.name}.", dir=name.parent)

@@ -769,8 +769,10 @@ class TestParseCache:
                                                         plant):
         # anyone can compute the key from the public bytes of the file and
         # the parser, so only the owner's own cache, writable by no one
-        # else, is read; a cache of another user's is never read however
-        # often it is rewritten
+        # else, is read.  Another user's cache is left as it is, unhashed
+        # (the run hashes FILE once, for the read), so that user's runs
+        # keep hitting it; the user's own writable cache is replaced by a
+        # 0600 one
         path = small_file(tmp_path / "s.svm")
         cold = load(path)
         cache = cli.cache_path(path)
@@ -779,10 +781,19 @@ class TestParseCache:
             monkeypatch.setattr(os, "geteuid", lambda: uid + 1)
         else:
             cache.chmod(0o620 if plant == "group-writable" else 0o606)
+        before = cache.stat().st_ino, cache.read_bytes()
+        keys = []
+        cache_key = cli._cache_key
+        monkeypatch.setattr(cli, "_cache_key", lambda name: keys.append(name) or cache_key(name))
         data = load(path)
         assert len(parses) == 2
         assert np.array_equal(data.X, cold.X) and np.array_equal(data.y, cold.y)
         assert cache.stat().st_mode & 0o777 == 0o600
+        assert names(tmp_path) == [cache.name, "s.svm"]  # no temporary file left
+        if plant == "owner":
+            assert (cache.stat().st_ino, cache.read_bytes()) == before and len(keys) == 1
+        else:
+            assert cache.stat().st_ino != before[0] and len(keys) == 2
         load(path)
         assert len(parses) == (3 if plant == "owner" else 2)
 

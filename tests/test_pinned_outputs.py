@@ -4,8 +4,10 @@ and at 2 BLAS threads.
 
 ``pinned_digests.json`` holds the sha256 of each output and the environment
 it was written in, and no thread count: every output has the same bytes at
-1 and at 2 BLAS threads.  The digest test checks that on the pinned outputs,
-and the thread probe on sums far longer than they reach.  A change that
+1 and at 2 BLAS threads.  The script runs once at each count; in any
+environment the two runs must agree, and where the environment matches the
+record's, both must match its digests.  The thread probe checks sums far
+longer than the pinned outputs reach.  A change that
 moves bits on purpose re-records the file with::
 
     PYTHONPATH=src python tests/test_pinned_outputs.py
@@ -159,15 +161,29 @@ def differing(a: dict[str, str], b: dict[str, str]) -> list[str]:
     return sorted(name for name in a.keys() | b.keys() if a.get(name) != b.get(name))
 
 
-def test_outputs_keep_their_pinned_digests(tmp_path):
+@pytest.fixture(scope="module")
+def pinned_runs(tmp_path_factory):
+    """The digests of one run of the pinned script at each of ``THREADS``."""
+    outdir = tmp_path_factory.mktemp("pinned")
+    return {threads: pinned_run(outdir / str(threads), threads) for threads in THREADS}
+
+
+def test_outputs_keep_their_bytes_at_every_thread_count(pinned_runs):
+    # in any environment: a threaded fleet on a threaded BLAS shows here
+    one, two = (pinned_runs[threads] for threads in THREADS)
+    assert differing(one, two) == [], (f"outputs whose bytes differ between {THREADS[0]} "
+                                       f"and {THREADS[1]} BLAS threads")
+
+
+def test_outputs_keep_their_pinned_digests(pinned_runs):
     pinned = json.loads(DIGESTS.read_text(encoding="utf-8"))
     recorded = pinned["environment"]
     here = environment()
     for field, value in here.items():
         if value != recorded[field]:
             pytest.skip(f"digests recorded with {field} {recorded[field]!r}, here {value!r}")
-    for threads in THREADS:
-        moved = differing(pinned["sha256"], pinned_run(tmp_path / str(threads), threads))
+    for threads, run in pinned_runs.items():
+        moved = differing(pinned["sha256"], run)
         assert moved == [], (f"at {threads} BLAS threads, outputs whose bytes moved, "
                              f"are missing or are new: {moved}")
 

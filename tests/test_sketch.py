@@ -1,5 +1,8 @@
 """Subsampling masks: determinism, counts, and estimator unbiasedness."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -357,16 +360,21 @@ def test_negative_seed_or_trial_is_refused_like_seed_sequence(seed, trial):
 
 def test_local_fleet_builds_one_generator_per_fleet(monkeypatch):
     # a structural guard, without timing: 1024 machines, at most one
-    # SeedSequence, Philox and Generator built for the whole fleet; in the
+    # SeedSequence and Generator built for the whole fleet and one Philox
+    # per thread that builds its machines, none per machine; in the
     # production fleets one gram runs per machine, the Gram tail once per
-    # stack, and the Newton fleet weights its rows by the curvature once
-    built = {}
+    # stack, and the Newton fleet weights its rows by the curvature once.
+    # The d=65 fleets build on two threads, so the counts take a lock.
+    built, philox_threads, lock = {}, [], threading.Lock()
 
     def counting(module, name):
         real = getattr(module, name)
 
         def count(*args, **kwargs):
-            built[name] = built.get(name, 0) + 1
+            with lock:
+                built[name] = built.get(name, 0) + 1
+                if name == "Philox":
+                    philox_threads.append(threading.get_ident())
             return real(*args, **kwargs)
 
         monkeypatch.setattr(module, name, count)
@@ -376,21 +384,125 @@ def test_local_fleet_builds_one_generator_per_fleet(monkeypatch):
     m, n, k = 1024, 50, 5
     # rows of ones at factor k: each machine's 1x1 matrix is its row count
     counts, = local_fleet(np.ones((n, 1)), k, 0.0, lambda stack: (stack.copy(),), k, m, 3, 2)
-    assert "Philox" in built and all(count <= 1 for count in built.values()), built
+    assert built == {"SeedSequence": 1, "Philox": 1}, built
     assert np.array_equal(counts.ravel(), [_include(n, k / n, 3, 2, t).sum() for t in range(m)])
 
     d = 65
     m = 2 * block_size(d * d) + 5  # three stacks
     for module, name in ((sketch, "gram_tail"), (sketch, "gram"), (newton, "hessian_rows")):
         counting(module, name)
+    monkeypatch.setattr(sketch.os, "sched_getaffinity", lambda pid: {0, 1})
     obj = small_objective(n=300, d=d)
     labels = Dataset(X=obj.data.X, y=(obj.data.y > 0).astype(float))
     for loss in LossKind:
         built.clear()
+        philox_threads.clear()
         newton._local_steps(Objective(labels, loss, obj.lam), np.zeros(d), np.ones(d),
                             100, m, 0, 0)
-        assert built == {"SeedSequence": 1, "Philox": 1, "hessian_rows": 1, "gram": m,
+        assert built == {"SeedSequence": 1, "Philox": 2, "hessian_rows": 1, "gram": m,
                          "gram_tail": 3}, (loss, built)
+        assert len(set(philox_threads)) <= 2, philox_threads
     built.clear()
     uq._local_spectra(obj.data, 100, 1.0, m, 0, 0, uq.Statistic.TRACE)
-    assert built == {"SeedSequence": 1, "Philox": 1, "gram": m, "gram_tail": 3}, built
+    assert built == {"SeedSequence": 1, "Philox": 2, "gram": m, "gram_tail": 3}, built
+
+
+def fleet_on(cpus, *args):
+    """``local_fleet(*args)`` with ``os.sched_getaffinity`` reporting ``cpus``
+    CPUs: its outputs, or the type, message and index of what it raised,
+    and the set of threads that ran its ``gram`` calls.  The interpreter
+    switches threads every microsecond meanwhile, so that two builders
+    that shared any state would interleave on it."""
+    threads = set()
+
+    def gram_noting_thread(out, rows):
+        threads.add(threading.get_ident())
+        return gram(out, rows)
+
+    interval = sys.getswitchinterval()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sketch.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        patch.setattr(sketch, "gram", gram_noting_thread)
+        sys.setswitchinterval(1e-6)
+        try:
+            result = local_fleet(*args)
+        except (NotPositiveDefinite, NonFiniteResult) as exc:
+            result = (type(exc), str(exc), getattr(exc, "index", None))
+        finally:
+            sys.setswitchinterval(interval)
+    return result, threads
+
+
+# widths past sketch._WIDE, whose stacks hold 163, 62 and 3 machines
+WIDE = st.sampled_from([40, 65, 257])
+
+
+@settings(max_examples=24, deadline=None)
+@given(d=WIDE, stacks=st.sampled_from(["one", "two", "odd", "three"]),
+       newton_route=st.booleans(), k=st.sampled_from([1, 5, 30]), seed=st.integers(0, 2**40))
+@example(d=65, stacks="three", newton_route=True, k=30, seed=0)
+@example(d=257, stacks="three", newton_route=False, k=30, seed=1)
+@example(d=40, stacks="odd", newton_route=False, k=5, seed=2)
+@example(d=257, stacks="two", newton_route=True, k=1, seed=3)
+@example(d=65, stacks="one", newton_route=False, k=30, seed=4)
+def test_the_worker_thread_changes_no_byte(d, stacks, newton_route, k, seed):
+    # the fleet built on one thread and on two, the worker building the
+    # second half of each stack: m = 1 and 2, one stack of odd length, and
+    # three stacks that end in a stack of one, through the Newton
+    # decomposition and the covariance one
+    block = block_size(d * d)
+    m = {"one": 1, "two": 2, "odd": block - 1 + block % 2, "three": 2 * block + 1}[stacks]
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((40, d))
+    if newton_route:
+        Z, f = hessian_rows(LossKind.LOGISTIC, X, rng.standard_normal(d) / d)
+        args = (Z, f, 0.5, lambda H: linalg.factor_solve(H, np.ones(d)))
+    else:
+        args = (X, 1.0, 0.0, lambda C: uq._spectra(C, 0.25, uq.Statistic.DIAGONAL))
+    serial, one = fleet_on(1, *args, k, m, seed, 1)
+    threaded, two = fleet_on(2, *args, k, m, seed, 1)
+    assert len(one) == 1 and len(two) == (1 if m == 1 else 2)
+    assert [(a.dtype, a.shape, a.tobytes()) for a in serial] == \
+        [(a.dtype, a.shape, a.tobytes()) for a in threaded]
+
+
+def seed_where(masks_fit, n, k, m):
+    """The first seed at which the masks of machines 0..m-1, at trial 0,
+    pass ``masks_fit``."""
+    return next(seed for seed in range(10_000)
+                if masks_fit([_include(n, k / n, seed, 0, t) for t in range(m)]))
+
+
+# an eigensolver refuses an infinite entry itself, so only the Newton route
+# reaches the fleet's finite check with one
+@pytest.mark.parametrize("fault, newton_route", [
+    ("not positive definite", True), ("not positive definite", False), ("overflow", True),
+], ids=["factor_solve", "spectra", "overflow"])
+def test_a_fault_in_the_worker_half_is_named_as_on_one_thread(fault, newton_route):
+    # rows Z = I at d = n = 24, a width on the threaded side, so each
+    # machine's matrix is diagonal with its mask on the diagonal.  Of four
+    # machines the caller builds 0 and 1 and the worker 2 and 3; the seed
+    # is picked so that the first bad machine is one of the worker's.  Not
+    # positive definite: no ridge, so a machine that leaves out a row is
+    # singular.  Overflow: a row of 1e200 makes the worker's syrk overflow
+    # to inf, which must raise no RuntimeWarning in the worker.
+    d, m = 24, 4
+    assert d >= sketch._WIDE
+    Z = np.eye(d)
+    if fault == "not positive definite":
+        k, ridge, error = d - 1, 0.0, NotPositiveDefinite
+        seed = seed_where(lambda masks: masks[0].all() and masks[1].all()
+                          and not masks[3].all(), d, k, m)
+    else:
+        k, ridge, error = d // 2, 1.0, NonFiniteResult
+        Z[0, 0] = 1e200
+        seed = seed_where(lambda masks: not masks[0][0] and not masks[1][0] and masks[3][0],
+                          d, k, m)
+    decompose = ((lambda H: linalg.factor_solve(H, np.ones(d))) if newton_route
+                 else (lambda C: uq._spectra(C, ridge, uq.Statistic.TRACE)))
+    serial, _ = fleet_on(1, Z, 1.0, ridge, decompose, k, m, seed, 0)
+    threaded, threads = fleet_on(2, Z, 1.0, ridge, decompose, k, m, seed, 0)
+    assert len(threads) == 2
+    assert serial == threaded and serial[0] is error, serial
+    named = [t for t in range(m) if f"(seed, trial, machine) = ({seed}, 0, {t})" in serial[1]]
+    assert named in ([2], [3]) and serial[2] in (None, *named), serial
