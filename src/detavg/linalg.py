@@ -8,8 +8,8 @@ forward and back substitution on the stacked factors and returns the
 log-determinants, so positive definiteness failures surface as
 :class:`~detavg.errors.NotPositiveDefinite` instead of silently wrong
 results.  It skips the symmetry check, which :func:`solve_psd` and
-:func:`adjugate` make before calling it.  :func:`inverse_forms` shares its
-forward substitution and stops there, reading ``v^T M^-1 v = ||L^-1 v||^2``.
+:func:`adjugate` make before calling it.  Every inverse in the package is a
+solve against the identity through it.
 
 Determinants and adjugates come in two deliberately independent flavors:
 a cofactor-expansion path that is exact (up to rounding) for arbitrary
@@ -100,24 +100,6 @@ def factor_solve(M: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return _substitute(L, rhs).swapaxes(0, 1), log_dets
 
 
-def inverse_forms(M: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Quadratic forms ``v^T M^-1 v`` of the columns of V, shape (d, r), for
-    a symmetric positive definite M, shape (d, d): the squared norms of
-    ``L^-1 V``, for the Cholesky factor L.  One forward substitution against
-    the d columns of I gives ``L^-1``, without the back substitution a solve
-    would add, and one product applies it to all r columns, so the
-    substitution's cost does not grow with r.
-
-    Raises
-    ------
-    NotPositiveDefinite
-        If ``M`` fails the Cholesky factorization.
-    """
-    L = _cholesky(require_symmetric(M))
-    Y = _substitute(L[None], np.eye(len(L)), back=False)[:, 0] @ V
-    return np.einsum("ij,ij->j", Y, Y)
-
-
 def _cholesky(M: np.ndarray) -> np.ndarray:
     """Cholesky factor of one matrix, or of each matrix of a stack, in one
     ``np.linalg.cholesky`` call; NotPositiveDefinite names the first matrix
@@ -134,20 +116,20 @@ def _cholesky(M: np.ndarray) -> np.ndarray:
         ) from exc
 
 
-def _substitute(L: np.ndarray, rhs: np.ndarray, back: bool = True) -> np.ndarray:
-    """``x[:, i]`` with ``L[i] L[i]^T x[:, i] = rhs``, or with ``L[i] x[:, i]
-    = rhs`` if not ``back``, for a stack of lower triangular factors with
-    positive diagonals D, shape (b, d, d), which it overwrites with their
-    unit lower triangular parts ``U = L D^-1``.
+def _substitute(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``x[:, i]`` with ``L[i] L[i]^T x[:, i] = rhs`` for a stack of lower
+    triangular factors with positive diagonals D, shape (b, d, d), which it
+    overwrites with their unit lower triangular parts ``U = L D^-1``.
 
     x is held stack-last, shape (d, b), or (d, b, r) for rhs of shape
     (d, r).  It solves ``U z = rhs`` forward and divides by D, which gives
-    ``L^-1 rhs``; to go back it divides by D once more and solves ``U^T x =
-    z / D``.  Each step subtracts an entry of x, once final, from the rows
+    ``L^-1 rhs``, then divides by D once more and solves ``U^T x = z / D``
+    back.  Each step subtracts an entry of x, once final, from the rows
     still open: it writes the products into one buffer that every step
     reuses and subtracts them from the open rows, whose entries for the
     whole stack lie next to each other.  Every operation is elementwise
-    across the stack, so no slice depends on another.  An overflowing solve reads inf or NaN, without a warning.
+    across the stack, so no slice depends on another.  An overflowing
+    solve reads inf or NaN, without a warning.
     """
     diag = np.diagonal(L, axis1=1, axis2=2).copy()
     x = np.empty((L.shape[1], len(L), *rhs.shape[1:]))
@@ -161,12 +143,11 @@ def _substitute(L: np.ndarray, rhs: np.ndarray, back: bool = True) -> np.ndarray
         for k in range(len(x) - 1):
             rest = x[k + 1:]
             rest -= np.multiply(U[k + 1:, k], x[k], products[k + 1:])
-        x /= diag
-        if back:
-            x /= diag
-            for k in range(len(x) - 1, 0, -1):
-                rest = x[:k]
-                rest -= np.multiply(U[k, :k], x[k], products[:k])
+        x /= diag  # z = L^-1 rhs
+        x /= diag  # z / D, the right-hand side of U^T x = z / D
+        for k in range(len(x) - 1, 0, -1):
+            rest = x[:k]
+            rest -= np.multiply(U[k, :k], x[k], products[:k])
     return x
 
 

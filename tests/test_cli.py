@@ -25,7 +25,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import detavg
-from detavg import cli, newton
+from detavg import cli, linalg, newton, uq
 from detavg.cli import main, write_csv
 from detavg.dataio import (
     expand_degree2,
@@ -544,6 +544,54 @@ class TestExitCodes:
     def test_k_larger_than_n_exits_1(self, tmp_path):
         code, _ = run(tmp_path, "x.csv", *sweep_args(k="500"))
         assert code == 1
+
+    @pytest.mark.parametrize("over, message", [
+        ({"m": "8,x"}, "--m expects comma-separated integers, got '8,x'"),
+        ({"m": ","}, "--m is empty"),
+        ({"synth": "10,3"}, "--synth expects N,D,NOISE, got '10,3'"),
+        ({"synth": "10,x,1.0"}, "--synth expects N,D,NOISE, got '10,x,1.0'"),
+    ])
+    def test_malformed_list_flag_exits_1_naming_it(self, tmp_path, capsys, over, message):
+        code, out = run(tmp_path, "x.csv", *sweep_args(**over))
+        assert code == 1
+        assert_one_line(capsys.readouterr().err, f"error: {message}")
+        assert not out.exists()
+
+    def test_non_finite_exact_step_norm_exits_2(self, tmp_path, capsys, monkeypatch):
+        # error_sweep refuses most overflowing inputs before the exact step
+        # is taken, so the norm is planted
+        monkeypatch.setattr(linalg, "norm", lambda v: math.inf)
+        code, out = run(tmp_path, "x.csv", *sweep_args())
+        assert code == 2
+        assert_one_line(capsys.readouterr().err,
+                        "numerical failure: the exact step's norm is inf")
+        assert not out.exists()
+        assert not out.with_suffix(".meta.json").exists()
+
+    def test_covariance_that_fails_its_factorization_exits_2(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # past the eigenvalue test, a factorization that still fails is a
+        # singular covariance
+        def fail(A, statistic):
+            raise NotPositiveDefinite("planted")
+
+        monkeypatch.setattr(uq, "_statistic_of_inverse", fail)
+        code, out = run(tmp_path, "uq.csv", "uq-sweep", "--synth", "120,3,0.5", "--k", "30",
+                        "--m", "2,4", "--trials", "1")
+        assert code == 2
+        assert_one_line(capsys.readouterr().err,
+                        "numerical failure: covariance is singular: planted")
+        assert not out.exists()
+
+    def test_exact_newton_out_of_iterations_exits_2_naming_the_tolerance(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(newton, "_NEWTON_ITERS", 0)
+        code, out = run(tmp_path, "t.csv", "newton-converge", "--synth", "120,3,0.5",
+                        "--k", "30", "--m", "4", "--iters", "2")
+        assert code == 2
+        assert_one_line(capsys.readouterr().err,
+                        "numerical failure: exact Newton did not reach tol=1e-12")
+        assert not out.exists()
 
 
 class TestFleetBoundary:
@@ -1083,6 +1131,12 @@ for argv in runs:
     assert main(argv) == 0, argv
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
+
+
+@pytest.mark.parametrize("flag", [True, np.True_])
+def test_no_table_cell_is_a_boolean(flag):
+    with pytest.raises(TypeError, match="no boolean columns in any table"):
+        cli._fmt(flag)
 
 
 def test_every_subcommand_runs_on_numpy_alone(tmp_path):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from detavg import cli, linalg, newton, sketch
 from detavg.dataio import synth_regression
-from detavg.errors import NonFiniteResult, NotPositiveDefinite
+from detavg.errors import NoConvergence, NonFiniteResult, NotPositiveDefinite
 from detavg.newton import (
     MachineConfig,
     Scheme,
@@ -222,6 +222,23 @@ def test_exact_minimizer_reaches_tiny_gradient():
     assert np.linalg.norm(obj.gradient(w_star)) <= 1e-12
 
 
+def test_exact_minimizer_refuses_once_out_of_iterations(monkeypatch):
+    obj = make_objective(9, n=60, d=4, lam=1e-2)
+    monkeypatch.setattr(newton, "_NEWTON_ITERS", 0)
+    with pytest.raises(NoConvergence, match=r"did not reach tol=1e-12 .* in 0 iterations"):
+        exact_minimizer(obj)
+
+
+def test_exact_minimizer_returns_after_its_last_iteration(monkeypatch):
+    # a square loss is minimized by its one Newton step from w = 0, which
+    # meets the tolerance only once the loop is done
+    obj = make_objective(9, n=60, d=4, lam=1e-2)
+    monkeypatch.setattr(newton, "_NEWTON_ITERS", 1)
+    w0 = np.zeros(4)
+    want = -linalg.solve_psd(obj.hessian(w0), obj.gradient(w0))
+    assert exact_minimizer(obj).tobytes() == want.tobytes()
+
+
 def reference_exact_minimizer(obj):
     """exact_minimizer as it was before it kept each iterate's gradient:
     the step is Objective.exact_newton_step, which takes the gradient again."""
@@ -294,7 +311,8 @@ def test_coherence_hand_value_and_zero_case():
 @given(loss=st.sampled_from(list(LossKind)), d=st.sampled_from([1, 3, 10, 65]),
        seed=st.integers(0, 2**32 - 1))
 def test_coherence_equals_the_solved_leverages(loss, d, seed):
-    # inverse_forms over the weighted rows, against the first formula:
+    # H^-1 from one solve against the identity, applied to the weighted
+    # rows, against the first formula:
     # l''_i x_i^T H^-1 x_i from a full solve for every row
     obj = make_objective(seed, n=120, d=d, lam=0.05, loss=loss)
     w = np.random.default_rng(seed).standard_normal(d) / np.sqrt(d)

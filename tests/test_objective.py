@@ -272,3 +272,8 @@ def test_validation():
         Dataset(X=[[np.nan]], y=[1.0])
     with pytest.raises(ValueError):
         Dataset(X=np.empty((0, 2)), y=np.empty(0))
+
+
+def test_dataset_refuses_a_one_dimensional_x():
+    with pytest.raises(ValueError, match=r"X must be 2-d, got shape \(3,\)"):
+        Dataset(X=np.ones(3), y=np.ones(3))

@@ -256,6 +256,26 @@ def test_model_validation():
         identity_suite(models=1, max_n=1)
 
 
+def test_model_shape_refusals():
+    with pytest.raises(ValueError, match=r"component matrix must be square, got \(2, 3\)"):
+        Component(np.ones((2, 3)), (1.0,), (1.0,))
+    mixed = (Component(np.eye(2), (1.0,), (1.0,)), Component(np.eye(3), (1.0,), (1.0,)))
+    with pytest.raises(ValueError, match="all component matrices must share one dimension"):
+        RandomRankOneSum(components=mixed, base=np.eye(2))
+    with pytest.raises(ValueError, match="one gamma per component required"):
+        RandomRankOneSum.bernoulli([np.eye(2), np.eye(2)], gamma=[0.5], base=np.eye(2))
+
+
+def test_bernoulli_at_gamma_one_is_the_one_point_law():
+    Z = np.outer([1.0, 2.0], [1.0, 2.0])
+    model = RandomRankOneSum.bernoulli([Z], gamma=1.0, base=np.eye(2))
+    assert model.components[0].values == (1.0,) and model.components[0].probs == (1.0,)
+    assert model.n_outcomes == 1
+    [(p, A)] = model.outcome_blocks()
+    assert p.tolist() == [1.0]
+    assert np.array_equal(A[0], model.mean())
+
+
 def test_identity_suite_report():
     report = identity_suite(models=25, max_n=6, max_d=3, seed=5)
     assert report.models == 25

@@ -104,6 +104,12 @@ def test_local_hessian_rejects_foreign_mask():
         local_hessian(obj, np.zeros(4), SketchMask(include=np.zeros(10, dtype=bool), k=2, n=10))
 
 
+def test_local_covariance_rejects_foreign_mask():
+    data = small_objective().data
+    with pytest.raises(ValueError, match="mask over 10 rows, dataset has 40"):
+        local_covariance(data, SketchMask(include=np.zeros(10, dtype=bool), k=2, n=10))
+
+
 def test_local_covariance_empty_and_full():
     obj = small_objective()
     data = obj.data
